@@ -27,6 +27,7 @@ from .estimators import (
     coef_matrix,
     fit_ols,
     fit_rrr,
+    fit_rrr_path,
     fit_shrunk,
     hard,
     soft,
@@ -58,7 +59,7 @@ __all__ = [
     "exact_df_rrr", "exact_df_shrunk", "mc_df", "naive_df", "perturbation_df",
     "sv_derivatives",
     "FittedModel", "LsFit", "ShrinkageRule", "adaptive", "coef_matrix",
-    "fit_ols", "fit_rrr", "fit_shrunk", "hard", "soft",
+    "fit_ols", "fit_rrr", "fit_rrr_path", "fit_shrunk", "hard", "soft",
     "GramFactors", "HFactor", "SvdFactors", "build_h", "effective_rank",
     "gram_factors", "thin_svd",
     "EvalReport", "eval_splits", "ingest_csv", "synthetic_fixture",

@@ -37,7 +37,7 @@ def _load_xy(args):
     return x, y
 
 
-def _rule_from(args, d1: float):
+def _rule_from(args):
     if args.rank is not None:
         return hard(args.rank)
     if args.soft is not None:
@@ -65,7 +65,7 @@ def _add_rule_flags(sp):
 def cmd_fit(args) -> int:
     x, y = _load_xy(args)
     ls = fit_ols(x, y)
-    rule = _rule_from(args, float(ls.d[0]) if ls.d.size else 0.0)
+    rule = _rule_from(args)
     fm = fit_shrunk(ls, rule) if rule is not None else fit_rrr(ls, ls.r_bar)
     b = coef_matrix(fm)
     payload = {
@@ -87,7 +87,7 @@ def cmd_dof(args) -> int:
     seed = _seed_from(args)
     ls = fit_ols(x, y)
     r_x, q = ls.gram.r_x, y.shape[1]
-    rule = _rule_from(args, float(ls.d[0]))
+    rule = _rule_from(args)
     method = args.method
     if method in ("exact", "naive", "fd") and rule is None:
         raise RrdofError(f"--method {method} needs --rank, --soft, or --adaptive")
@@ -104,12 +104,12 @@ def cmd_dof(args) -> int:
     elif method == "mc":
         if args.sigma2 is None:
             raise RrdofError("--method mc requires --sigma2")
-        fitter = _fitter_from(args, x)
-        est = dof_mod.mc_df(x, ls.y_hat, args.sigma2, fitter, reps=args.reps, seed=seed)
+        fitter = _fitter_from(rule, ls)
+        est = dof_mod.mc_df(ls.y_hat, args.sigma2, fitter, reps=args.reps, seed=seed)
     elif method == "perturb":
         tau = args.tau if args.tau is not None else 0.1 * _sigma_hat(ls)
-        fitter = _fitter_from(args, x)
-        est = dof_mod.perturbation_df(x, y, fitter, n_pert=args.reps, tau=tau, seed=seed)
+        fitter = _fitter_from(rule, ls)
+        est = dof_mod.perturbation_df(y, fitter, n_pert=args.reps, tau=tau, seed=seed)
     else:  # pragma: no cover - argparse restricts choices
         raise RrdofError(f"unknown method {method}")
     payload = asdict(est)
@@ -123,19 +123,15 @@ def _sigma_hat(ls) -> float:
     return float(np.sqrt(np.sum((ls.y - ls.y_hat) ** 2) / dof_resid))
 
 
-def _fitter_from(args, x):
-    rank = args.rank
-    lam_soft, lam_adaptive, gamma = args.soft, args.adaptive, args.gamma
+def _fitter_from(rule, ls):
+    """Refit ls.x under `rule` (None: least squares) reusing ls.gram; a rank
+    above r_bar clamps to r_bar and rank 0 raises as in fit_rrr."""
+    if rule is not None and rule.kind == "hard":
+        rule = fit_rrr(ls, min(rule.rank, ls.r_bar)).rule
 
     def fitter(y_draw):
-        ls = fit_ols(x, y_draw)
-        if rank is not None:
-            return fit_rrr(ls, min(rank, ls.r_bar)).y_fit
-        if lam_soft is not None:
-            return fit_shrunk(ls, soft(lam_soft)).y_fit
-        if lam_adaptive is not None:
-            return fit_shrunk(ls, adaptive(lam_adaptive, gamma)).y_fit
-        return ls.y_hat
+        refit = fit_ols(ls.x, y_draw, gram=ls.gram)
+        return refit.y_hat if rule is None else fit_shrunk(refit, rule).y_fit
 
     return fitter
 

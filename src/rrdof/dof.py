@@ -246,18 +246,20 @@ def _substream(seed: int, *path: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(p) for p in path)))
 
 
-def _cov_df(fitted: np.ndarray, draws: np.ndarray, scale: float) -> tuple[float, float]:
-    """Sum of sample covariances cov(fitted_ij, draws_ij)/scale plus a
-    leave-one-out jackknife standard error. Arrays are (reps, n*q)."""
+def _cov_value(fitted: np.ndarray, draws: np.ndarray, scale: float) -> float:
+    """Sum of sample covariances cov(fitted_ij, draws_ij)/scale over
+    arrays of shape (reps, n*q)."""
     m = fitted.shape[0]
-    a_bar = fitted.mean(axis=0)
-    b_bar = draws.mean(axis=0)
     cross = np.einsum("ti,ti->", fitted, draws)
-    value = (cross - m * float(a_bar @ b_bar)) / (m - 1) / scale
+    return float((cross - m * float(fitted.mean(axis=0) @ draws.mean(axis=0))) / (m - 1) / scale)
 
+
+def _cov_df(fitted: np.ndarray, draws: np.ndarray, scale: float) -> tuple[float, float]:
+    """`_cov_value` plus its leave-one-out jackknife standard error."""
+    m = fitted.shape[0]
     # Jackknife: recompute the summed covariance leaving out each replication.
     s_ab = np.einsum("ti,ti->t", fitted, draws)  # per-rep inner products
-    tot_ab = cross
+    tot_ab = np.einsum("ti,ti->", fitted, draws)
     sum_a = fitted.sum(axis=0)
     sum_b = draws.sum(axis=0)
     loo = np.empty(m)
@@ -266,11 +268,10 @@ def _cov_df(fitted: np.ndarray, draws: np.ndarray, scale: float) -> tuple[float,
         mean_dot = float((sum_a - fitted[t]) @ (sum_b - draws[t])) / (m - 1)
         loo[t] = (ab - mean_dot) / (m - 2) / scale
     se = float(np.sqrt((m - 1) / m * np.sum((loo - loo.mean()) ** 2)))
-    return float(value), se
+    return _cov_value(fitted, draws, scale), se
 
 
 def mc_df(
-    x,
     mean,
     sigma2: float,
     fitter: Callable[[np.ndarray], np.ndarray],
@@ -301,7 +302,6 @@ def mc_df(
 
 
 def perturbation_df(
-    x,
     y,
     fitter: Callable[[np.ndarray], np.ndarray],
     n_pert: int,

@@ -119,13 +119,16 @@ class FittedModel:
     source: LsFit = field(repr=False)
 
 
-def fit_ols(x, y) -> LsFit:
-    """Least-squares fit Y_hat = X (X'X)^+ X' Y; valid for any p, q vs n."""
+def fit_ols(x, y, gram: GramFactors | None = None) -> LsFit:
+    """Least-squares fit Y_hat = X (X'X)^+ X' Y; valid for any p, q vs n.
+
+    Refits of one design can pass ``gram=gram_factors(x)`` to factor X once.
+    """
     x = as_matrix(x)
     y = as_matrix(y)
     if x.shape[0] != y.shape[0]:
         raise ShapeError(f"x has {x.shape[0]} rows but y has {y.shape[0]}")
-    gf = gram_factors(x)
+    gf = gram_factors(x) if gram is None else gram
     hf = build_h(x, y, gf)
     y_hat = ((x @ gf.q_mat) / gf.s[None, :]) @ hf.h
     return LsFit(x=x, y=y, gram=gf, hf=hf, y_hat=y_hat, r_bar=hf.r_bar)
@@ -136,17 +139,38 @@ def fit_shrunk(ls: LsFit, rule: ShrinkageRule) -> FittedModel:
     d = ls.d
     s, s_prime = rule.weights(d)
     validate_weights(s, s_prime)
-    v = ls.hf.svd.right
-    y_fit = (ls.y_hat @ (v * s[None, :])) @ v.T
+    y_fit = _weighted_fit(ls, s)
     r_tilde = int(np.count_nonzero(s > 0))
     return FittedModel(rule=rule, d_tilde=s * d, y_fit=y_fit, r_tilde=r_tilde, source=ls)
 
 
-def fit_rrr(ls: LsFit, r: int) -> FittedModel:
-    """Rank-r reduced-rank fit; identical to fit_shrunk with the hard rule."""
+def _weighted_fit(ls: LsFit, s: np.ndarray) -> np.ndarray:
+    # Y_hat V diag(s) V' for a weight vector s, or one such product per row
+    # of a weight matrix s, stacked along a leading axis.
+    v = ls.hf.svd.right
+    return (ls.y_hat @ (v * s[..., None, :])) @ v.T
+
+
+def _check_rank(ls: LsFit, r: int) -> None:
     if not 1 <= r <= ls.r_bar:
         raise DomainError(f"rank {r} outside [1, {ls.r_bar}]")
+
+
+def fit_rrr(ls: LsFit, r: int) -> FittedModel:
+    """Rank-r reduced-rank fit; identical to fit_shrunk with the hard rule."""
+    _check_rank(ls, r)
     return fit_shrunk(ls, hard(r))
+
+
+def fit_rrr_path(ls: LsFit, ranks) -> np.ndarray:
+    """Fitted values of the rank-r fit for every r in `ranks`, shape (k, n, q).
+
+    Slice a equals ``fit_rrr(ls, ranks[a]).y_fit`` bit for bit.
+    """
+    for r in ranks:
+        _check_rank(ls, r)
+    s = np.arange(ls.d.size) < np.asarray(ranks)[:, None]
+    return _weighted_fit(ls, s.astype(float))
 
 
 def coef_matrix(fm: FittedModel) -> np.ndarray:

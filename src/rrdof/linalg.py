@@ -64,13 +64,12 @@ class HFactor:
 
 def _fix_signs(u: np.ndarray, vt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Force the largest-magnitude entry of each right singular vector to be
-    # positive; the compensating flip goes into the left vectors.
-    for k in range(vt.shape[0]):
-        row = vt[k]
-        j = int(np.argmax(np.abs(row)))
-        if row[j] < 0:
-            vt[k] = -row
-            u[:, k] = -u[:, k]
+    # positive (the first one on ties); the compensating flip goes into the
+    # left vectors.
+    j = np.argmax(np.abs(vt), axis=1)
+    flip = vt[np.arange(vt.shape[0]), j] < 0
+    vt[flip] = -vt[flip]
+    u[:, flip] = -u[:, flip]
     return u, vt
 
 

@@ -14,10 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dof import DofEstimate, GapPolicy, _cov_df, exact_df_rrr, naive_df
-from .estimators import fit_ols, fit_rrr, coef_matrix
+from .dof import DofEstimate, GapPolicy, _cov_df, _cov_value, exact_df_rrr, naive_df
+from .estimators import fit_ols, fit_rrr, fit_rrr_path, coef_matrix
 from .exceptions import DomainError
-from .linalg import thin_svd
+from .linalg import gram_factors, thin_svd
 from .selection import Criterion, select_rank
 
 
@@ -149,11 +149,11 @@ def run_dof_study(
     for t in range(cfg.reps):
         _, _, y, _ = gen_instance(cfg, t)
         draws[t] = y.ravel()
-        ls = fit_ols(x, y)
+        ls = fit_ols(x, y, gram=ls0.gram)  # X is fixed: factor it once
         for a, r in enumerate(ranks):
             exact_vals[t, a] = exact_df_rrr(ls.d, r_x, cfg.q, r, gp=gp).value
-            fitted[a, t] = fit_rrr(ls, r).y_fit.ravel()
-        pert_vals[t] = _perturb_path(x, y, ranks, n_pert, tau, seed=cfg.seed + 7919 * t)
+        fitted[:, t] = fit_rrr_path(ls, ranks).reshape(n_ranks, -1)
+        pert_vals[t] = _perturb_path(x, y, ls0.gram, ranks, n_pert, tau, seed=cfg.seed + 7919 * t)
 
     mc = [
         DofEstimate(value=v, method="monte_carlo", std_error=se)
@@ -172,7 +172,7 @@ def run_dof_study(
     )
 
 
-def _perturb_path(x, y, ranks, n_pert: int, tau: float, seed: int) -> np.ndarray:
+def _perturb_path(x, y, gram, ranks, n_pert: int, tau: float, seed: int) -> np.ndarray:
     """Perturbation df for every rank at once, sharing the perturbation draws."""
     rng_root = np.random.SeedSequence(entropy=int(seed) & 0xFFFFFFFFFFFF, spawn_key=(2,))
     n, q = y.shape
@@ -183,10 +183,8 @@ def _perturb_path(x, y, ranks, n_pert: int, tau: float, seed: int) -> np.ndarray
         rng = np.random.default_rng(child)
         delta = tau * rng.standard_normal(y.shape)
         deltas[t] = delta.ravel()
-        ls = fit_ols(x, y + delta)
-        for a, r in enumerate(ranks):
-            fitted[a, t] = fit_rrr(ls, r).y_fit.ravel()
-    return np.array([_cov_df(fitted[a], deltas, tau**2)[0] for a in range(n_ranks)])
+        fitted[:, t] = fit_rrr_path(fit_ols(x, y + delta, gram=gram), ranks).reshape(n_ranks, -1)
+    return np.array([_cov_value(fitted[a], deltas, tau**2) for a in range(n_ranks)])
 
 
 @dataclass
@@ -223,6 +221,7 @@ def run_pred_study(cfg: SimConfig, gp: GapPolicy = GapPolicy()) -> PredStudyResu
     percentage relative gain PRG = 100 (Pred_naive - Pred_exact)/Pred_exact."""
     x, b, _, _ = gen_instance(cfg, 0)
     xb = x @ b
+    gram = gram_factors(x)
     res = PredStudyResult(
         config=cfg, est_exact=[], est_naive=[], pred_exact=[], pred_naive=[],
         rank_exact=[], rank_naive=[], prg=[], snr=[],
@@ -230,7 +229,7 @@ def run_pred_study(cfg: SimConfig, gp: GapPolicy = GapPolicy()) -> PredStudyResu
     for t in range(cfg.reps):
         _, _, y, _ = gen_instance(cfg, t)
         res.snr.append(snr(x, b, y - xb))
-        ls = fit_ols(x, y)
+        ls = fit_ols(x, y, gram=gram)
         metrics = {}
         for mode in ("exact", "naive"):
             crit = Criterion(kind="gcv", df_mode=mode)

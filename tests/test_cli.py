@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from rrdof.cli import main
+from rrdof.cli import _sigma_hat, main
+from rrdof.dof import mc_df, perturbation_df
+from rrdof.estimators import adaptive, fit_ols, fit_rrr, fit_shrunk
 from rrdof.pipeline import ingest_csv, write_matrix_csv
 
 
@@ -105,6 +107,42 @@ class TestDof:
         d1, d2 = read_report(out1), read_report(out2)
         assert d1["seed"] == 123
         assert d1["payload"] == d2["payload"]
+
+
+    @pytest.mark.parametrize("method", ["mc", "perturb"])
+    @pytest.mark.parametrize("flags,refit", [
+        (["--rank", "2"], lambda ls: fit_rrr(ls, 2).y_fit),
+        (["--rank", "9"], lambda ls: fit_rrr(ls, ls.r_bar).y_fit),  # clamps to r_bar
+        (["--adaptive", "2.0", "--gamma", "1.5"],
+         lambda ls: fit_shrunk(ls, adaptive(2.0, 1.5)).y_fit),
+        ([], lambda ls: ls.y_hat),
+    ], ids=["rank", "rank_clamped", "adaptive", "ols"])
+    def test_stochastic_reports_match_per_draw_refits(self, data_paths, method, flags, refit):
+        xp, yp, tmp = data_paths
+        out = tmp / "dof.json"
+        extra = ["--sigma2", "1.5"] if method == "mc" else []
+        rc = main(["--seed", "4", "dof", "--x", xp, "--y", yp, "--method", method,
+                   "--reps", "12", "--output", str(out)] + flags + extra)
+        assert rc == 0
+        x, y = ingest_csv(xp), ingest_csv(yp)
+
+        def fitter(y_draw):  # factors X again for every draw
+            return refit(fit_ols(x, y_draw))
+
+        ls = fit_ols(x, y)
+        if method == "mc":
+            est = mc_df(ls.y_hat, 1.5, fitter, reps=12, seed=4)
+        else:
+            est = perturbation_df(y, fitter, n_pert=12, tau=0.1 * _sigma_hat(ls), seed=4)
+        pl = read_report(out)["payload"]
+        assert (pl["value"], pl["std_error"]) == (est.value, est.std_error)
+
+    def test_rank_zero_is_a_domain_error(self, data_paths, capsys):
+        xp, yp, tmp = data_paths
+        rc = main(["dof", "--x", xp, "--y", yp, "--method", "perturb", "--rank", "0",
+                   "--output", str(tmp / "e.json")])
+        assert rc == 2
+        assert "rank 0 outside [1, 4]" in capsys.readouterr().err
 
 
 class TestSelect:

@@ -182,14 +182,14 @@ class TestStochasticEstimators:
         rng = np.random.default_rng(38)
         x = rng.standard_normal((8, 3))
         mean = rng.standard_normal((8, 4))
-        est = mc_df(x, mean, 1.0, lambda y: y, reps=2000, seed=5)
+        est = mc_df(mean, 1.0, lambda y: y, reps=2000, seed=5)
         assert abs(est.value - 32) <= 3 * est.std_error
 
     def test_mc_ols_projection(self):
         rng = np.random.default_rng(39)
         x = rng.standard_normal((12, 4))
         mean = rng.standard_normal((12, 3))
-        est = mc_df(x, mean, 1.0, lambda y: fit_ols(x, y).y_hat, reps=1500, seed=6)
+        est = mc_df(mean, 1.0, lambda y: fit_ols(x, y).y_hat, reps=1500, seed=6)
         assert abs(est.value - 12) <= 3 * est.std_error
 
     def test_mc_rrr_matches_exact(self):
@@ -199,7 +199,7 @@ class TestStochasticEstimators:
         x, b, _, _ = gen_instance(cfg, 0)
         mean = x @ b
         r = 3
-        est = mc_df(x, mean, 1.0, lambda y: fit_rrr(fit_ols(x, y), r).y_fit,
+        est = mc_df(mean, 1.0, lambda y: fit_rrr(fit_ols(x, y), r).y_fit,
                     reps=500, seed=7)
         # average exact df over fresh draws
         vals = []
@@ -216,14 +216,14 @@ class TestStochasticEstimators:
         rng = np.random.default_rng(40)
         x = rng.standard_normal((8, 3))
         y = rng.standard_normal((8, 4))
-        est = perturbation_df(x, y, lambda z: z, n_pert=2000, tau=0.1, seed=9)
+        est = perturbation_df(y, lambda z: z, n_pert=2000, tau=0.1, seed=9)
         assert abs(est.value - 32) <= 3 * est.std_error
 
     def test_perturbation_ols(self):
         rng = np.random.default_rng(41)
         x = rng.standard_normal((12, 4))
         y = rng.standard_normal((12, 3))
-        est = perturbation_df(x, y, lambda z: fit_ols(x, z).y_hat,
+        est = perturbation_df(y, lambda z: fit_ols(x, z).y_hat,
                               n_pert=1500, tau=0.1, seed=10)
         assert abs(est.value - 12) <= 3 * est.std_error
 
@@ -234,20 +234,20 @@ class TestStochasticEstimators:
         y = x @ b + rng.standard_normal((20, 5))
         ls = fit_ols(x, y)
         exact = exact_df_rrr(ls.d, ls.gram.r_x, 5, 2).value
-        est = perturbation_df(x, y, lambda z: fit_rrr(fit_ols(x, z), 2).y_fit,
+        est = perturbation_df(y, lambda z: fit_rrr(fit_ols(x, z), 2).y_fit,
                               n_pert=800, tau=0.1, seed=11)
         assert abs(est.value - exact) <= 3 * est.std_error
 
     def test_reps_validation(self):
         with pytest.raises(DomainError):
-            mc_df(None, np.zeros((2, 2)), 1.0, lambda y: y, reps=1, seed=0)
+            mc_df(np.zeros((2, 2)), 1.0, lambda y: y, reps=1, seed=0)
         with pytest.raises(DomainError):
-            perturbation_df(None, np.zeros((2, 2)), lambda y: y, n_pert=1, tau=0.1, seed=0)
+            perturbation_df(np.zeros((2, 2)), lambda y: y, n_pert=1, tau=0.1, seed=0)
 
     def test_seed_reproducibility(self):
         rng = np.random.default_rng(43)
         x = rng.standard_normal((6, 2))
         mean = rng.standard_normal((6, 3))
-        a = mc_df(x, mean, 1.0, lambda y: y, reps=50, seed=99)
-        b = mc_df(x, mean, 1.0, lambda y: y, reps=50, seed=99)
+        a = mc_df(mean, 1.0, lambda y: y, reps=50, seed=99)
+        b = mc_df(mean, 1.0, lambda y: y, reps=50, seed=99)
         assert a.value == b.value and a.std_error == b.std_error

@@ -7,13 +7,14 @@ from rrdof.estimators import (
     coef_matrix,
     fit_ols,
     fit_rrr,
+    fit_rrr_path,
     fit_shrunk,
     hard,
     soft,
     validate_weights,
 )
 from rrdof.exceptions import ContractViolationError, DomainError, ShapeError
-from rrdof.linalg import projection_matrix
+from rrdof.linalg import gram_factors, projection_matrix
 
 
 @pytest.fixture
@@ -59,6 +60,29 @@ class TestFitOls:
     def test_row_mismatch(self):
         with pytest.raises(ShapeError):
             fit_ols(np.ones((4, 2)), np.ones((5, 2)))
+
+
+class TestSharedGram:
+    @pytest.mark.parametrize("shape", [(12, 5, 4), (6, 9, 7)])
+    def test_precomputed_gram_is_bit_identical(self, shape):
+        n, p, q = shape
+        rng = np.random.default_rng(26)
+        x = rng.standard_normal((n, p))
+        y = rng.standard_normal((n, q))
+        gram = gram_factors(x)
+        a, b = fit_ols(x, y, gram=gram), fit_ols(x, y)
+        assert a.gram is gram
+        assert np.array_equal(a.y_hat, b.y_hat)
+        assert np.array_equal(a.hf.h, b.hf.h)
+        assert np.array_equal(a.d, b.d)
+        assert np.array_equal(a.hf.svd.right, b.hf.svd.right)
+
+    def test_gram_of_another_design_shape_rejected(self):
+        rng = np.random.default_rng(27)
+        x = rng.standard_normal((10, 5))
+        other = gram_factors(rng.standard_normal((10, 6)))
+        with pytest.raises(ShapeError):
+            fit_ols(x, rng.standard_normal((10, 3)), gram=other)
 
 
 class TestShrinkageRules:
@@ -117,6 +141,11 @@ class TestFitRrr:
             a = fit_rrr(random_fit, r).y_fit
             b = fit_shrunk(random_fit, hard(r)).y_fit
             assert np.array_equal(a, b)
+
+    def test_path_rejects_out_of_range_rank(self, random_fit):
+        for bad in ([0, 1], [1, random_fit.r_bar + 1]):
+            with pytest.raises(DomainError, match="outside"):
+                fit_rrr_path(random_fit, bad)
 
     def test_eckart_young_monotone_residuals(self, random_fit):
         y = random_fit.y

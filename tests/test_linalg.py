@@ -3,6 +3,7 @@ import pytest
 
 from rrdof.exceptions import DegenerateDesignError, ShapeError
 from rrdof.linalg import (
+    _fix_signs,
     build_h,
     effective_rank,
     gram_factors,
@@ -53,6 +54,37 @@ class TestThinSvd:
     def test_rejects_nonfinite(self):
         with pytest.raises(ShapeError):
             thin_svd(np.array([[1.0, np.nan]]))
+
+
+def _fix_signs_loop(u, vt):
+    # Reference: the per-row loop that the vectorised _fix_signs replaces.
+    for k in range(vt.shape[0]):
+        row = vt[k]
+        j = int(np.argmax(np.abs(row)))
+        if row[j] < 0:
+            vt[k] = -row
+            u[:, k] = -u[:, k]
+    return u, vt
+
+
+@pytest.mark.parametrize("case", ["random", "tied", "zero_rows"])
+def test_fix_signs_matches_loop(case):
+    rng = np.random.default_rng(7)
+    u = rng.standard_normal((6, 5))
+    vt = rng.standard_normal((5, 4))
+    if case == "tied":
+        # equal magnitudes of both signs: the first maximal entry decides
+        vt = rng.choice([-1.0, 1.0], size=(5, 4))
+        vt[1] = [-2.0, 2.0, 1.0, 0.0]
+        vt[2] = [2.0, -2.0, 0.0, 1.0]
+    elif case == "zero_rows":
+        vt[[0, 3]] = 0.0
+        vt[4] = [0.0, -0.0, -3.0, 3.0]
+    got_u, got_vt = _fix_signs(u.copy(), vt.copy())
+    ref_u, ref_vt = _fix_signs_loop(u.copy(), vt.copy())
+    assert np.array_equal(got_u, ref_u)
+    assert np.array_equal(got_vt, ref_vt)
+    assert np.array_equal(np.signbit(got_vt), np.signbit(ref_vt))
 
 
 class TestGramFactors:

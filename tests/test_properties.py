@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rrdof.dof import exact_df_rrr, naive_df
-from rrdof.estimators import adaptive, hard, soft, validate_weights
+from rrdof.estimators import adaptive, fit_ols, fit_rrr, fit_rrr_path, hard, soft, validate_weights
 from rrdof.linalg import thin_svd
 
 
@@ -72,3 +72,22 @@ def test_hard_rule_projects(seed):
         s, sp = hard(r).weights(d)
         assert np.array_equal(s, (np.arange(5) < r).astype(float))
         assert np.array_equal(sp, np.zeros(5))
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n=st.integers(min_value=2, max_value=12),
+    p=st.integers(min_value=1, max_value=12),
+    q=st.integers(min_value=1, max_value=12),
+    data=st.data(),
+)
+def test_rank_path_equals_per_rank_fits(seed, n, p, q, data):
+    # Covers wide designs (n < p) and more responses than the design rank.
+    rng = np.random.default_rng(seed)
+    ls = fit_ols(rng.standard_normal((n, p)), rng.standard_normal((n, q)))
+    ranks = data.draw(st.lists(st.integers(1, ls.r_bar), max_size=2 * ls.r_bar))
+    path = fit_rrr_path(ls, ranks)
+    assert path.shape == (len(ranks), n, q)
+    for a, r in enumerate(ranks):
+        assert np.array_equal(path[a], fit_rrr(ls, r).y_fit)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from rrdof.dof import DofEstimate, _cov_df, exact_df_rrr, naive_df
+from rrdof.estimators import fit_ols, fit_rrr
 from rrdof.exceptions import DomainError
 from rrdof.simbench import (
     PRESETS,
@@ -133,6 +135,62 @@ class TestDofStudy:
         again = run_dof_study(SMALL, n_pert=20)
         assert np.array_equal(again.exact_values, study.exact_values)
         assert again.perturb_mean == study.perturb_mean
+
+
+def _reference_dof_study(cfg, n_pert):
+    # The study loop as first written: a fresh Gram factorisation for every
+    # refit, one fit_rrr per rank, and _cov_df for both covariance estimates.
+    x, _, _, _ = gen_instance(cfg, 0)
+    r_x = fit_ols(x, np.zeros((cfg.n, cfg.q))).gram.r_x
+    ranks = list(range(1, min(r_x, cfg.q) + 1))
+    exact = np.empty((cfg.reps, len(ranks)))
+    pert = np.empty((cfg.reps, len(ranks)))
+    fitted = np.empty((len(ranks), cfg.reps, cfg.n * cfg.q))
+    draws = np.empty((cfg.reps, cfg.n * cfg.q))
+    tau = 0.1 * float(np.sqrt(cfg.sigma2))
+    for t in range(cfg.reps):
+        _, _, y, _ = gen_instance(cfg, t)
+        draws[t] = y.ravel()
+        ls = fit_ols(x, y)
+        for a, r in enumerate(ranks):
+            exact[t, a] = exact_df_rrr(ls.d, r_x, cfg.q, r).value
+            fitted[a, t] = fit_rrr(ls, r).y_fit.ravel()
+        root = np.random.SeedSequence(
+            entropy=int(cfg.seed + 7919 * t) & 0xFFFFFFFFFFFF, spawn_key=(2,))
+        p_fitted = np.empty((len(ranks), n_pert, cfg.n * cfg.q))
+        deltas = np.empty((n_pert, cfg.n * cfg.q))
+        for k, child in enumerate(root.spawn(n_pert)):
+            delta = tau * np.random.default_rng(child).standard_normal(y.shape)
+            deltas[k] = delta.ravel()
+            ls_k = fit_ols(x, y + delta)
+            for a, r in enumerate(ranks):
+                p_fitted[a, k] = fit_rrr(ls_k, r).y_fit.ravel()
+        pert[t] = [_cov_df(p_fitted[a], deltas, tau**2)[0] for a in range(len(ranks))]
+    mc = [DofEstimate(value=v, method="monte_carlo", std_error=se)
+          for v, se in (_cov_df(fitted[a], draws, cfg.sigma2) for a in range(len(ranks)))]
+    return {
+        "ranks": ranks,
+        "naive": [naive_df(r_x, cfg.q, r) for r in ranks],
+        "exact_values": exact,
+        "exact_mean": list(exact.mean(axis=0)),
+        "exact_se": list(exact.std(axis=0, ddof=1) / np.sqrt(cfg.reps)),
+        "perturb_mean": list(pert.mean(axis=0)),
+        "perturb_se": list(pert.std(axis=0, ddof=1) / np.sqrt(cfg.reps)),
+        "mc": mc,
+    }
+
+
+@pytest.mark.parametrize("cfg", [
+    SimConfig(n=8, p=12, q=6, r0=2, reps=4, seed=3),  # wide: n < p
+    SimConfig(n=20, p=5, q=7, r0=2, reps=5, seed=2),  # tall, q > r_x
+], ids=["wide", "tall"])
+def test_dof_study_equals_reference_loop(cfg):
+    got = run_dof_study(cfg, n_pert=6)
+    ref = _reference_dof_study(cfg, n_pert=6)
+    assert np.array_equal(got.exact_values, ref["exact_values"])
+    for name in ("ranks", "naive", "exact_mean", "exact_se", "perturb_mean",
+                 "perturb_se", "mc"):
+        assert getattr(got, name) == ref[name], name
 
 
 class TestPredStudy:
