@@ -12,6 +12,7 @@ from .dof import (
     GapPolicy,
     divergence_analytic,
     divergence_fd,
+    exact_df_path,
     exact_df_rrr,
     exact_df_shrunk,
     mc_df,
@@ -56,7 +57,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DofEstimate", "GapPolicy", "divergence_analytic", "divergence_fd",
-    "exact_df_rrr", "exact_df_shrunk", "mc_df", "naive_df", "perturbation_df",
+    "exact_df_path", "exact_df_rrr", "exact_df_shrunk", "mc_df", "naive_df", "perturbation_df",
     "sv_derivatives",
     "FittedModel", "LsFit", "ShrinkageRule", "adaptive", "coef_matrix",
     "fit_ols", "fit_rrr", "fit_rrr_path", "fit_shrunk", "hard", "soft",

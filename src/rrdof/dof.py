@@ -1,10 +1,18 @@
 """Effective degrees of freedom for the shrinkage class of reduced-rank fits.
 
-Closed-form exact unbiased estimators (driven only by the singular values and
-the shrinkage weights), singular-value/vector derivative kernels, and three
-independent oracles: an analytic divergence assembled entrywise from the
-derivative kernels, a central finite-difference divergence, and stochastic
-Monte-Carlo / data-perturbation covariance estimators.
+One closed form covers the class: with weights s_k in [0, 1] and derivatives
+s_k' on the singular values d_k of the least-squares fit, the exact df is
+
+    max(r_x, q) sum_k s_k + sum_{k<l} (s_k - s_l) C_kl + sum_k d_k s_k',
+    C_kl = (d_k^2 + d_l^2) / (d_k^2 - d_l^2).
+
+Hard truncation at rank r is s = 1[k < r]; soft thresholding gives the SVT
+divergence. A vanished d_l (at most VANISH_TOL * max(d_1, 1)) takes the limit
+C_kl = 1, so a fully vanished tail gives the naive count. Also here: the
+singular-value/vector derivative kernels and three independent oracles (an
+analytic divergence assembled entrywise from those kernels, a central
+finite-difference divergence, and Monte-Carlo / data-perturbation covariance
+estimators).
 """
 
 from __future__ import annotations
@@ -68,72 +76,82 @@ def naive_df(r_x: int, q: int, r: int) -> float:
     return float((r_x + q - r) * r)
 
 
-def _validate_spectrum(d: np.ndarray, r_x: int, q: int) -> np.ndarray:
+#: Singular values at most VANISH_TOL * max(d_1, 1) count as vanished.
+VANISH_TOL = 1e-12
+
+
+def _validate_spectrum(d, r_x: int, q: int) -> tuple[np.ndarray, int]:
+    """The spectrum as floats and the count of its leading non-vanished
+    values, which must be strictly decreasing; vanished ones may follow."""
     d = np.asarray(d, dtype=float)
     r_bar = min(r_x, q)
     if d.size != r_bar:
         raise DomainError(f"expected {r_bar} singular values, got {d.size}")
-    if np.any(d <= 0) or np.any(np.diff(d) >= 0):
-        raise DomainError("singular values must be strictly decreasing and positive")
-    return d
+    tol = VANISH_TOL * np.max(d, initial=1.0)
+    live = int(np.count_nonzero(d > tol))
+    bad = not np.all((d >= 0) & (d < np.inf)) or np.any(d[live:] > tol)
+    if bad or np.any(np.diff(d[:live]) >= 0):
+        raise DomainError(
+            "singular values must be nonnegative and strictly decreasing "
+            f"down to a vanished tail (at most {VANISH_TOL:g} * max(d_1, 1))"
+        )
+    return d, live
+
+
+def _df_kernel(d, live: int, r_x: int, q: int, s, s_prime, gp: GapPolicy) -> list[DofEstimate]:
+    """The module formula for each row of the (m, r_bar) weights `s`, with C
+    built once. The support x non-support block is summed apart from the
+    within-support pairs, which vanish for flat (hard) weights."""
+    d2 = d**2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c = (d2[:, None] + d2[None, :]) / (d2[:, None] - d2[None, :])
+    c[:, live:] = 1.0  # limit of the pair term against a vanished value
+    c = np.triu(c, 1)
+    support = np.count_nonzero(s > 0, axis=1)
+    varying = np.ptp(s, axis=1) > 0  # only these rows have pair terms
+    degenerate = bool(np.any(varying)) and gp.check(d[:live])
+    inside = np.arange(d.size) < support[:, None]
+    linear = max(r_x, q) * s.sum(axis=1) + (s_prime * inside) @ d
+    out = []
+    for w, r, value, vary in zip(s, support, linear, varying):
+        w = w[:r]
+        value += float(np.sum(w[:, None] * c[:r, r:]))
+        if r and w[0] != w[-1]:
+            value += float(np.sum((w[:, None] - w[None, :]) * c[:r, :r]))
+        out.append(DofEstimate(float(value), "exact", degenerate_flag=degenerate and bool(vary)))
+    return out
+
+
+def exact_df_path(d, r_x: int, q: int, ranks, gp: GapPolicy = GapPolicy()) -> list[DofEstimate]:
+    """Exact df of the rank-r fit for every r in `ranks`, from one kernel
+    call; entry a equals ``exact_df_rrr(d, r_x, q, ranks[a])`` bit for bit."""
+    d, live = _validate_spectrum(d, r_x, q)
+    for r in ranks:
+        if not 1 <= r <= d.size:
+            raise DomainError(f"rank {r} outside [1, {d.size}]")
+    s = (np.arange(d.size) < np.asarray(ranks, dtype=int)[:, None]).astype(float)
+    return _df_kernel(d, live, r_x, q, s, np.zeros_like(s), gp)
 
 
 def exact_df_rrr(d, r_x: int, q: int, r: int, gp: GapPolicy = GapPolicy()) -> DofEstimate:
-    """Exact unbiased df of the rank-r reduced-rank fit.
-
-    max(r_x, q) * r plus the cross terms (d_k^2 + d_l^2) / (d_k^2 - d_l^2)
-    over kept/discarded pairs; exactly r_x * q at full rank.
-    """
-    d = _validate_spectrum(d, r_x, q)
-    r_bar = min(r_x, q)
-    if not 1 <= r <= r_bar:
-        raise DomainError(f"rank {r} outside [1, {r_bar}]")
-    if r == r_bar:
-        return DofEstimate(value=float(r_x * q), method="exact")
-    degenerate = gp.check(d)
-    d2 = d**2
-    kept = d2[:r, None]
-    dropped = d2[None, r:]
-    cross = np.sum((kept + dropped) / (kept - dropped))
-    value = max(r_x, q) * r + cross
-    return DofEstimate(value=float(value), method="exact", degenerate_flag=degenerate)
+    """Exact unbiased df of the rank-r reduced-rank fit: max(r_x, q) * r plus
+    C_kl over kept/discarded pairs; exactly r_x * q at full rank."""
+    return exact_df_path(d, r_x, q, [r], gp)[0]
 
 
 def exact_df_shrunk(
     d, r_x: int, q: int, s, s_prime, gp: GapPolicy = GapPolicy()
 ) -> DofEstimate:
-    """Exact unbiased df of a shrinkage-class fit with weights s, derivatives s'.
-
-    Sum of: max(r_x, q) * sum(s_k); the cross terms s_k (d_k^2 + d_l^2) /
-    (d_k^2 - d_l^2) over support/non-support pairs (absent when the support
-    is full); the within-support terms d_k^2 (s_k - s_l) / (d_k^2 - d_l^2);
-    and the derivative terms d_k * s_k'.
-    """
-    d = _validate_spectrum(d, r_x, q)
+    """Exact unbiased df of a shrinkage-class fit with weights s, derivatives s'."""
+    d, live = _validate_spectrum(d, r_x, q)
     s = np.asarray(s, dtype=float)
     s_prime = np.asarray(s_prime, dtype=float)
     if s.shape != d.shape or s_prime.shape != d.shape:
         raise DomainError("weights and derivatives must match the spectrum length")
     validate_weights(s, s_prime)
-    r_bar = min(r_x, q)
-    r_tilde = int(np.count_nonzero(s > 0))
-    if r_tilde == 0:
-        return DofEstimate(value=0.0, method="exact")
-    if np.any(s[:r_tilde] <= 0):
+    if np.any(s[: np.count_nonzero(s > 0)] <= 0):
         raise ContractViolationError("weight support must be a leading block")
-    degenerate = gp.check(d)
-    d2 = d**2
-    value = max(r_x, q) * float(np.sum(s[:r_tilde]))
-    if r_tilde < r_bar:
-        kept = d2[:r_tilde, None]
-        dropped = d2[None, r_tilde:]
-        value += float(np.sum(s[:r_tilde, None] * (kept + dropped) / (kept - dropped)))
-    for k in range(r_tilde):
-        for l in range(r_tilde):
-            if l != k:
-                value += d2[k] * (s[k] - s[l]) / (d2[k] - d2[l])
-    value += float(np.sum(d[:r_tilde] * s_prime[:r_tilde]))
-    return DofEstimate(value=float(value), method="exact", degenerate_flag=degenerate)
+    return _df_kernel(d, live, r_x, q, s[None], s_prime[None], gp)[0]
 
 
 def _tall(h: np.ndarray) -> np.ndarray:
@@ -283,8 +301,8 @@ def mc_df(
     Draws Y = mean + Gaussian noise of variance sigma2, refits each draw, and
     uses unbiased sample covariances across replications.
     """
-    if reps < 2:
-        raise DomainError("reps must be at least 2")
+    if reps < 3:
+        raise DomainError("reps must be at least 3")
     if sigma2 <= 0:
         raise DomainError("sigma2 must be positive")
     mean = as_matrix(mean)
@@ -310,8 +328,8 @@ def perturbation_df(
 ) -> DofEstimate:
     """Data-perturbation estimate sum_ij cov(mu_hat_ij(Y + D), D_ij) / tau^2
     over Gaussian perturbations D with entrywise standard deviation tau."""
-    if n_pert < 2:
-        raise DomainError("n_pert must be at least 2")
+    if n_pert < 3:
+        raise DomainError("n_pert must be at least 3")
     if tau <= 0:
         raise DomainError("tau must be positive")
     y = as_matrix(y)

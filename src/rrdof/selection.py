@@ -8,11 +8,11 @@ the naive free-parameter count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .dof import DofEstimate, GapPolicy, exact_df_rrr, naive_df
+from .dof import DofEstimate, GapPolicy, exact_df_path, naive_df
 from .estimators import LsFit
 from .exceptions import DomainError, SaturationError
 
@@ -105,28 +105,6 @@ def rss_path(ls: LsFit, ranks) -> np.ndarray:
     return np.array([base + tail[r] for r in ranks])
 
 
-def _exact_df_limit(d: np.ndarray, r_x: int, q: int, r: int, gp: GapPolicy) -> DofEstimate:
-    """Exact df, extended by continuity to spectra with (near-)zero tails.
-
-    Cross terms with a vanished singular value take their limit value 1, so
-    a fully vanished tail reproduces the naive count. Non-degenerate spectra
-    go through exact_df_rrr unchanged.
-    """
-    r_bar = min(r_x, q)
-    if r == r_bar:
-        return DofEstimate(value=float(r_x * q), method="exact")
-    tol = 1e-12 * max(float(d[0]), 1.0)
-    if float(d[-1]) > tol:
-        return exact_df_rrr(d, r_x, q, r, gp=gp)
-    degenerate = gp.check(d[d > tol]) if np.any(d > tol) else False
-    value = float(max(r_x, q) * r)
-    for k in range(r):
-        for l in range(r, r_bar):
-            dk2, dl2 = float(d[k]) ** 2, float(d[l]) ** 2
-            value += 1.0 if d[l] <= tol else (dk2 + dl2) / (dk2 - dl2)
-    return DofEstimate(value=value, method="exact", degenerate_flag=degenerate)
-
-
 def select_rank(
     ls: LsFit, crit: Criterion, gp: GapPolicy = GapPolicy()
 ) -> SelectionReport:
@@ -142,14 +120,12 @@ def select_rank(
         raise SaturationError("no candidate ranks available")
     candidates = list(range(1, r_max + 1))
     rss = rss_path(ls, candidates)
+    if crit.df_mode == "naive":
+        dfs = [DofEstimate(value=naive_df(ls.gram.r_x, q, r), method="naive") for r in candidates]
+    else:
+        dfs = exact_df_path(ls.d, ls.gram.r_x, q, candidates, gp=gp)
     scores: list[float] = []
-    dfs: list[DofEstimate] = []
-    for r, r_rss in zip(candidates, rss):
-        if crit.df_mode == "naive":
-            df = DofEstimate(value=naive_df(ls.gram.r_x, q, r), method="naive")
-        else:
-            df = _exact_df_limit(ls.d, ls.gram.r_x, q, r, gp=gp)
-        dfs.append(df)
+    for df, r_rss in zip(dfs, rss):
         try:
             scores.append(crit.score(float(r_rss), df.value, n, q))
         except SaturationError:

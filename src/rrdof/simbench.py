@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dof import DofEstimate, GapPolicy, _cov_df, _cov_value, exact_df_rrr, naive_df
+from .dof import DofEstimate, GapPolicy, _cov_df, _cov_value, _substream, exact_df_path, naive_df
 from .estimators import fit_ols, fit_rrr, fit_rrr_path, coef_matrix
 from .exceptions import DomainError
 from .linalg import gram_factors, thin_svd
@@ -54,12 +54,6 @@ PRESETS: dict[str, SimConfig] = {
 }
 
 
-def _stream(cfg: SimConfig, *path: int) -> np.random.Generator:
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=int(cfg.seed), spawn_key=tuple(int(v) for v in path))
-    )
-
-
 def _ar_cov(p: int, rho: float) -> np.ndarray:
     idx = np.arange(p)
     return rho ** np.abs(idx[:, None] - idx[None, :])
@@ -73,13 +67,18 @@ def _orthonormal_columns(rng: np.random.Generator, rows: int, cols: int) -> np.n
     return qmat
 
 
+def _errors(cfg: SimConfig, rep_index: int) -> np.ndarray:
+    """The error matrix of one replication (substream (1, rep_index))."""
+    return np.sqrt(cfg.sigma2) * _substream(cfg.seed, 1, rep_index).standard_normal((cfg.n, cfg.q))
+
+
 def gen_instance(cfg: SimConfig, rep_index: int):
     """Return (x, b, y, sigma_eigvecs) for one replication.
 
     X and B are fixed across replications (drawn from substream 0 of the
     config seed); the error matrix is redrawn per rep_index (substream 1).
     """
-    rng_fixed = _stream(cfg, 0)
+    rng_fixed = _substream(cfg.seed, 0)
     sigma = _ar_cov(cfg.p, cfg.rho)
     evals, evecs = np.linalg.eigh(sigma)
     order = np.argsort(evals)[::-1]
@@ -91,10 +90,7 @@ def gen_instance(cfg: SimConfig, rep_index: int):
     sv = cfg.sv_gap * np.arange(cfg.r0, 0, -1)
     right = _orthonormal_columns(rng_fixed, cfg.q, cfg.r0)
     b = (evecs[:, : cfg.r0] * sv[None, :]) @ right.T
-
-    rng_err = _stream(cfg, 1, rep_index)
-    e = np.sqrt(cfg.sigma2) * rng_err.standard_normal((cfg.n, cfg.q))
-    return x, b, x @ b + e, evecs
+    return x, b, x @ b + _errors(cfg, rep_index), evecs
 
 
 def snr(x, b, e) -> float:
@@ -133,9 +129,12 @@ def run_dof_study(
     Perturbation size follows the 0.1*sigma convention; Monte-Carlo truth is
     computed from the same replications.
     """
-    x, _, _, _ = gen_instance(cfg, 0)
-    ls0 = fit_ols(x, np.zeros((cfg.n, cfg.q)))
-    r_x = ls0.gram.r_x
+    if cfg.reps < 3 or n_pert < 3:
+        raise DomainError("reps and n_pert must be at least 3")
+    x, b, _, _ = gen_instance(cfg, 0)  # X and B only; errors are drawn per replication
+    xb = x @ b
+    gram = gram_factors(x)  # X is fixed: factor it once
+    r_x = gram.r_x
     r_bar = min(r_x, cfg.q)
     ranks = list(range(1, r_bar + 1))
     n_ranks = len(ranks)
@@ -147,13 +146,12 @@ def run_dof_study(
     tau = 0.1 * float(np.sqrt(cfg.sigma2))
 
     for t in range(cfg.reps):
-        _, _, y, _ = gen_instance(cfg, t)
+        y = xb + _errors(cfg, t)
         draws[t] = y.ravel()
-        ls = fit_ols(x, y, gram=ls0.gram)  # X is fixed: factor it once
-        for a, r in enumerate(ranks):
-            exact_vals[t, a] = exact_df_rrr(ls.d, r_x, cfg.q, r, gp=gp).value
+        ls = fit_ols(x, y, gram=gram)
+        exact_vals[t] = [e.value for e in exact_df_path(ls.d, r_x, cfg.q, ranks, gp=gp)]
         fitted[:, t] = fit_rrr_path(ls, ranks).reshape(n_ranks, -1)
-        pert_vals[t] = _perturb_path(x, y, ls0.gram, ranks, n_pert, tau, seed=cfg.seed + 7919 * t)
+        pert_vals[t] = _perturb_path(x, y, gram, ranks, n_pert, tau, seed=cfg.seed + 7919 * t)
 
     mc = [
         DofEstimate(value=v, method="monte_carlo", std_error=se)
@@ -227,7 +225,7 @@ def run_pred_study(cfg: SimConfig, gp: GapPolicy = GapPolicy()) -> PredStudyResu
         rank_exact=[], rank_naive=[], prg=[], snr=[],
     )
     for t in range(cfg.reps):
-        _, _, y, _ = gen_instance(cfg, t)
+        y = xb + _errors(cfg, t)
         res.snr.append(snr(x, b, y - xb))
         ls = fit_ols(x, y, gram=gram)
         metrics = {}

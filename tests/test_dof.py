@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from rrdof.dof import (
     GapPolicy,
     divergence_analytic,
     divergence_fd,
+    exact_df_path,
     exact_df_rrr,
     exact_df_shrunk,
     mc_df,
@@ -14,6 +17,7 @@ from rrdof.dof import (
 )
 from rrdof.estimators import adaptive, fit_ols, fit_rrr, hard, soft
 from rrdof.exceptions import ContractViolationError, DegeneracyError, DomainError
+from rrdof.selection import Criterion, select_rank
 
 
 def random_h(rng, r_x, q, min_rel_gap=0.1):
@@ -84,6 +88,52 @@ class TestExactDfRrr:
     def test_rejects_unsorted(self):
         with pytest.raises(DomainError):
             exact_df_rrr([1.0, 2.0], 3, 2, 1)
+
+    def test_vanished_tail_takes_the_limit(self):
+        # every kept/vanished pair contributes its limit 1
+        assert exact_df_rrr([2.0, 1.0, 0.0], 5, 3, 2).value == 12.0
+        assert exact_df_rrr([2.0, 1e-13, 0.0], 5, 3, 1).value == naive_df(5, 3, 1)
+        assert exact_df_rrr([0.0, 0.0], 3, 2, 1).value == naive_df(3, 2, 1)
+
+    def test_rejects_negative_or_interleaved_vanished_values(self):
+        for d in ([2.0, -1.0, 0.0], [2.0, 0.0, 1.0], [2.0, np.nan, 0.0], [np.inf, 1.0, 0.0]):
+            with pytest.raises(DomainError):
+                exact_df_rrr(d, 5, 3, 1)
+
+    def test_noiseless_rank_two_agrees_with_selection(self):
+        # the instance of test_degenerate_zero_tail_falls_back_to_naive_count:
+        # the two trailing singular values vanish
+        rng = np.random.default_rng(75)
+        x = rng.standard_normal((30, 5))
+        b = rng.standard_normal((5, 2)) @ rng.standard_normal((2, 4))
+        ls = fit_ols(x, x @ b)
+        rep = select_rank(ls, Criterion(kind="gcv"))
+        for r, used in zip(rep.candidates, rep.df_used):
+            s, sp = hard(r).weights(ls.d)
+            assert exact_df_rrr(ls.d, 5, 4, r).value == used.value
+            assert exact_df_shrunk(ls.d, 5, 4, s, sp).value == used.value
+        assert rep.df_used[2].value == 18.0
+
+
+class TestExactDfPath:
+    def test_equals_per_rank(self):
+        d = [10.0, 6.0, 3.01, 3.0, 0.5]
+        path = exact_df_path(d, 7, 5, [3, 1, 5, 3])
+        assert [e.value for e in path] == [exact_df_rrr(d, 7, 5, r).value for r in (3, 1, 5, 3)]
+        assert exact_df_path(d, 7, 5, []) == []
+
+    def test_rejects_out_of_range_rank(self):
+        for r in (0, 6):
+            with pytest.raises(DomainError):
+                exact_df_path([3.0, 2.0, 1.0, 0.5, 0.1], 7, 5, [1, r])
+
+    def test_gap_policy_applies_below_full_rank(self):
+        d = [2.0, 1.0 + 1e-12, 1.0]
+        flags = [e.degenerate_flag for e in exact_df_path(d, 4, 3, [1, 2, 3])]
+        assert flags == [True, True, False]
+        with pytest.raises(DegeneracyError):
+            exact_df_path(d, 4, 3, [1, 3], gp=GapPolicy(mode="error"))
+        assert exact_df_path(d, 4, 3, [3], gp=GapPolicy(mode="error"))[0].value == 12.0
 
 
 class TestExactDfShrunk:
@@ -243,6 +293,13 @@ class TestStochasticEstimators:
             mc_df(np.zeros((2, 2)), 1.0, lambda y: y, reps=1, seed=0)
         with pytest.raises(DomainError):
             perturbation_df(np.zeros((2, 2)), lambda y: y, n_pert=1, tau=0.1, seed=0)
+        # the jackknife divides by m - 2, so two draws raise instead of warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError):
+                mc_df(np.zeros((3, 2)), 1.0, lambda y: y, reps=2, seed=0)
+            with pytest.raises(DomainError):
+                perturbation_df(np.zeros((3, 2)), lambda y: y, n_pert=2, tau=0.1, seed=0)
 
     def test_seed_reproducibility(self):
         rng = np.random.default_rng(43)

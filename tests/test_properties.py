@@ -7,7 +7,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rrdof.dof import exact_df_rrr, naive_df
+from rrdof.dof import exact_df_path, exact_df_rrr, exact_df_shrunk, naive_df
 from rrdof.estimators import adaptive, fit_ols, fit_rrr, fit_rrr_path, hard, soft, validate_weights
 from rrdof.linalg import thin_svd
 
@@ -91,3 +91,74 @@ def test_rank_path_equals_per_rank_fits(seed, n, p, q, data):
     assert path.shape == (len(ranks), n, q)
     for a, r in enumerate(ranks):
         assert np.array_equal(path[a], fit_rrr(ls, r).y_fit)
+
+
+def reference_exact_df_shrunk(d, r_x, q, s, s_prime):
+    """The closed form as an explicit double loop over the support, kept as an
+    oracle for the vectorised kernel (valid for positive, distinct d)."""
+    r_bar = min(r_x, q)
+    r_tilde = int(np.count_nonzero(s > 0))
+    if r_tilde == 0:
+        return 0.0
+    d2 = d**2
+    value = max(r_x, q) * float(np.sum(s[:r_tilde]))
+    if r_tilde < r_bar:
+        kept = d2[:r_tilde, None]
+        dropped = d2[None, r_tilde:]
+        value += float(np.sum(s[:r_tilde, None] * (kept + dropped) / (kept - dropped)))
+    for k in range(r_tilde):
+        for l in range(r_tilde):
+            if l != k:
+                value += d2[k] * (s[k] - s[l]) / (d2[k] - d2[l])
+    value += float(np.sum(d[:r_tilde] * s_prime[:r_tilde]))
+    return value
+
+
+def shapes(r_bar, extra, wide):
+    """(r_x, q) with min(r_x, q) = r_bar; q > r_x when `wide`."""
+    return (r_bar, r_bar + extra) if wide else (r_bar + extra, r_bar)
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    d=spectra(max_size=8),
+    extra=st.integers(min_value=0, max_value=5),
+    wide=st.booleans(),
+    kind=st.sampled_from(["soft", "adaptive"]),
+    frac=st.floats(min_value=0.0, max_value=1.2),
+    gamma=st.floats(min_value=0.5, max_value=4.0),
+)
+def test_kernel_matches_double_loop(d, extra, wide, kind, frac, gamma):
+    r_x, q = shapes(d.size, extra, wide)
+    lam = frac * float(d[0])
+    rule = soft(lam) if kind == "soft" else adaptive(lam, gamma)
+    s, sp = rule.weights(d)
+    got = exact_df_shrunk(d, r_x, q, s, sp).value
+    assert got == pytest.approx(reference_exact_df_shrunk(d, r_x, q, s, sp), rel=1e-12, abs=0)
+
+
+@settings(deadline=None, max_examples=150)
+@given(d=spectra(max_size=8), extra=st.integers(0, 5), wide=st.booleans(), data=st.data())
+def test_path_equals_per_rank_bit_for_bit(d, extra, wide, data):
+    r_x, q = shapes(d.size, extra, wide)
+    ranks = data.draw(st.lists(st.integers(1, d.size), max_size=2 * d.size))
+    path = [e.value for e in exact_df_path(d, r_x, q, ranks)]
+    assert path == [exact_df_rrr(d, r_x, q, r).value for r in ranks]
+    # hard weights through the double loop give the same bits
+    hard_ref = [reference_exact_df_shrunk(d, r_x, q, *hard(r).weights(d)) for r in ranks]
+    assert path == hard_ref
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    d=spectra(min_size=1, max_size=6),
+    tail=st.lists(st.sampled_from([0.0, 1e-15, 1e-13]), min_size=1, max_size=4),
+    extra=st.integers(0, 5),
+    wide=st.booleans(),
+)
+def test_vanished_tail_gives_naive_count(d, tail, extra, wide):
+    # ranks at or beyond the last non-vanished value get the naive count
+    d = np.concatenate([d, sorted(tail, reverse=True)])
+    r_x, q = shapes(d.size, extra, wide)
+    for r in range(d.size - len(tail), d.size + 1):
+        assert exact_df_rrr(d, r_x, q, r).value == naive_df(r_x, q, r)

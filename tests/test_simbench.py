@@ -4,6 +4,7 @@ import pytest
 from rrdof.dof import DofEstimate, _cov_df, exact_df_rrr, naive_df
 from rrdof.estimators import fit_ols, fit_rrr
 from rrdof.exceptions import DomainError
+from rrdof.selection import Criterion, select_rank
 from rrdof.simbench import (
     PRESETS,
     SimConfig,
@@ -191,6 +192,24 @@ def test_dof_study_equals_reference_loop(cfg):
     for name in ("ranks", "naive", "exact_mean", "exact_se", "perturb_mean",
                  "perturb_se", "mc"):
         assert getattr(got, name) == ref[name], name
+
+
+def test_dof_study_needs_three_replications():
+    # the jackknife standard errors divide by m - 2
+    with pytest.raises(DomainError):
+        run_dof_study(SimConfig(n=20, p=5, q=7, r0=2, reps=2, seed=2), n_pert=6)
+    with pytest.raises(DomainError):
+        run_dof_study(SimConfig(n=20, p=5, q=7, r0=2, reps=5, seed=2), n_pert=2)
+
+
+def test_pred_study_uses_each_replications_instance():
+    cfg = SimConfig(n=20, p=5, q=7, r0=2, reps=4, seed=2)
+    got = run_pred_study(cfg)
+    x, b, _, _ = gen_instance(cfg, 0)
+    for t in range(cfg.reps):
+        y = gen_instance(cfg, t)[2]
+        assert got.snr[t] == snr(x, b, y - x @ b)
+        assert got.rank_exact[t] == select_rank(fit_ols(x, y), Criterion(kind="gcv")).chosen
 
 
 class TestPredStudy:
