@@ -15,7 +15,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import dof as dof_mod
-from .estimators import adaptive, coef_matrix, fit_ols, fit_rrr, fit_shrunk, hard, soft
+from .estimators import _check_rank, adaptive, coef_matrix, fit_ols, fit_rrr, fit_shrunk, hard, soft
 from .exceptions import RrdofError
 from .pipeline import eval_splits, ingest_csv, write_matrix_csv, write_report
 from .selection import Criterion, select_rank
@@ -87,7 +87,7 @@ def cmd_dof(args) -> int:
     seed = _seed_from(args)
     ls = fit_ols(x, y)
     r_x, q = ls.gram.r_x, y.shape[1]
-    rule = _rule_from(args)
+    rule = _dof_rule(args, ls)
     method = args.method
     if method in ("exact", "naive", "fd") and rule is None:
         raise RrdofError(f"--method {method} needs --rank, --soft, or --adaptive")
@@ -95,7 +95,7 @@ def cmd_dof(args) -> int:
     if method == "naive":
         if args.rank is None:
             raise RrdofError("--method naive requires --rank")
-        est = dof_mod.DofEstimate(value=dof_mod.naive_df(r_x, q, args.rank), method="naive")
+        est = dof_mod.DofEstimate(value=dof_mod.naive_df(r_x, q, rule.rank), method="naive")
     elif method == "exact":
         s, sp = rule.weights(ls.d)
         est = dof_mod.exact_df_shrunk(ls.d, r_x, q, s, sp)
@@ -123,11 +123,18 @@ def _sigma_hat(ls) -> float:
     return float(np.sqrt(np.sum((ls.y - ls.y_hat) ** 2) / dof_resid))
 
 
+def _dof_rule(args, ls):
+    """The rule of `rrdof dof`, one rank policy for every method: a rank
+    above r_bar clamps to r_bar and one below 1 raises fit_rrr's error."""
+    if args.rank is None:
+        return _rule_from(args)
+    rank = min(args.rank, ls.r_bar)
+    _check_rank(ls, rank)
+    return hard(rank)
+
+
 def _fitter_from(rule, ls):
-    """Refit ls.x under `rule` (None: least squares) reusing ls.gram; a rank
-    above r_bar clamps to r_bar and rank 0 raises as in fit_rrr."""
-    if rule is not None and rule.kind == "hard":
-        rule = fit_rrr(ls, min(rule.rank, ls.r_bar)).rule
+    """Refit ls.x under `rule` (None: least squares) reusing ls.gram."""
 
     def fitter(y_draw):
         refit = fit_ols(ls.x, y_draw, gram=ls.gram)

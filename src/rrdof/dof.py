@@ -10,9 +10,16 @@ Hard truncation at rank r is s = 1[k < r]; soft thresholding gives the SVT
 divergence. A vanished d_l (at most VANISH_TOL * max(d_1, 1)) takes the limit
 C_kl = 1, so a fully vanished tail gives the naive count. Also here: the
 singular-value/vector derivative kernels and three independent oracles (an
-analytic divergence assembled entrywise from those kernels, a central
-finite-difference divergence, and Monte-Carlo / data-perturbation covariance
-estimators).
+analytic divergence assembled from those kernels, a central finite-difference
+divergence, and Monte-Carlo / data-perturbation covariance estimators).
+
+The derivatives of the SVD H = U D V' (H tall) with respect to h_ij come in
+factored form for a whole row i at once: with hv = h_i' V,
+G_lk = 1/(d_l^2 - d_k^2) (zero diagonal) and A = V (G o hv[:, None]),
+
+    dd_k/dh_ij = v_jk hv_k / d_k,  dV/dh_ij = -(A o v_j + ((V o v_j) G) o hv),
+
+so the analytic divergence takes one SVD and two q x q products per row.
 """
 
 from __future__ import annotations
@@ -160,6 +167,27 @@ def _tall(h: np.ndarray) -> np.ndarray:
     return h if h.shape[0] >= h.shape[1] else h.T
 
 
+def _inverse_gaps(d: np.ndarray) -> np.ndarray:
+    """G[l, k] = 1 / (d_l^2 - d_k^2) off the diagonal and 0 on it: the
+    Moore-Penrose resolvent (D^2 - d_k^2 I)^+ of column k."""
+    d2 = d**2
+    gaps = d2[:, None] - d2[None, :]
+    np.fill_diagonal(gaps, np.inf)
+    return 1.0 / gaps
+
+
+def _sv_derivative_row(h: np.ndarray, d: np.ndarray, v: np.ndarray, i: int):
+    """Derivatives of the SVD of the tall `h` (singular values d, right
+    vectors v) with respect to every entry (i, j) of its row i, in factored
+    form (hv, dd, a, g): dd[j] holds the derivatives of the singular values
+    and the derivative of v is dV_ij = -(a * v[j] + ((v * v[j]) @ g) * hv)."""
+    hv = h[i] @ v  # equals d_k * u_{ik}
+    dd = v * hv / d
+    g = _inverse_gaps(d)
+    a = v @ (g * hv[:, None])
+    return hv, dd, a, g
+
+
 def sv_derivatives(
     h, i: int, j: int, gp: GapPolicy = GapPolicy()
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -169,7 +197,13 @@ def sv_derivatives(
     `h` is put in the tall orientation internally (transpose if rows < cols,
     with (i, j) swapped accordingly). Returns (dd, dv): dd[k] is the
     derivative of d_k; column k of dv is the derivative of the k-th right
-    singular vector of the tall orientation.
+    singular vector of the tall orientation. With hv = h_i' V and
+    G[l, k] = 1/(d_l^2 - d_k^2) (zero diagonal), the Moore-Penrose resolvent
+    formula dv_k = -V (D^2 - d_k^2 I)^+ V' (H'Z + Z'H) v_k for Z = e_i e_j'
+    factors over all k as
+
+        dd = v[j] * hv / d,  dv = -(A * v[j] + ((V * v[j]) G) * hv),
+        A = V (G * hv[:, None]).
     """
     h = as_matrix(h)
     if h.shape[0] < h.shape[1]:
@@ -182,32 +216,16 @@ def sv_derivatives(
     gp.check(d)
     if not (0 <= i < r_x and 0 <= j < q):
         raise DomainError(f"entry ({i}, {j}) outside a {r_x}x{q} matrix")
-
-    hi = h[i]  # i-th row
-    hv = hi @ v  # equals d_k * u_{ik}
-    dd = v[j] * hv / d
-
-    # dv_k = -(H'H - d_k^2 I)^- (H'Z + Z'H) v_k with the Moore-Penrose
-    # resolvent V (D^2 - d_k^2 I)^+ V'.
-    d2 = d**2
-    dv = np.empty((q, q))
-    for k in range(q):
-        zv = hi * v[j, k]
-        zv[j] += hv[k]
-        coeff = v.T @ zv
-        denom = d2 - d2[k]
-        inv = np.zeros(q)
-        mask = np.arange(q) != k
-        inv[mask] = 1.0 / denom[mask]
-        dv[:, k] = -(v @ (inv * coeff))
-    return dd, dv
+    hv, dd, a, g = _sv_derivative_row(h, d, v, i)
+    return dd[j], -(a * v[j] + ((v * v[j]) @ g) * hv)
 
 
 def divergence_analytic(
     h, rule: ShrinkageRule, gp: GapPolicy = GapPolicy()
 ) -> DofEstimate:
-    """Divergence of the shrunk matrix, assembled entrywise from the
-    derivative kernels; independent of the closed-form estimators."""
+    """Divergence of the shrunk matrix, assembled from the derivative kernel
+    one row of H at a time from one SVD; independent of the closed-form
+    estimators."""
     h = _tall(as_matrix(h))
     r_x, q = h.shape
     f = thin_svd(h)
@@ -217,20 +235,20 @@ def divergence_analytic(
     degenerate = gp.check(d)
     s, s_prime = rule.weights(d)
     validate_weights(s, s_prime)
-    m_diag = np.einsum("jk,k,jk->j", v, s, v)  # diagonal of V diag(s) V'
+    m_trace = float(np.einsum("jk,k,jk->", v, s, v))  # sum of the diagonal of V diag(s) V'
+    vvg = (v * v) @ _inverse_gaps(d)  # row j: ((V o V) G)_j, the same for every row i
     total = 0.0
     for i in range(r_x):
-        for j in range(q):
-            dd, dv = sv_derivatives(h, i, j, gp=GapPolicy(gp.rel_gap_tol, "flag"))
-            # d h~_ij/dh_ij = [Z M]_ij + [H sum_k s_k (dv_k v_k' + v_k dv_k')]_ij
-            #                + [H sum_k s_k' dd_k v_k v_k']_ij
-            hi = h[i]
-            term1 = m_diag[j]
-            hdv = hi @ dv  # (h_i' dv_k) over k
-            hv = hi @ v  # (h_i' v_k) over k
-            term2 = float(np.sum(s * (hdv * v[j] + hv * dv[j])))
-            term3 = float(np.sum(s_prime * dd * hv * v[j]))
-            total += term1 + term2 + term3
+        hv, dd, a, g = _sv_derivative_row(h, d, v, i)
+        # d h~_ij/dh_ij = [Z M]_ij + [H sum_k s_k (dv_k v_k' + v_k dv_k')]_ij
+        #                + [H sum_k s_k' dd_k v_k v_k']_ij, summed over j with
+        # row j of hdv = h_i' dV_ij and row j of dvj = row j of dV_ij. Both are
+        # the literal entry derivatives: shortening the sum with V'V = I (some
+        # parts sum to zero) would lead back to the closed form.
+        hdv = -((h[i] @ a) * v + ((v * hv) @ g) * hv)
+        dvj = -(a * v + vvg * hv)
+        total += m_trace + float(np.sum(s * (hdv * v + hv * dvj)))
+        total += float(np.sum(s_prime * dd * hv * v))
     return DofEstimate(value=total, method="analytic_divergence", degenerate_flag=degenerate)
 
 

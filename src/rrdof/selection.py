@@ -29,13 +29,19 @@ def lambda_grid(d1: float, size: int = LAMBDA_GRID_SIZE) -> np.ndarray:
     return d1 * np.logspace(0.0, -LAMBDA_GRID_DECADES, size)
 
 
+def _check_unsaturated(df: float, nq: int) -> None:
+    """A df outside [0, n*q) leaves no residual degrees of freedom: the fit
+    interpolates and the criterion must not score it."""
+    if not 0 <= df < nq:
+        raise SaturationError(f"df={df} saturates the criterion (n*q={nq})")
+
+
 def gcv_score(rss: float, df: float, n: int, q: int) -> float:
     """Generalized cross-validation: n*q*rss / (n*q - df)^2."""
     nq = n * q
     if rss < 0:
         raise DomainError("rss must be nonnegative")
-    if not 0 <= df < nq:
-        raise SaturationError(f"df={df} saturates the criterion (n*q={nq})")
+    _check_unsaturated(df, nq)
     return nq * rss / (nq - df) ** 2
 
 
@@ -50,11 +56,13 @@ def cp_score(rss: float, df: float, sigma2: float, n: int, q: int) -> float:
 def bic_score(rss: float, df: float, n: int, q: int) -> float:
     """Gaussian-surrogate BIC: n q ln(rss/(n q)) + ln(n q) df.
 
-    The log-likelihood surrogate requires rss > 0.
+    The log-likelihood surrogate requires rss > 0 and df < n q; an
+    interpolating fit leaves only roundoff in rss and would win.
     """
     if rss <= 0:
         raise SaturationError("BIC is undefined at zero residual")
     nq = n * q
+    _check_unsaturated(df, nq)
     return nq * math.log(rss / nq) + math.log(nq) * df
 
 

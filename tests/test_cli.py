@@ -144,6 +144,28 @@ class TestDof:
         assert rc == 2
         assert "rank 0 outside [1, 4]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", ["exact", "naive", "fd"])
+    def test_rank_above_r_bar_clamps_for_every_method(self, data_paths, method):
+        xp, yp, tmp = data_paths
+        values = []
+        for rank in ("4", "99"):
+            out = tmp / f"dof_{rank}.json"
+            rc = main(["dof", "--x", xp, "--y", yp, "--method", method,
+                       "--rank", rank, "--output", str(out)])
+            assert rc == 0
+            values.append(read_report(out)["payload"]["value"])
+        assert values[0] == values[1]
+        assert values[1] == pytest.approx(5 * 4, abs=1e-6)  # full rank: r_x * q
+
+    @pytest.mark.parametrize("method", ["exact", "naive", "fd"])
+    def test_rank_zero_is_a_domain_error_for_every_method(self, data_paths, method, capsys):
+        xp, yp, tmp = data_paths
+        rc = main(["dof", "--x", xp, "--y", yp, "--method", method, "--rank", "0",
+                   "--output", str(tmp / "e.json")])
+        assert rc == 2
+        assert "rank 0 outside [1, 4]" in capsys.readouterr().err
+        assert not (tmp / "e.json").exists()
+
 
 class TestSelect:
     def test_gcv_select(self, data_paths):

@@ -17,6 +17,7 @@ from rrdof.dof import (
 )
 from rrdof.estimators import adaptive, fit_ols, fit_rrr, hard, soft
 from rrdof.exceptions import ContractViolationError, DegeneracyError, DomainError
+from rrdof.linalg import thin_svd
 from rrdof.selection import Criterion, select_rank
 
 
@@ -225,6 +226,33 @@ class TestDivergences:
             fd = divergence_fd(h, rule).value
             assert closed == pytest.approx(analytic, abs=1e-8)
             assert closed == pytest.approx(fd, abs=1e-4)
+
+    def test_analytic_factors_h_once(self, monkeypatch):
+        from rrdof import dof
+
+        calls = []
+
+        def counting_svd(m):
+            calls.append(np.shape(m))
+            return thin_svd(m)
+
+        monkeypatch.setattr(dof, "thin_svd", counting_svd)
+        h = random_h(np.random.default_rng(44), 6, 4)
+        dof.divergence_analytic(h, soft(0.5))
+        assert calls == [(6, 4)]
+
+    def test_analytic_is_independent_of_the_closed_form(self, monkeypatch):
+        from rrdof import dof
+
+        def closed_form(*args, **kwargs):
+            raise AssertionError("the oracle used the closed-form kernel")
+
+        h = random_h(np.random.default_rng(45), 5, 3)
+        d = np.linalg.svd(h, compute_uv=False)
+        rule = adaptive(0.5 * float(d[0]))
+        expected = exact_df_shrunk(d, 5, 3, *rule.weights(d)).value
+        monkeypatch.setattr(dof, "_df_kernel", closed_form)
+        assert dof.divergence_analytic(h, rule).value == pytest.approx(expected, abs=1e-10)
 
 
 class TestStochasticEstimators:

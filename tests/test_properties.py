@@ -7,7 +7,14 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rrdof.dof import exact_df_path, exact_df_rrr, exact_df_shrunk, naive_df
+from rrdof.dof import (
+    divergence_analytic,
+    exact_df_path,
+    exact_df_rrr,
+    exact_df_shrunk,
+    naive_df,
+    sv_derivatives,
+)
 from rrdof.estimators import adaptive, fit_ols, fit_rrr, fit_rrr_path, hard, soft, validate_weights
 from rrdof.linalg import thin_svd
 
@@ -162,3 +169,90 @@ def test_vanished_tail_gives_naive_count(d, tail, extra, wide):
     r_x, q = shapes(d.size, extra, wide)
     for r in range(d.size - len(tail), d.size + 1):
         assert exact_df_rrr(d, r_x, q, r).value == naive_df(r_x, q, r)
+
+
+def reference_sv_derivatives(h, i, j):
+    """Per-entry derivative kernel with an SVD per call and a loop over k,
+    kept as an oracle for the factored one (tall h)."""
+    r_x, q = h.shape
+    f = thin_svd(h)
+    d, v = f.d, f.right
+    hi = h[i]
+    hv = hi @ v
+    dd = v[j] * hv / d
+    d2 = d**2
+    dv = np.empty((q, q))
+    for k in range(q):
+        zv = hi * v[j, k]
+        zv[j] += hv[k]
+        coeff = v.T @ zv
+        denom = d2 - d2[k]
+        inv = np.zeros(q)
+        mask = np.arange(q) != k
+        inv[mask] = 1.0 / denom[mask]
+        dv[:, k] = -(v @ (inv * coeff))
+    return dd, dv
+
+
+def reference_divergence_analytic(h, rule):
+    """The divergence summed entry by entry from `reference_sv_derivatives`."""
+    h = h if h.shape[0] >= h.shape[1] else h.T
+    r_x, q = h.shape
+    f = thin_svd(h)
+    d, v = f.d, f.right
+    s, s_prime = rule.weights(d)
+    m_diag = np.einsum("jk,k,jk->j", v, s, v)
+    total = 0.0
+    for i in range(r_x):
+        for j in range(q):
+            dd, dv = reference_sv_derivatives(h, i, j)
+            hi = h[i]
+            hdv = hi @ dv
+            hv = hi @ v
+            term2 = float(np.sum(s * (hdv * v[j] + hv * dv[j])))
+            term3 = float(np.sum(s_prime * dd * hv * v[j]))
+            total += m_diag[j] + term2 + term3
+    return total
+
+
+def separated_h(rng, rows, cols):
+    """A rows x cols matrix whose singular values are at least 0.3 apart."""
+    r_bar = min(rows, cols)
+    d = np.cumsum(rng.uniform(0.3, 2.0, size=r_bar))[::-1]
+    u, _ = np.linalg.qr(rng.standard_normal((rows, r_bar)))
+    v, _ = np.linalg.qr(rng.standard_normal((cols, r_bar)))
+    return (u * d) @ v.T
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    rows=st.integers(min_value=1, max_value=6),
+    cols=st.integers(min_value=1, max_value=6),
+    kind=st.sampled_from(["hard", "soft", "adaptive"]),
+    frac=st.floats(min_value=0.0, max_value=1.2),
+    gamma=st.floats(min_value=0.5, max_value=4.0),
+)
+def test_factored_oracle_matches_per_entry_reference(seed, rows, cols, kind, frac, gamma):
+    # tall, wide and square H, q = 1 included
+    rng = np.random.default_rng(seed)
+    h = separated_h(rng, rows, cols)
+    tall = h if rows >= cols else h.T
+    # the spectrum the oracle sees, so that lambda = d_1 falls on the same
+    # side of the soft/adaptive kink for the oracle and the closed form
+    d = thin_svd(tall).d
+    if kind == "hard":
+        rule = hard(int(round(frac / 1.2 * d.size)))
+    elif kind == "soft":
+        rule = soft(frac * d[0])
+    else:
+        rule = adaptive(frac * d[0], gamma)
+    got = divergence_analytic(h, rule).value
+    assert got == pytest.approx(reference_divergence_analytic(h, rule), rel=0, abs=1e-10)
+    assert got == pytest.approx(exact_df_shrunk(d, rows, cols, *rule.weights(d)).value, abs=1e-9)
+    for _ in range(3):
+        i, j = int(rng.integers(tall.shape[0])), int(rng.integers(tall.shape[1]))
+        dd, dv = sv_derivatives(h, j, i) if rows < cols else sv_derivatives(h, i, j)
+        ref_dd, ref_dv = reference_sv_derivatives(tall, i, j)
+        assert np.max(np.abs(dd - ref_dd)) <= 1e-12
+        assert np.max(np.abs(dv - ref_dv)) <= 1e-12

@@ -43,6 +43,11 @@ class TestScores:
         with pytest.raises(SaturationError):
             bic_score(rss=0.0, df=2.0, n=4, q=3)
 
+    def test_bic_saturates_like_gcv(self):
+        for df in (12.0, 13.0):  # n*q and beyond
+            with pytest.raises(SaturationError):
+                bic_score(rss=6.0, df=df, n=4, q=3)
+
     def test_criterion_validation(self):
         with pytest.raises(DomainError):
             Criterion(kind="aic")
@@ -168,3 +173,16 @@ class TestSelectRank:
         rep = select_rank(ls, Criterion(kind="gcv"))
         assert math.isinf(rep.scores[-1])
         assert rep.chosen < ls.r_bar
+
+    def test_bic_never_picks_an_interpolating_fit(self):
+        # n < p: the full-rank fit interpolates (rss is roundoff, df = n*q)
+        rng = np.random.default_rng(0)
+        x, y = rng.standard_normal((10, 20)), rng.standard_normal((10, 30))
+        ls = fit_ols(x, y)
+        bic = select_rank(ls, Criterion("bic", "exact"))
+        gcv = select_rank(ls, Criterion("gcv", "exact"))
+        assert bic.residual_ss[-1] < 1e-20 and bic.df_used[-1].value == pytest.approx(300.0)
+        saturated = [r for r, sc in zip(bic.candidates, bic.scores) if math.isinf(sc)]
+        assert saturated == [7, 10]
+        assert saturated == [r for r, sc in zip(gcv.candidates, gcv.scores) if math.isinf(sc)]
+        assert bic.chosen == 1
