@@ -31,6 +31,7 @@ from .estimators import (
     fit_rrr_path,
     fit_shrunk,
     hard,
+    rrr_coef,
     soft,
 )
 from .linalg import (
@@ -50,6 +51,7 @@ from .selection import (
     cp_score,
     gcv_score,
     select_rank,
+    select_ranks,
 )
 from .simbench import PRESETS, SimConfig, gen_instance, run_dof_study, run_pred_study, snr
 
@@ -60,12 +62,12 @@ __all__ = [
     "exact_df_path", "exact_df_rrr", "exact_df_shrunk", "mc_df", "naive_df", "perturbation_df",
     "sv_derivatives",
     "FittedModel", "LsFit", "ShrinkageRule", "adaptive", "coef_matrix",
-    "fit_ols", "fit_rrr", "fit_rrr_path", "fit_shrunk", "hard", "soft",
+    "fit_ols", "fit_rrr", "fit_rrr_path", "fit_shrunk", "hard", "rrr_coef", "soft",
     "GramFactors", "HFactor", "SvdFactors", "build_h", "effective_rank",
     "gram_factors", "thin_svd",
     "EvalReport", "eval_splits", "ingest_csv", "synthetic_fixture",
     "Criterion", "SelectionReport", "bic_score", "cp_score", "gcv_score",
-    "select_rank",
+    "select_rank", "select_ranks",
     "PRESETS", "SimConfig", "gen_instance", "run_dof_study", "run_pred_study",
     "snr",
 ]

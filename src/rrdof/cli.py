@@ -65,7 +65,7 @@ def _add_rule_flags(sp):
 def cmd_fit(args) -> int:
     x, y = _load_xy(args)
     ls = fit_ols(x, y)
-    rule = _rule_from(args)
+    rule = _checked_rule(args, ls)
     fm = fit_shrunk(ls, rule) if rule is not None else fit_rrr(ls, ls.r_bar)
     b = coef_matrix(fm)
     payload = {
@@ -87,7 +87,7 @@ def cmd_dof(args) -> int:
     seed = _seed_from(args)
     ls = fit_ols(x, y)
     r_x, q = ls.gram.r_x, y.shape[1]
-    rule = _dof_rule(args, ls)
+    rule = _checked_rule(args, ls)
     method = args.method
     if method in ("exact", "naive", "fd") and rule is None:
         raise RrdofError(f"--method {method} needs --rank, --soft, or --adaptive")
@@ -123,9 +123,10 @@ def _sigma_hat(ls) -> float:
     return float(np.sqrt(np.sum((ls.y - ls.y_hat) ** 2) / dof_resid))
 
 
-def _dof_rule(args, ls):
-    """The rule of `rrdof dof`, one rank policy for every method: a rank
-    above r_bar clamps to r_bar and one below 1 raises fit_rrr's error."""
+def _checked_rule(args, ls):
+    """The rule of `rrdof fit` and `rrdof dof`, one rank policy for every
+    command and method: a rank above r_bar clamps to r_bar and one below 1
+    raises fit_rrr's error."""
     if args.rank is None:
         return _rule_from(args)
     rank = min(args.rank, ls.r_bar)

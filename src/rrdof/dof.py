@@ -176,6 +176,18 @@ def _inverse_gaps(d: np.ndarray) -> np.ndarray:
     return 1.0 / gaps
 
 
+def _check_tied(d: np.ndarray) -> None:
+    """Raise on exactly equal singular values, where the derivatives of the
+    singular vectors do not exist (G would hold 1/0)."""
+    tied = np.flatnonzero(d[1:] == d[:-1])
+    if tied.size:
+        k = int(tied[0]) + 1
+        raise DegeneracyError(
+            f"singular values d_{k} and d_{k + 1} are exactly tied ({float(d[k])!r}); "
+            "the singular-vector derivatives are undefined"
+        )
+
+
 def _sv_derivative_row(h: np.ndarray, d: np.ndarray, v: np.ndarray, i: int):
     """Derivatives of the SVD of the tall `h` (singular values d, right
     vectors v) with respect to every entry (i, j) of its row i, in factored
@@ -204,6 +216,8 @@ def sv_derivatives(
 
         dd = v[j] * hv / d,  dv = -(A * v[j] + ((V * v[j]) G) * hv),
         A = V (G * hv[:, None]).
+
+    Exactly tied singular values raise DegeneracyError naming the pair.
     """
     h = as_matrix(h)
     if h.shape[0] < h.shape[1]:
@@ -214,6 +228,7 @@ def sv_derivatives(
     if d[-1] <= 0:
         raise DegeneracyError("matrix must have full column rank")
     gp.check(d)
+    _check_tied(d)
     if not (0 <= i < r_x and 0 <= j < q):
         raise DomainError(f"entry ({i}, {j}) outside a {r_x}x{q} matrix")
     hv, dd, a, g = _sv_derivative_row(h, d, v, i)
@@ -225,7 +240,8 @@ def divergence_analytic(
 ) -> DofEstimate:
     """Divergence of the shrunk matrix, assembled from the derivative kernel
     one row of H at a time from one SVD; independent of the closed-form
-    estimators."""
+    estimators. Exactly tied singular values raise DegeneracyError naming
+    the pair; near-ties compute and set the degenerate flag."""
     h = _tall(as_matrix(h))
     r_x, q = h.shape
     f = thin_svd(h)
@@ -233,6 +249,7 @@ def divergence_analytic(
     if d[-1] <= 0:
         raise DegeneracyError("matrix must have full column rank")
     degenerate = gp.check(d)
+    _check_tied(d)
     s, s_prime = rule.weights(d)
     validate_weights(s, s_prime)
     m_trace = float(np.einsum("jk,k,jk->", v, s, v))  # sum of the diagonal of V diag(s) V'

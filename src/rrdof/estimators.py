@@ -173,10 +173,19 @@ def fit_rrr_path(ls: LsFit, ranks) -> np.ndarray:
     return _weighted_fit(ls, s.astype(float))
 
 
+def rrr_coef(ls: LsFit, r: int) -> np.ndarray:
+    """Coefficient matrix of the rank-r fit without building its fitted
+    values; equals ``coef_matrix(fit_rrr(ls, r))`` bit for bit."""
+    _check_rank(ls, r)
+    return _coef(ls, hard(r).weights(ls.d)[0] * ls.d)
+
+
 def coef_matrix(fm: FittedModel) -> np.ndarray:
     """Coefficient matrix B with X @ B = y_fit, lying in the row space of X."""
-    ls = fm.source
-    u = ls.hf.svd.left
-    v = ls.hf.svd.right
-    core = (u * fm.d_tilde[None, :]) @ v.T
+    return _coef(fm.source, fm.d_tilde)
+
+
+def _coef(ls: LsFit, d_tilde: np.ndarray) -> np.ndarray:
+    # B = Q S^-1 U diag(d_tilde) V' for the shrunk singular values d_tilde.
+    core = (ls.hf.svd.left * d_tilde[None, :]) @ ls.hf.svd.right.T
     return (ls.gram.q_mat / ls.gram.s[None, :]) @ core

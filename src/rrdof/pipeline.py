@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import coef_matrix, fit_ols, fit_rrr
+from .estimators import fit_ols, rrr_coef
 from .exceptions import DomainError, ParseError, SaturationError
-from .selection import Criterion, select_rank
+from .selection import Criterion, select_ranks
 
 #: Version tag carried by every emitted report; field names are part of the
 #: external contract.
@@ -44,7 +44,8 @@ def ingest_csv(
     """Read a rectangular numeric CSV as a matrix (row = observation).
 
     Optional flags skip a header row, apply a log transform, and z-score each
-    column (mean 0, sample sd 1). Missing values are rejected.
+    column (mean 0, sample sd 1). Missing values, and constant columns under
+    `standardize`, are rejected.
     """
     rows: list[list[float]] = []
     with open(path, newline="", encoding="utf-8") as fh:
@@ -78,6 +79,10 @@ def ingest_csv(
             raise ParseError("log transform requires strictly positive values")
         m = np.log(m)
     if standardize:
+        constant = np.flatnonzero(np.ptp(m, axis=0) == 0) + 1
+        if constant.size:
+            cols = ", ".join(str(c) for c in constant)
+            raise ParseError(f"cannot standardize constant column(s) {cols}")
         m = (m - m.mean(axis=0)) / m.std(axis=0, ddof=1)
     return m
 
@@ -148,13 +153,11 @@ def _eval_one_split(x, y, criteria, n_train, seed, t):
     train, test = perm[:n_train], perm[n_train:]
     x_te, y_te = x[test], y[test]
     ls = fit_ols(x[train], y[train])
-    mspe, ranks = {}, {}
-    for name, crit in criteria.items():
-        rep = select_rank(ls, crit)
-        bhat = coef_matrix(fit_rrr(ls, rep.chosen))
-        mspe[name] = _mspe(y_te, x_te @ bhat)
-        ranks[name] = rep.chosen
-    mspe["ols"] = _mspe(y_te, x_te @ coef_matrix(fit_rrr(ls, ls.r_bar)))
+    ranks = {name: rep.chosen for name, rep in select_ranks(ls, criteria).items()}
+    # One prediction per distinct rank; OLS is the rank-r_bar fit.
+    by_rank = {r: _mspe(y_te, x_te @ rrr_coef(ls, r)) for r in {*ranks.values(), ls.r_bar}}
+    mspe = {name: by_rank[r] for name, r in ranks.items()}
+    mspe["ols"] = by_rank[ls.r_bar]
     return mspe, ranks
 
 
@@ -170,9 +173,13 @@ def eval_splits(
     """Repeated random-split evaluation of selection criteria.
 
     Each criterion selects a rank on the training half; MSPE is recorded on
-    the held-out half, alongside a full-rank OLS baseline. A selection
-    failure on one split is recorded and the run continues. With jobs > 1
-    splits run on a thread pool; results merge in split order either way.
+    the held-out half, alongside a full-rank OLS baseline. All criteria of a
+    split are scored by one ``select_ranks`` call on one rss path and one df
+    path per df mode, and each distinct chosen rank (and the OLS rank r_bar)
+    is predicted once from its coefficient matrix. A selection failure on
+    one split is recorded, from the first criterion that fails, and the run
+    continues. With jobs > 1 splits run on a thread pool; results merge in
+    split order either way.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)

@@ -113,13 +113,16 @@ def rss_path(ls: LsFit, ranks) -> np.ndarray:
     return np.array([base + tail[r] for r in ranks])
 
 
-def select_rank(
-    ls: LsFit, crit: Criterion, gp: GapPolicy = GapPolicy()
-) -> SelectionReport:
-    """Score ranks 1..min(n, p, q) (capped at the fit rank) and pick the argmin.
+def select_ranks(
+    ls: LsFit, criteria: dict[str, Criterion], gp: GapPolicy = GapPolicy()
+) -> dict[str, SelectionReport]:
+    """One SelectionReport per named criterion, all scored on one rank path.
 
-    Saturated candidates (df >= n*q, or rss = 0 under BIC) get +inf scores;
-    ties break toward the smaller rank.
+    The candidates are ranks 1..min(n, p, q) (capped at the fit rank). The
+    rss path is built once, and each df mode's path once, when the first
+    criterion using it is scored; criteria are scored in order, so the
+    first one that fails raises. Saturated candidates (df >= n*q, or rss = 0
+    under BIC) get +inf scores; ties break toward the smaller rank.
     """
     n, q = ls.y.shape
     p = ls.x.shape[1]
@@ -127,24 +130,41 @@ def select_rank(
     if r_max < 1:
         raise SaturationError("no candidate ranks available")
     candidates = list(range(1, r_max + 1))
-    rss = rss_path(ls, candidates)
-    if crit.df_mode == "naive":
-        dfs = [DofEstimate(value=naive_df(ls.gram.r_x, q, r), method="naive") for r in candidates]
-    else:
-        dfs = exact_df_path(ls.d, ls.gram.r_x, q, candidates, gp=gp)
-    scores: list[float] = []
-    for df, r_rss in zip(dfs, rss):
-        try:
-            scores.append(crit.score(float(r_rss), df.value, n, q))
-        except SaturationError:
-            scores.append(math.inf)
-    if all(math.isinf(sc) for sc in scores):
-        raise SaturationError("every candidate rank saturates the criterion")
-    chosen = candidates[int(np.argmin(scores))]
-    return SelectionReport(
-        candidates=candidates,
-        scores=scores,
-        df_used=dfs,
-        residual_ss=[float(v) for v in rss],
-        chosen=chosen,
-    )
+    residual_ss = [float(v) for v in rss_path(ls, candidates)]
+    paths: dict[str, list[DofEstimate]] = {}
+    reports = {}
+    for name, crit in criteria.items():
+        if crit.df_mode not in paths:
+            paths[crit.df_mode] = (
+                [DofEstimate(value=naive_df(ls.gram.r_x, q, r), method="naive") for r in candidates]
+                if crit.df_mode == "naive"
+                else exact_df_path(ls.d, ls.gram.r_x, q, candidates, gp=gp)
+            )
+        dfs = paths[crit.df_mode]
+        scores: list[float] = []
+        for df, r_rss in zip(dfs, residual_ss):
+            try:
+                scores.append(crit.score(r_rss, df.value, n, q))
+            except SaturationError:
+                scores.append(math.inf)
+        if all(math.isinf(sc) for sc in scores):
+            raise SaturationError("every candidate rank saturates the criterion")
+        reports[name] = SelectionReport(
+            candidates=list(candidates),
+            scores=scores,
+            df_used=list(dfs),
+            residual_ss=list(residual_ss),
+            chosen=candidates[int(np.argmin(scores))],
+        )
+    return reports
+
+
+def select_rank(
+    ls: LsFit, crit: Criterion, gp: GapPolicy = GapPolicy()
+) -> SelectionReport:
+    """Score ranks 1..min(n, p, q) (capped at the fit rank) under one
+    criterion and pick the argmin: ``select_ranks`` with a single criterion.
+    Callers scoring several criteria on one fit should call ``select_ranks``
+    once, so the rss and df paths are built once.
+    """
+    return select_ranks(ls, {crit.kind: crit}, gp)[crit.kind]

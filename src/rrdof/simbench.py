@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dof import DofEstimate, GapPolicy, _cov_df, _cov_value, _substream, exact_df_path, naive_df
-from .estimators import fit_ols, fit_rrr, fit_rrr_path, coef_matrix
+from .estimators import fit_ols, fit_rrr_path, rrr_coef
 from .exceptions import DomainError
 from .linalg import gram_factors, thin_svd
-from .selection import Criterion, select_rank
+from .selection import Criterion, select_ranks
 
 
 @dataclass(frozen=True)
@@ -213,6 +213,10 @@ class PredStudyResult:
         }
 
 
+#: GCV under both df modes, keyed by mode.
+_PRED_CRITERIA = {mode: Criterion(kind="gcv", df_mode=mode) for mode in ("exact", "naive")}
+
+
 def run_pred_study(cfg: SimConfig, gp: GapPolicy = GapPolicy()) -> PredStudyResult:
     """GCV selection with exact vs naive df: estimation error, prediction
     error (both scaled by 100 per entry), selected rank, and per-replication
@@ -229,10 +233,8 @@ def run_pred_study(cfg: SimConfig, gp: GapPolicy = GapPolicy()) -> PredStudyResu
         res.snr.append(snr(x, b, y - xb))
         ls = fit_ols(x, y, gram=gram)
         metrics = {}
-        for mode in ("exact", "naive"):
-            crit = Criterion(kind="gcv", df_mode=mode)
-            report = select_rank(ls, crit, gp=gp)
-            bhat = coef_matrix(fit_rrr(ls, report.chosen))
+        for mode, report in select_ranks(ls, _PRED_CRITERIA, gp=gp).items():
+            bhat = rrr_coef(ls, report.chosen)
             est = 100.0 * float(np.sum((b - bhat) ** 2)) / (cfg.p * cfg.q)
             pred = 100.0 * float(np.sum((xb - x @ bhat) ** 2)) / (cfg.n * cfg.q)
             metrics[mode] = (est, pred, report.chosen)

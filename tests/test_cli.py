@@ -167,6 +167,38 @@ class TestDof:
         assert not (tmp / "e.json").exists()
 
 
+class TestFitRankPolicy:
+    """`rrdof fit --rank` follows the rank policy of `rrdof dof`."""
+
+    def fit(self, tmp_path, *flags):
+        from rrdof.pipeline import fixture_paths
+
+        xp, yp = fixture_paths()
+        out, coef = tmp_path / "fit.json", tmp_path / "b.csv"
+        for path in (out, coef):
+            path.unlink(missing_ok=True)
+        rc = main(["fit", "--x", xp, "--y", yp, *flags, "--output", str(out),
+                   "--coef-out", str(coef)])
+        return rc, (read_report(out)["payload"], coef.read_bytes()) if rc == 0 else None
+
+    def test_rank_inside_the_range(self, tmp_path):
+        rc, (pl, _) = self.fit(tmp_path, "--rank", "4")
+        assert rc == 0
+        assert pl["rank_fitted"] == 4 and pl["r_bar"] == 36
+
+    def test_rank_above_r_bar_clamps(self, tmp_path):
+        rc, clamped = self.fit(tmp_path, "--rank", "99")
+        assert rc == 0 and clamped[0]["rank_fitted"] == 36
+        assert clamped == self.fit(tmp_path, "--rank", "36")[1] == self.fit(tmp_path)[1]
+
+    @pytest.mark.parametrize("rank", ["0", "-1"])
+    def test_rank_below_one_is_a_domain_error(self, tmp_path, rank, capsys):
+        rc, _ = self.fit(tmp_path, f"--rank={rank}")
+        assert rc == 2
+        assert f"rank {rank} outside [1, 36]" in capsys.readouterr().err
+        assert not (tmp_path / "fit.json").exists()
+
+
 class TestSelect:
     def test_gcv_select(self, data_paths):
         xp, yp, tmp = data_paths

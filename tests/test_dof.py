@@ -255,6 +255,50 @@ class TestDivergences:
         assert dof.divergence_analytic(h, rule).value == pytest.approx(expected, abs=1e-10)
 
 
+class TestExactTies:
+    """Exactly tied singular values have no singular-vector derivatives."""
+
+    TIED = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+
+    def test_analytic_divergence_names_the_tied_pair(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegeneracyError, match="d_1 and d_2 are exactly tied"):
+                divergence_analytic(self.TIED, soft(0.5))
+            with pytest.raises(DegeneracyError, match="d_1 and d_2 are exactly tied"):
+                divergence_analytic(self.TIED.T, soft(0.5))
+
+    def test_sv_derivatives_names_the_tied_pair(self):
+        h = np.diag([3.0, 2.0, 2.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegeneracyError, match="d_2 and d_3 are exactly tied"):
+                sv_derivatives(h, 0, 1)
+
+    def test_finite_differences_still_give_a_value(self):
+        assert divergence_fd(self.TIED, soft(0.5)).value == pytest.approx(4.5, abs=1e-6)
+
+    def test_near_tie_computes_and_flags(self):
+        h = np.array([[1.0, 0.0], [0.0, 1.0 + 1e-12], [0.0, 0.0]])
+        est = divergence_analytic(h, soft(0.5))
+        assert est.degenerate_flag
+        assert est.value == pytest.approx(4.5, abs=1e-6)
+
+    def test_checked_once_per_call(self, monkeypatch):
+        from rrdof import dof
+
+        calls = []
+        original = dof._check_tied
+
+        def counting(d):
+            calls.append(d.size)
+            return original(d)
+
+        monkeypatch.setattr(dof, "_check_tied", counting)
+        dof.divergence_analytic(random_h(np.random.default_rng(46), 6, 4), soft(0.5))
+        assert calls == [4]
+
+
 class TestStochasticEstimators:
     def test_mc_identity_smoother(self):
         rng = np.random.default_rng(38)

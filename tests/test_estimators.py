@@ -10,6 +10,7 @@ from rrdof.estimators import (
     fit_rrr_path,
     fit_shrunk,
     hard,
+    rrr_coef,
     soft,
     validate_weights,
 )
@@ -234,3 +235,18 @@ class TestCoefMatrix:
         # b should be reachable from the row space of x
         proj = x.T @ np.linalg.pinv(x.T)
         assert np.linalg.norm(proj @ b - b) < 1e-8
+
+
+class TestRrrCoef:
+    @pytest.mark.parametrize("shape", [(10, 5, 4), (6, 10, 3), (8, 3, 7)])
+    def test_equals_coef_of_the_rank_r_fit(self, shape):
+        n, p, q = shape
+        rng = np.random.default_rng(29)
+        ls = fit_ols(rng.standard_normal((n, p)), rng.standard_normal((n, q)))
+        for r in range(1, ls.r_bar + 1):
+            assert np.array_equal(rrr_coef(ls, r), coef_matrix(fit_rrr(ls, r)))
+
+    def test_rejects_out_of_range_ranks(self, random_fit):
+        for r in (0, -1, random_fit.r_bar + 1):
+            with pytest.raises(DomainError, match=f"rank {r} outside"):
+                rrr_coef(random_fit, r)

@@ -60,6 +60,12 @@ class TestIngestCsv:
         with pytest.raises(ParseError, match="empty"):
             ingest_csv(self.write(tmp_path, ""))
 
+    def test_standardize_rejects_constant_columns(self, tmp_path):
+        path = self.write(tmp_path, "1,5,2,7\n2,5,3,7\n3,5,4,7\n")
+        with pytest.raises(ParseError, match=r"constant column\(s\) 2, 4$"):
+            ingest_csv(path, standardize=True)
+        assert ingest_csv(path).shape == (3, 4)  # raw values are still read
+
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(80)
         m = rng.standard_normal((7, 4))
@@ -156,3 +162,108 @@ class TestFixture:
         x, y = synthetic_fixture()
         assert np.array_equal(ingest_csv(px), x)
         assert np.array_equal(ingest_csv(py), y)
+
+
+def reference_eval(x, y, criteria, n_splits, split_fraction=0.5, seed=0):
+    """The split loop as it was before one rank path per split: one
+    select_rank and one coef_matrix(fit_rrr(...)) per criterion, plus OLS.
+    Returns (mspe, ranks, failures) as eval_splits reports them."""
+    from rrdof.estimators import coef_matrix, fit_ols, fit_rrr
+    from rrdof.exceptions import SaturationError
+    from rrdof.pipeline import _mspe
+    from rrdof.selection import select_rank
+
+    n_train = int(round(x.shape[0] * split_fraction))
+    names = list(criteria)
+    mspe = {name: [] for name in names + ["ols"]}
+    ranks = {name: [] for name in names}
+    failures = []
+    for t in range(n_splits):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=(3, t)))
+        perm = rng.permutation(x.shape[0])
+        train, test = perm[:n_train], perm[n_train:]
+        x_te, y_te = x[test], y[test]
+        try:
+            ls = fit_ols(x[train], y[train])
+            got_mspe, got_ranks = {}, {}
+            for name, crit in criteria.items():
+                rep = select_rank(ls, crit)
+                bhat = coef_matrix(fit_rrr(ls, rep.chosen))
+                got_mspe[name] = _mspe(y_te, x_te @ bhat)
+                got_ranks[name] = rep.chosen
+            got_mspe["ols"] = _mspe(y_te, x_te @ coef_matrix(fit_rrr(ls, ls.r_bar)))
+        except (SaturationError, DomainError) as exc:
+            failures.append({"split": t, "error": str(exc)})
+            continue
+        for name in names:
+            mspe[name].append(got_mspe[name])
+            ranks[name].append(got_ranks[name])
+        mspe["ols"].append(got_mspe["ols"])
+    return mspe, ranks, failures
+
+
+ALL_CRITERIA = {
+    f"{kind}_{mode}": Criterion(kind=kind, df_mode=mode, sigma2=1.0 if kind == "cp" else None)
+    for kind in ("cp", "gcv", "bic")
+    for mode in ("exact", "naive")
+}
+
+
+def wide_xy():
+    """n = 24 rows, p = 30 columns: every training half has n_train < p."""
+    rng = np.random.default_rng(82)
+    x = rng.standard_normal((24, 30))
+    b = 2.0 * rng.standard_normal((30, 2)) @ rng.standard_normal((2, 9))
+    return x, x @ b + rng.standard_normal((24, 9))
+
+
+def saturating_xy():
+    """q = 1 and four distinct rows, each twice: a training half of four
+    distinct rows has r_x = n_train, so its one candidate has df = n*q and
+    GCV saturates; a half holding a repeated row does not."""
+    rng = np.random.default_rng(83)
+    x = rng.standard_normal((4, 4))[[0, 0, 1, 1, 2, 2, 3, 3]]
+    y = x @ rng.standard_normal((4, 1)) + rng.standard_normal((8, 1))
+    return x, y
+
+
+class TestOneRankPathPerSplit:
+    @pytest.mark.parametrize("jobs", [1, 4])
+    @pytest.mark.parametrize("data", ["fixture", "wide"])
+    def test_equals_per_criterion_loop(self, data, jobs):
+        x, y = synthetic_fixture() if data == "fixture" else wide_xy()
+        got = eval_splits(x, y, ALL_CRITERIA, n_splits=25, seed=5, jobs=jobs)
+        mspe, ranks, failures = reference_eval(x, y, ALL_CRITERIA, n_splits=25, seed=5)
+        assert got.mspe == mspe
+        assert got.ranks == ranks
+        assert got.failures == failures
+
+    def test_one_df_path_per_split_and_no_fitted_values(self, monkeypatch):
+        from rrdof import estimators, selection
+
+        calls = []
+        original = selection.exact_df_path
+
+        def counting_path(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("the eval path built fitted values")
+
+        monkeypatch.setattr(selection, "exact_df_path", counting_path)
+        monkeypatch.setattr(estimators, "fit_shrunk", no_fit)
+        x, y = synthetic_fixture()
+        rep = eval_splits(x, y, ALL_CRITERIA, n_splits=7, seed=2)
+        assert len(calls) == 7
+        assert len(rep.mspe["ols"]) == 7
+
+    def test_saturating_split_records_the_same_failure(self):
+        x, y = saturating_xy()
+        criteria = {"cp_exact": ALL_CRITERIA["cp_exact"], "gcv_exact": ALL_CRITERIA["gcv_exact"]}
+        got = eval_splits(x, y, criteria, n_splits=12, seed=1)
+        mspe, ranks, failures = reference_eval(x, y, criteria, n_splits=12, seed=1)
+        assert 0 < len(got.failures) < 12
+        assert got.failures == failures
+        assert all(f["error"] == "every candidate rank saturates the criterion" for f in failures)
+        assert got.mspe == mspe and got.ranks == ranks

@@ -16,7 +16,9 @@ from rrdof.dof import (
     sv_derivatives,
 )
 from rrdof.estimators import adaptive, fit_ols, fit_rrr, fit_rrr_path, hard, soft, validate_weights
+from rrdof.exceptions import SaturationError
 from rrdof.linalg import thin_svd
+from rrdof.selection import Criterion, select_rank, select_ranks
 
 
 def spectra(min_size=2, max_size=6):
@@ -256,3 +258,42 @@ def test_factored_oracle_matches_per_entry_reference(seed, rows, cols, kind, fra
         ref_dd, ref_dv = reference_sv_derivatives(tall, i, j)
         assert np.max(np.abs(dd - ref_dd)) <= 1e-12
         assert np.max(np.abs(dv - ref_dv)) <= 1e-12
+
+
+SELECTION_CRITERIA = {
+    f"{kind}_{mode}": Criterion(kind=kind, df_mode=mode, sigma2=0.5 if kind == "cp" else None)
+    for kind in ("gcv", "cp", "bic")
+    for mode in ("naive", "exact")
+}
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except SaturationError as exc:
+        return (type(exc), str(exc))
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n=st.integers(min_value=2, max_value=10),
+    p=st.integers(min_value=1, max_value=12),
+    q=st.integers(min_value=1, max_value=8),
+    noise=st.sampled_from([0.0, 0.1, 1.0]),
+    order=st.permutations(sorted(SELECTION_CRITERIA)),
+)
+def test_select_ranks_equals_select_rank_per_criterion(seed, n, p, q, noise, order):
+    # Tall (n > p) and wide (n <= p) designs; noiseless responses saturate.
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, p))
+    y = x @ rng.standard_normal((p, q)) + noise * rng.standard_normal((n, q))
+    ls = fit_ols(x, y)
+    criteria = {name: SELECTION_CRITERIA[name] for name in order}
+    each = {name: _outcome(lambda: select_rank(ls, crit)) for name, crit in criteria.items()}
+    failed = [out for out in each.values() if isinstance(out, tuple)]
+    together = _outcome(lambda: select_ranks(ls, criteria))
+    if failed:
+        assert together == failed[0]  # the first criterion that fails raises
+    else:
+        assert together == each
