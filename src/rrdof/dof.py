@@ -13,6 +13,12 @@ singular-value/vector derivative kernels and three independent oracles (an
 analytic divergence assembled from those kernels, a central finite-difference
 divergence, and Monte-Carlo / data-perturbation covariance estimators).
 
+The covariance estimators share one engine, `_cov_df`, closed in the moments
+a_t = <F_t, D_t>, b_t = <F_t, mean D> and c_t = <mean F, D_t> of fits F_t and
+draws D_t. With W = X Q S^-1 (orthonormal columns) a rank-r fit is W H_r, so
+<Y_hat_r, D> = sum_{k<=r} d_k u_k' (W'D) v_k: one SVD of H + W'D gives the
+moments of every rank (`_rank_moments`) without an n x q fit.
+
 The derivatives of the SVD H = U D V' (H tall) with respect to h_ij come in
 factored form for a whole row i at once: with hv = h_i' V,
 G_lk = 1/(d_l^2 - d_k^2) (zero diagonal) and A = V (G o hv[:, None]),
@@ -31,7 +37,7 @@ import numpy as np
 
 from .estimators import ShrinkageRule, validate_weights
 from .exceptions import ContractViolationError, DegeneracyError, DomainError
-from .linalg import as_matrix, thin_svd
+from .linalg import SvdFactors, as_matrix, thin_svd
 
 
 @dataclass(frozen=True)
@@ -295,86 +301,82 @@ def divergence_fd(h, rule: ShrinkageRule, step: float = 1e-6) -> DofEstimate:
 
 
 def _substream(seed: int, *path: int) -> np.random.Generator:
-    """Reproducible substream keyed by (seed, path); order-independent."""
+    """Reproducible substream keyed by (seed, path); order-independent, so a
+    study may draw before it fits. Every seeded draw in rrdof uses it:
+
+        simbench  (0,) X and B; (1, t) errors of replication t;
+                  (2, t, k) perturbation k of replication t
+        pipeline  (3, t) eval split t; (4,) synthetic_fixture
+        mc_df / perturbation_df  (0, t) / (1, t) of their own seed
+    """
     return np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(p) for p in path)))
 
 
-def _cov_value(fitted: np.ndarray, draws: np.ndarray, scale: float) -> float:
-    """Sum of sample covariances cov(fitted_ij, draws_ij)/scale over
-    arrays of shape (reps, n*q)."""
-    m = fitted.shape[0]
-    cross = np.einsum("ti,ti->", fitted, draws)
-    return float((cross - m * float(fitted.mean(axis=0) @ draws.mean(axis=0))) / (m - 1) / scale)
+def _cov_df(a: np.ndarray, b: np.ndarray, c: np.ndarray | None, scale: float) -> tuple:
+    """Covariance df of k candidates over m draws and its leave-one-out
+    jackknife standard error, from the (m, k) or (m,) moments a, b, c (module
+    docstring); with c None the errors are None. The value is
+    (sum a - sum b) / ((m - 1) scale). Leaving draw t out leaves
+    <sum F - F_t, sum D - D_t> = m sum b - m c_t - m b_t + a_t, so the
+    jackknife values deviate from their mean by -m / ((m - 1)(m - 2) scale)
+    times the deviations of a_t - b_t - c_t."""
+    m = a.shape[0]
+    value = np.sum(a - b, axis=0) / ((m - 1) * scale)
+    if c is None:
+        return value, None
+    f = a - b - c
+    se = np.sqrt(m / (m - 1) * np.sum((f - f.mean(axis=0)) ** 2, axis=0)) / ((m - 2) * scale)
+    return value, se
 
 
-def _cov_df(fitted: np.ndarray, draws: np.ndarray, scale: float) -> tuple[float, float]:
-    """`_cov_value` plus its leave-one-out jackknife standard error."""
-    m = fitted.shape[0]
-    # Jackknife: recompute the summed covariance leaving out each replication.
-    s_ab = np.einsum("ti,ti->t", fitted, draws)  # per-rep inner products
-    tot_ab = np.einsum("ti,ti->", fitted, draws)
-    sum_a = fitted.sum(axis=0)
-    sum_b = draws.sum(axis=0)
-    loo = np.empty(m)
-    for t in range(m):
-        ab = tot_ab - s_ab[t]
-        mean_dot = float((sum_a - fitted[t]) @ (sum_b - draws[t])) / (m - 1)
-        loo[t] = (ab - mean_dot) / (m - 2) / scale
-    se = float(np.sqrt((m - 1) / m * np.sum((loo - loo.mean()) ** 2)))
-    return _cov_value(fitted, draws, scale), se
+def _rank_moments(f: SvdFactors, g: np.ndarray) -> np.ndarray:
+    """<H_r, G> at every rank r, for the H with thin SVD f and each G of the
+    stack g (..., r_x, q): cumulative sums of d_k u_k' G v_k."""
+    return np.cumsum(f.d * np.sum(f.left * (g @ f.right), axis=-2), axis=-1)
+
+
+def _fitted_cov(fitter, inputs: np.ndarray, draws: np.ndarray, scale: float) -> tuple[float, float]:
+    """`_cov_df` of fitter(inputs[t]) against draws[t] over the stacked draws."""
+    m = draws.shape[0]
+    fitted = np.stack([np.asarray(fitter(z), dtype=float) for z in inputs]).reshape(m, -1)
+    draws = draws.reshape(m, -1)
+    a = np.einsum("ti,ti->t", fitted, draws)
+    value, se = _cov_df(a, fitted @ draws.mean(axis=0), draws @ fitted.mean(axis=0), scale)
+    return float(value), float(se)
 
 
 def mc_df(
-    mean,
-    sigma2: float,
-    fitter: Callable[[np.ndarray], np.ndarray],
-    reps: int,
-    seed: int,
+    mean, sigma2: float, fitter: Callable[[np.ndarray], np.ndarray], reps: int, seed: int
 ) -> DofEstimate:
     """Monte-Carlo estimate of sum_ij cov(mu_hat_ij, y_ij) / sigma2.
 
-    Draws Y = mean + Gaussian noise of variance sigma2, refits each draw, and
-    uses unbiased sample covariances across replications.
+    Draws every Y_t = mean + Gaussian noise of variance sigma2 first
+    (substream (0, t)), refits each draw, and passes the moments of the fits
+    against the draws to the covariance engine `_cov_df`: unbiased sample
+    covariances across replications plus a jackknife standard error.
     """
     if reps < 3:
         raise DomainError("reps must be at least 3")
     if sigma2 <= 0:
         raise DomainError("sigma2 must be positive")
     mean = as_matrix(mean)
-    n, q = mean.shape
-    fitted = np.empty((reps, n * q))
-    draws = np.empty((reps, n * q))
     sd = float(np.sqrt(sigma2))
-    for t in range(reps):
-        rng = _substream(seed, 0, t)
-        y = mean + sd * rng.standard_normal(mean.shape)
-        draws[t] = y.ravel()
-        fitted[t] = np.asarray(fitter(y), dtype=float).ravel()
-    value, se = _cov_df(fitted, draws, sigma2)
+    draws = np.stack([mean + sd * _substream(seed, 0, t).standard_normal(mean.shape) for t in range(reps)])
+    value, se = _fitted_cov(fitter, draws, draws, sigma2)
     return DofEstimate(value=value, method="monte_carlo", std_error=se)
 
 
 def perturbation_df(
-    y,
-    fitter: Callable[[np.ndarray], np.ndarray],
-    n_pert: int,
-    tau: float,
-    seed: int,
+    y, fitter: Callable[[np.ndarray], np.ndarray], n_pert: int, tau: float, seed: int
 ) -> DofEstimate:
     """Data-perturbation estimate sum_ij cov(mu_hat_ij(Y + D), D_ij) / tau^2
-    over Gaussian perturbations D with entrywise standard deviation tau."""
+    over Gaussian perturbations D with entrywise standard deviation tau
+    (substream (1, t)), drawn first and then refitted, through `_cov_df`."""
     if n_pert < 3:
         raise DomainError("n_pert must be at least 3")
     if tau <= 0:
         raise DomainError("tau must be positive")
     y = as_matrix(y)
-    n, q = y.shape
-    fitted = np.empty((n_pert, n * q))
-    deltas = np.empty((n_pert, n * q))
-    for t in range(n_pert):
-        rng = _substream(seed, 1, t)
-        delta = tau * rng.standard_normal(y.shape)
-        deltas[t] = delta.ravel()
-        fitted[t] = np.asarray(fitter(y + delta), dtype=float).ravel()
-    value, se = _cov_df(fitted, deltas, tau**2)
+    deltas = np.stack([tau * _substream(seed, 1, t).standard_normal(y.shape) for t in range(n_pert)])
+    value, se = _fitted_cov(fitter, y + deltas, deltas, tau**2)
     return DofEstimate(value=value, method="perturbation", std_error=se)

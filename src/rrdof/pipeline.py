@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dof import _substream
 from .estimators import fit_ols, rrr_coef
-from .exceptions import DomainError, ParseError, SaturationError
+from .exceptions import DomainError, ParseError, RrdofError, SaturationError
 from .selection import Criterion, select_ranks
 
 #: Version tag carried by every emitted report; field names are part of the
@@ -44,8 +45,8 @@ def ingest_csv(
     """Read a rectangular numeric CSV as a matrix (row = observation).
 
     Optional flags skip a header row, apply a log transform, and z-score each
-    column (mean 0, sample sd 1). Missing values, and constant columns under
-    `standardize`, are rejected.
+    column (mean 0, sample sd 1). Missing and non-finite values, and constant
+    columns under `standardize`, are rejected.
     """
     rows: list[list[float]] = []
     with open(path, newline="", encoding="utf-8") as fh:
@@ -61,11 +62,12 @@ def ingest_csv(
                 if cell == "":
                     raise ParseError(f"missing value at row {lineno}, column {colno}")
                 try:
-                    parsed.append(float(cell))
+                    value = float(cell)
                 except ValueError:
-                    raise ParseError(
-                        f"non-numeric cell {cell!r} at row {lineno}, column {colno}"
-                    ) from None
+                    raise ParseError(f"non-numeric cell {cell!r} at row {lineno}, column {colno}") from None
+                if not math.isfinite(value):
+                    raise ParseError(f"non-finite cell {cell!r} at row {lineno}, column {colno}")
+                parsed.append(value)
             if rows and len(parsed) != len(rows[0]):
                 raise ParseError(
                     f"ragged row at line {lineno}: expected {len(rows[0])} columns, got {len(parsed)}"
@@ -148,8 +150,7 @@ def _mspe(y_test: np.ndarray, y_pred: np.ndarray) -> float:
 
 
 def _eval_one_split(x, y, criteria, n_train, seed, t):
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=(3, t)))
-    perm = rng.permutation(x.shape[0])
+    perm = _substream(seed, 3, t).permutation(x.shape[0])
     train, test = perm[:n_train], perm[n_train:]
     x_te, y_te = x[test], y[test]
     ls = fit_ols(x[train], y[train])
@@ -176,8 +177,8 @@ def eval_splits(
     the held-out half, alongside a full-rank OLS baseline. All criteria of a
     split are scored by one ``select_ranks`` call on one rss path and one df
     path per df mode, and each distinct chosen rank (and the OLS rank r_bar)
-    is predicted once from its coefficient matrix. A selection failure on
-    one split is recorded, from the first criterion that fails, and the run
+    is predicted once from its coefficient matrix. Any rrdof error on one
+    split (from the first criterion that fails) is recorded and the run
     continues. With jobs > 1 splits run on a thread pool; results merge in
     split order either way.
     """
@@ -197,7 +198,7 @@ def eval_splits(
     def run(t):
         try:
             return _eval_one_split(x, y, criteria, n_train, seed, t)
-        except (SaturationError, DomainError) as exc:
+        except RrdofError as exc:
             return exc
 
     if jobs > 1:
@@ -245,7 +246,7 @@ def synthetic_fixture(
     factors near the noise level, so parsimonious criteria select rank 1
     while greedier ones chase the tail.
     """
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(4,)))
+    rng = _substream(seed, 4)
     x = rng.standard_normal((n, p))
     sv = np.concatenate([[5.0], 1.6 * 0.95 ** np.arange(8)])
     r0 = sv.size

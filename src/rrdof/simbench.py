@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dof import DofEstimate, GapPolicy, _cov_df, _cov_value, _substream, exact_df_path, naive_df
-from .estimators import fit_ols, fit_rrr_path, rrr_coef
+from .dof import DofEstimate, GapPolicy, _cov_df, _rank_moments, _substream, exact_df_path, naive_df
+from .estimators import fit_ols, rrr_coef
 from .exceptions import DomainError
 from .linalg import gram_factors, thin_svd
 from .selection import Criterion, select_ranks
@@ -126,63 +126,58 @@ def run_dof_study(
     """Replicate the df comparison: exact vs naive vs perturbation vs
     Monte-Carlo truth, per candidate rank.
 
-    Perturbation size follows the 0.1*sigma convention; Monte-Carlo truth is
-    computed from the same replications.
+    The exact df comes from each replication's ``fit_ols(x, y, gram=gram)``.
+    The covariances are taken in H space (see `dof`): one SVD per draw gives
+    the moments of every rank, with no n x q fit. Draws come first, so each
+    mean draw is known before its fits. Monte-Carlo truth keeps per-rank sums
+    of the fits and each H_t = W'Y_t, one r_x x q matrix per replication.
+    Perturbation k of replication t (size 0.1 sigma, substream (2, t, k))
+    refits H_t + W'Delta.
     """
     if cfg.reps < 3 or n_pert < 3:
         raise DomainError("reps and n_pert must be at least 3")
     x, b, _, _ = gen_instance(cfg, 0)  # X and B only; errors are drawn per replication
     xb = x @ b
     gram = gram_factors(x)  # X is fixed: factor it once
-    r_x = gram.r_x
+    w = (x @ gram.q_mat) / gram.s  # the fit of Y is W H
+    r_x, m = gram.r_x, cfg.reps
     r_bar = min(r_x, cfg.q)
     ranks = list(range(1, r_bar + 1))
-    n_ranks = len(ranks)
-
-    exact_vals = np.empty((cfg.reps, n_ranks))
-    pert_vals = np.empty((cfg.reps, n_ranks))
-    fitted = np.empty((n_ranks, cfg.reps, cfg.n * cfg.q))
-    draws = np.empty((cfg.reps, cfg.n * cfg.q))
     tau = 0.1 * float(np.sqrt(cfg.sigma2))
+    h_bar = w.T @ (xb + sum(_errors(cfg, t) for t in range(m)) / m)  # the mean draw, before any fit
 
-    for t in range(cfg.reps):
-        y = xb + _errors(cfg, t)
-        draws[t] = y.ravel()
-        ls = fit_ols(x, y, gram=gram)
-        exact_vals[t] = [e.value for e in exact_df_path(ls.d, r_x, cfg.q, ranks, gp=gp)]
-        fitted[:, t] = fit_rrr_path(ls, ranks).reshape(n_ranks, -1)
-        pert_vals[t] = _perturb_path(x, y, gram, ranks, n_pert, tau, seed=cfg.seed + 7919 * t)
+    exact_vals = np.empty((m, r_bar))
+    pert_vals = np.empty((m, r_bar))
+    mc_ab = np.empty((2, m, r_bar))
+    h_draws = np.empty((m, r_x, cfg.q))
+    fit_sum = np.zeros((r_bar, r_x, cfg.q))  # component k of the fits, summed over replications
+    for t in range(m):
+        ls = fit_ols(x, xb + _errors(cfg, t), gram=gram)
+        h, f = ls.hf.h, ls.hf.svd
+        exact_vals[t] = [e.value for e in exact_df_path(f.d, r_x, cfg.q, ranks, gp=gp)]
+        h_draws[t] = h
+        mc_ab[:, t] = _rank_moments(f, np.stack([h, h_bar]))
+        fit_sum += np.einsum("ik,jk->kij", f.left * f.d, f.right)
+        g = w.T @ np.stack([tau * _substream(cfg.seed, 2, t, k).standard_normal((cfg.n, cfg.q))
+                            for k in range(n_pert)])
+        pairs = np.stack([g, np.broadcast_to(g.mean(axis=0), g.shape)], axis=1)  # (draw, mean draw)
+        g_ab = np.array([_rank_moments(thin_svd(h + gk[0]), gk) for gk in pairs])
+        pert_vals[t] = _cov_df(g_ab[:, 0], g_ab[:, 1], None, tau**2)[0]
 
-    mc = [
-        DofEstimate(value=v, method="monte_carlo", std_error=se)
-        for v, se in (_cov_df(fitted[a], draws, cfg.sigma2) for a in range(n_ranks))
-    ]
+    mc_c = np.cumsum(h_draws.reshape(m, -1) @ fit_sum.reshape(r_bar, -1).T, axis=1) / m  # <mean fit, H_t>
+    mc = [DofEstimate(value=float(v), method="monte_carlo", std_error=float(se))
+          for v, se in zip(*_cov_df(mc_ab[0], mc_ab[1], mc_c, cfg.sigma2))]
     return DofStudyResult(
         config=cfg,
         ranks=ranks,
         naive=[naive_df(r_x, cfg.q, r) for r in ranks],
         exact_mean=list(exact_vals.mean(axis=0)),
-        exact_se=list(exact_vals.std(axis=0, ddof=1) / np.sqrt(cfg.reps)),
+        exact_se=list(exact_vals.std(axis=0, ddof=1) / np.sqrt(m)),
         exact_values=exact_vals,
         perturb_mean=list(pert_vals.mean(axis=0)),
-        perturb_se=list(pert_vals.std(axis=0, ddof=1) / np.sqrt(cfg.reps)),
+        perturb_se=list(pert_vals.std(axis=0, ddof=1) / np.sqrt(m)),
         mc=mc,
     )
-
-
-def _perturb_path(x, y, gram, ranks, n_pert: int, tau: float, seed: int) -> np.ndarray:
-    """Perturbation df for every rank at once, sharing the perturbation draws."""
-    rng_root = np.random.SeedSequence(entropy=int(seed) & 0xFFFFFFFFFFFF, spawn_key=(2,))
-    n, q = y.shape
-    n_ranks = len(ranks)
-    fitted = np.empty((n_ranks, n_pert, n * q))
-    deltas = np.empty((n_pert, n * q))
-    for t, child in enumerate(rng_root.spawn(n_pert)):
-        rng = np.random.default_rng(child)
-        delta = tau * rng.standard_normal(y.shape)
-        deltas[t] = delta.ravel()
-        fitted[:, t] = fit_rrr_path(fit_ols(x, y + delta, gram=gram), ranks).reshape(n_ranks, -1)
-    return np.array([_cov_value(fitted[a], deltas, tau**2) for a in range(n_ranks)])
 
 
 @dataclass

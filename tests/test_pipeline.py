@@ -14,7 +14,7 @@ from rrdof.pipeline import (
     write_matrix_csv,
     write_report,
 )
-from rrdof.selection import Criterion
+from rrdof.selection import Criterion, select_ranks
 
 
 class TestIngestCsv:
@@ -51,6 +51,16 @@ class TestIngestCsv:
     def test_non_numeric_located(self, tmp_path):
         with pytest.raises(ParseError, match="row 1, column 1"):
             ingest_csv(self.write(tmp_path, "x,2\n"))
+
+    @pytest.mark.parametrize("text,header,cell,row,col", [
+        ("1,2\nnan,3\n4,inf\n", False, "nan", 2, 1),
+        ("a,b\n1,inf\n", True, "inf", 2, 2),  # rows count the header
+        ("a,b\n1,2\n-inf,3\n", True, "-inf", 3, 1),
+    ])
+    def test_non_finite_located(self, tmp_path, text, header, cell, row, col):
+        with pytest.raises(ParseError) as info:
+            ingest_csv(self.write(tmp_path, text), header=header)
+        assert str(info.value) == f"non-finite cell {cell!r} at row {row}, column {col}"
 
     def test_ragged_rejected(self, tmp_path):
         with pytest.raises(ParseError, match="ragged"):
@@ -227,6 +237,14 @@ def saturating_xy():
     return x, y
 
 
+def _train_x(x, seed, t):
+    # the training rows of split t, drawn as eval_splits draws them
+    from rrdof.dof import _substream
+
+    perm = _substream(seed, 3, t).permutation(x.shape[0])
+    return x[perm[: int(round(x.shape[0] * 0.5))]]
+
+
 class TestOneRankPathPerSplit:
     @pytest.mark.parametrize("jobs", [1, 4])
     @pytest.mark.parametrize("data", ["fixture", "wide"])
@@ -257,6 +275,28 @@ class TestOneRankPathPerSplit:
         rep = eval_splits(x, y, ALL_CRITERIA, n_splits=7, seed=2)
         assert len(calls) == 7
         assert len(rep.mspe["ols"]) == 7
+
+    @pytest.mark.parametrize("jobs", [1, 4])
+    def test_any_rrdof_error_is_recorded_per_split(self, monkeypatch, jobs):
+        from rrdof import pipeline
+        from rrdof.exceptions import DegeneracyError
+
+        x, y = synthetic_fixture()
+        clean = eval_splits(x, y, ALL_CRITERIA, n_splits=5, seed=3, jobs=jobs)
+        split_2 = _train_x(x, 3, 2)
+
+        def select_failing_on_split_2(ls, criteria, *args, **kwargs):
+            if np.array_equal(ls.x, split_2):
+                raise DegeneracyError("tied singular values on this split")
+            return select_ranks(ls, criteria, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "select_ranks", select_failing_on_split_2)
+        got = eval_splits(x, y, ALL_CRITERIA, n_splits=5, seed=3, jobs=jobs)
+        assert got.failures == [{"split": 2, "error": "tied singular values on this split"}]
+        for name in clean.mspe:
+            assert got.mspe[name] == [v for t, v in enumerate(clean.mspe[name]) if t != 2]
+        for name in clean.ranks:
+            assert got.ranks[name] == [v for t, v in enumerate(clean.ranks[name]) if t != 2]
 
     def test_saturating_split_records_the_same_failure(self):
         x, y = saturating_xy()

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rrdof.dof import (
+    _rank_moments,
     divergence_analytic,
     exact_df_path,
     exact_df_rrr,
@@ -297,3 +298,30 @@ def test_select_ranks_equals_select_rank_per_criterion(seed, n, p, q, noise, ord
         assert together == failed[0]  # the first criterion that fails raises
     else:
         assert together == each
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n=st.integers(min_value=2, max_value=10),
+    p=st.integers(min_value=1, max_value=12),
+    q=st.integers(min_value=1, max_value=8),
+)
+def test_h_space_moments_equal_fitted_value_inner_products(seed, n, p, q):
+    # Tall (n > p) and wide (n <= p) designs, q above and below r_x: the
+    # moments the df study takes in H space, <H_r(Y + D), W'D> from one SVD
+    # of H + W'D, are the inner products of the refitted rank-r values with D.
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, p))
+    y = x @ rng.standard_normal((p, q)) + rng.standard_normal((n, q))
+    delta = 0.1 * rng.standard_normal((n, q))
+    ls = fit_ols(x, y)
+    w = (x @ ls.gram.q_mat) / ls.gram.s
+    g = w.T @ delta
+    got = _rank_moments(thin_svd(ls.hf.h + g), g)
+    fits = fit_rrr_path(fit_ols(x, y + delta), range(1, ls.r_bar + 1))
+    want = np.einsum("kij,ij->k", fits, delta)
+    # relative to the Cauchy-Schwarz bound, as an inner product can be ~0
+    scale = np.linalg.norm(fits.reshape(ls.r_bar, -1), axis=1) * np.linalg.norm(delta)
+    assert got.shape == (ls.r_bar,)
+    assert np.all(np.abs(got - want) <= 1e-10 * scale)

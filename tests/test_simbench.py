@@ -1,7 +1,10 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from rrdof.dof import DofEstimate, _cov_df, exact_df_rrr, naive_df
+from rrdof.dof import DofEstimate, _cov_df, _substream, exact_df_rrr, naive_df
 from rrdof.estimators import fit_ols, fit_rrr
 from rrdof.exceptions import DomainError
 from rrdof.selection import Criterion, select_rank
@@ -138,9 +141,61 @@ class TestDofStudy:
         assert again.perturb_mean == study.perturb_mean
 
 
+def _reference_cov_df(fitted, draws, scale):
+    # The covariance df as it was before the moment engine: sample
+    # covariances of (reps, n*q) arrays of fits and draws, and a jackknife
+    # that recomputes the sum leaving out each replication.
+    m = fitted.shape[0]
+    cross = np.einsum("ti,ti->", fitted, draws)
+    value = float((cross - m * float(fitted.mean(axis=0) @ draws.mean(axis=0))) / (m - 1) / scale)
+    s_ab = np.einsum("ti,ti->t", fitted, draws)
+    sum_a, sum_b = fitted.sum(axis=0), draws.sum(axis=0)
+    loo = np.empty(m)
+    for t in range(m):
+        mean_dot = float((sum_a - fitted[t]) @ (sum_b - draws[t])) / (m - 1)
+        loo[t] = (cross - s_ab[t] - mean_dot) / (m - 2) / scale
+    return value, float(np.sqrt((m - 1) / m * np.sum((loo - loo.mean()) ** 2)))
+
+
+def _moments(fitted, draws):
+    return np.einsum("ti,ti->t", fitted, draws), fitted @ draws.mean(axis=0), draws @ fitted.mean(axis=0)
+
+
+def _correlated(m, size, offset, seed):
+    rng = np.random.default_rng(seed)
+    draws = offset + rng.standard_normal((m, size))
+    return 0.5 * draws + rng.standard_normal((m, size)), draws
+
+
+@pytest.mark.parametrize("m,size,offset,seed", [
+    (3, 1, 0.0, 0), (5, 12, 0.0, 1), (40, 30, 5.0, 2), (200, 8, 20.0, 3),
+])
+def test_cov_engine_equals_reference(m, size, offset, seed):
+    fitted, draws = _correlated(m, size, offset, seed)
+    value, se = _cov_df(*_moments(fitted, draws), 1.7)
+    ref_value, ref_se = _reference_cov_df(fitted, draws, 1.7)
+    assert value == pytest.approx(ref_value, rel=1e-12)
+    assert se == pytest.approx(ref_se, rel=1e-10)
+    assert _cov_df(*_moments(fitted, draws)[:2], None, 1.7)[1] is None
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_cov_engine_is_accurate_under_a_large_mean(seed):
+    # With draws centred at 50 the uncentred sums cancel in both the engine
+    # and the reference (whose jackknife is off by up to about 1e-11 here);
+    # covariances of centred arrays are the accurate answer.
+    fitted, draws = _correlated(200, 8, 50.0, seed)
+    value, se = _cov_df(*_moments(fitted, draws), 1.7)
+    e = np.einsum("ti,ti->t", fitted - fitted.mean(axis=0), draws - draws.mean(axis=0))
+    loo = (e.sum() - 200 * e / 199) / 198 / 1.7
+    assert value == pytest.approx(e.sum() / 199 / 1.7, rel=1e-11)
+    assert se == pytest.approx(np.sqrt(199 / 200 * np.sum((loo - loo.mean()) ** 2)), rel=1e-12)
+
+
 def _reference_dof_study(cfg, n_pert):
     # The study loop as first written: a fresh Gram factorisation for every
-    # refit, one fit_rrr per rank, and _cov_df for both covariance estimates.
+    # refit, one fit_rrr per rank, and n*q fitted values for both covariance
+    # estimates.
     x, _, _, _ = gen_instance(cfg, 0)
     r_x = fit_ols(x, np.zeros((cfg.n, cfg.q))).gram.r_x
     ranks = list(range(1, min(r_x, cfg.q) + 1))
@@ -156,19 +211,17 @@ def _reference_dof_study(cfg, n_pert):
         for a, r in enumerate(ranks):
             exact[t, a] = exact_df_rrr(ls.d, r_x, cfg.q, r).value
             fitted[a, t] = fit_rrr(ls, r).y_fit.ravel()
-        root = np.random.SeedSequence(
-            entropy=int(cfg.seed + 7919 * t) & 0xFFFFFFFFFFFF, spawn_key=(2,))
         p_fitted = np.empty((len(ranks), n_pert, cfg.n * cfg.q))
         deltas = np.empty((n_pert, cfg.n * cfg.q))
-        for k, child in enumerate(root.spawn(n_pert)):
-            delta = tau * np.random.default_rng(child).standard_normal(y.shape)
+        for k in range(n_pert):
+            delta = tau * _substream(cfg.seed, 2, t, k).standard_normal(y.shape)
             deltas[k] = delta.ravel()
             ls_k = fit_ols(x, y + delta)
             for a, r in enumerate(ranks):
                 p_fitted[a, k] = fit_rrr(ls_k, r).y_fit.ravel()
-        pert[t] = [_cov_df(p_fitted[a], deltas, tau**2)[0] for a in range(len(ranks))]
+        pert[t] = [_reference_cov_df(p_fitted[a], deltas, tau**2)[0] for a in range(len(ranks))]
     mc = [DofEstimate(value=v, method="monte_carlo", std_error=se)
-          for v, se in (_cov_df(fitted[a], draws, cfg.sigma2) for a in range(len(ranks)))]
+          for v, se in (_reference_cov_df(fitted[a], draws, cfg.sigma2) for a in range(len(ranks)))]
     return {
         "ranks": ranks,
         "naive": [naive_df(r_x, cfg.q, r) for r in ranks],
@@ -186,12 +239,34 @@ def _reference_dof_study(cfg, n_pert):
     SimConfig(n=20, p=5, q=7, r0=2, reps=5, seed=2),  # tall, q > r_x
 ], ids=["wide", "tall"])
 def test_dof_study_equals_reference_loop(cfg):
+    # The exact df is computed as before, bit for bit. The covariances are
+    # taken in H space from moments, in another order of summation, so they
+    # agree to rounding.
     got = run_dof_study(cfg, n_pert=6)
     ref = _reference_dof_study(cfg, n_pert=6)
     assert np.array_equal(got.exact_values, ref["exact_values"])
-    for name in ("ranks", "naive", "exact_mean", "exact_se", "perturb_mean",
-                 "perturb_se", "mc"):
+    for name in ("ranks", "naive", "exact_mean", "exact_se"):
         assert getattr(got, name) == ref[name], name
+    np.testing.assert_allclose(got.perturb_mean, ref["perturb_mean"], rtol=1e-12, atol=0)
+    np.testing.assert_allclose(got.perturb_se, ref["perturb_se"], rtol=1e-10, atol=0)
+    np.testing.assert_allclose([e.value for e in got.mc], [e.value for e in ref["mc"]],
+                               rtol=1e-12, atol=0)
+    np.testing.assert_allclose([e.std_error for e in got.mc], [e.std_error for e in ref["mc"]],
+                               rtol=1e-10, atol=0)
+
+
+def test_dof_study_memory_does_not_grow_with_reps():
+    # The covariances keep per-rank sums and one r_x x q matrix per
+    # replication (16 kB here), never a ranks x reps x n*q stack of fits.
+    def peak(reps):
+        tracemalloc.start()
+        try:
+            run_dof_study(replace(PRESETS["setting2"], reps=reps), n_pert=3)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(40) - peak(4) < 5e6
 
 
 def test_dof_study_needs_three_replications():
