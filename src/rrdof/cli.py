@@ -37,16 +37,6 @@ def _load_xy(args):
     return x, y
 
 
-def _rule_from(args):
-    if args.rank is not None:
-        return hard(args.rank)
-    if args.soft is not None:
-        return soft(args.soft)
-    if args.adaptive is not None:
-        return adaptive(args.adaptive, gamma=args.gamma)
-    return None
-
-
 def _add_data_flags(sp):
     sp.add_argument("--x", required=True, help="design matrix CSV")
     sp.add_argument("--y", required=True, help="response matrix CSV")
@@ -124,14 +114,18 @@ def _sigma_hat(ls) -> float:
 
 
 def _checked_rule(args, ls):
-    """The rule of `rrdof fit` and `rrdof dof`, one rank policy for every
-    command and method: a rank above r_bar clamps to r_bar and one below 1
-    raises fit_rrr's error."""
-    if args.rank is None:
-        return _rule_from(args)
-    rank = min(args.rank, ls.r_bar)
-    _check_rank(ls, rank)
-    return hard(rank)
+    """The rule of `rrdof fit` and `rrdof dof` (None without a rule flag),
+    one rank policy for every command and method: a rank above r_bar clamps
+    to r_bar and one below 1 raises fit_rrr's error."""
+    if args.rank is not None:
+        rank = min(args.rank, ls.r_bar)
+        _check_rank(ls, rank)
+        return hard(rank)
+    if args.soft is not None:
+        return soft(args.soft)
+    if args.adaptive is not None:
+        return adaptive(args.adaptive, gamma=args.gamma)
+    return None
 
 
 def _fitter_from(rule, ls):

@@ -7,11 +7,14 @@ s_k' on the singular values d_k of the least-squares fit, the exact df is
     C_kl = (d_k^2 + d_l^2) / (d_k^2 - d_l^2).
 
 Hard truncation at rank r is s = 1[k < r]; soft thresholding gives the SVT
-divergence. A vanished d_l (at most VANISH_TOL * max(d_1, 1)) takes the limit
-C_kl = 1, so a fully vanished tail gives the naive count. Also here: the
-singular-value/vector derivative kernels and three independent oracles (an
-analytic divergence assembled from those kernels, a central finite-difference
-divergence, and Monte-Carlo / data-perturbation covariance estimators).
+divergence. The pair term is linear in one hard-rank path: with
+delta_r = s_r - s_{r+1} >= 0 (s_{r_bar+1} = 0) and P_r = sum_{k<=r<l} C_kl,
+the pair term of hard rank r, it is sum_r delta_r P_r. A vanished d_l (at
+most VANISH_TOL * max(d_1, 1)) takes the limit C_kl = 1, so a fully vanished
+tail gives the naive count. Also here: the singular-value/vector derivative
+kernels and three independent oracles (an analytic divergence assembled from
+those kernels, a central finite-difference divergence, and Monte-Carlo /
+data-perturbation covariance estimators).
 
 The covariance estimators share one engine, `_cov_df`, closed in the moments
 a_t = <F_t, D_t>, b_t = <F_t, mean D> and c_t = <mean F, D_t> of fits F_t and
@@ -37,7 +40,7 @@ import numpy as np
 
 from .estimators import ShrinkageRule, validate_weights
 from .exceptions import ContractViolationError, DegeneracyError, DomainError
-from .linalg import SvdFactors, as_matrix, thin_svd
+from .linalg import SvdFactors, _svd, as_matrix, thin_svd
 
 
 @dataclass(frozen=True)
@@ -82,11 +85,13 @@ class DofEstimate:
     degenerate_flag: bool = False
 
 
-def naive_df(r_x: int, q: int, r: int) -> float:
-    """Free-parameter count (r_x + q - r) * r of a rank-r coefficient matrix."""
-    if not 0 <= r <= min(r_x, q):
+def naive_df(r_x: int, q: int, r) -> float | list[float]:
+    """Free-parameter count (r_x + q - r) * r of a rank-r coefficient matrix;
+    a list of counts for a sequence of ranks."""
+    ranks = np.asarray(r)
+    if np.any((ranks < 0) | (ranks > min(r_x, q))):
         raise DomainError(f"rank {r} outside [0, {min(r_x, q)}]")
-    return float((r_x + q - r) * r)
+    return ((r_x + q - ranks) * ranks).astype(float).tolist()
 
 
 #: Singular values at most VANISH_TOL * max(d_1, 1) count as vanished.
@@ -112,37 +117,35 @@ def _validate_spectrum(d, r_x: int, q: int) -> tuple[np.ndarray, int]:
 
 
 def _df_kernel(d, live: int, r_x: int, q: int, s, s_prime, gp: GapPolicy) -> list[DofEstimate]:
-    """The module formula for each row of the (m, r_bar) weights `s`, with C
-    built once. The support x non-support block is summed apart from the
-    within-support pairs, which vanish for flat (hard) weights."""
+    """max(r_x, q) sum s + delta . P + (s' o support) . d for every row of the
+    (m, r_bar) weights `s`: C once, every P_r from one reversed cumulative sum
+    along the rows of triu(C) and one down its columns, read above the
+    diagonal. A delta_r = 0 adds exactly 0 even where P_r is infinite; a hard
+    row (delta = e_r) gets P_r itself."""
     d2 = d**2
     with np.errstate(divide="ignore", invalid="ignore"):
         c = (d2[:, None] + d2[None, :]) / (d2[:, None] - d2[None, :])
     c[:, live:] = 1.0  # limit of the pair term against a vanished value
-    c = np.triu(c, 1)
-    support = np.count_nonzero(s > 0, axis=1)
-    varying = np.ptp(s, axis=1) > 0  # only these rows have pair terms
+    tail = np.cumsum(np.triu(c, 1)[:, ::-1], axis=1)[:, ::-1]  # tail[k, j] = sum_{l>=j} C_kl
+    hard_pair = np.append(np.cumsum(tail, axis=0).diagonal(1), 0.0)  # P_r: sum of tail[k < r, r]
+    delta = s.copy()
+    delta[:, :-1] -= s[:, 1:]
+    pair = (delta * np.where(delta != 0, hard_pair, 0.0)).sum(axis=1)
+    varying = np.any(delta[:, :-1] != 0, axis=1)  # only these rows have pair terms
     degenerate = bool(np.any(varying)) and gp.check(d[:live])
-    inside = np.arange(d.size) < support[:, None]
-    linear = max(r_x, q) * s.sum(axis=1) + (s_prime * inside) @ d
-    out = []
-    for w, r, value, vary in zip(s, support, linear, varying):
-        w = w[:r]
-        value += float(np.sum(w[:, None] * c[:r, r:]))
-        if r and w[0] != w[-1]:
-            value += float(np.sum((w[:, None] - w[None, :]) * c[:r, :r]))
-        out.append(DofEstimate(float(value), "exact", degenerate_flag=degenerate and bool(vary)))
-    return out
+    values = max(r_x, q) * s.sum(axis=1) + pair + np.where(s > 0, s_prime, 0.0) @ d
+    return [DofEstimate(v, "exact", degenerate_flag=degenerate and vary)
+            for v, vary in zip(values.tolist(), varying.tolist())]
 
 
 def exact_df_path(d, r_x: int, q: int, ranks, gp: GapPolicy = GapPolicy()) -> list[DofEstimate]:
     """Exact df of the rank-r fit for every r in `ranks`, from one kernel
     call; entry a equals ``exact_df_rrr(d, r_x, q, ranks[a])`` bit for bit."""
     d, live = _validate_spectrum(d, r_x, q)
-    for r in ranks:
-        if not 1 <= r <= d.size:
-            raise DomainError(f"rank {r} outside [1, {d.size}]")
-    s = (np.arange(d.size) < np.asarray(ranks, dtype=int)[:, None]).astype(float)
+    ranks = np.asarray(ranks)
+    if np.any(bad := (ranks < 1) | (ranks > d.size)):
+        raise DomainError(f"rank {ranks[bad][0]} outside [1, {d.size}]")
+    s = (np.arange(d.size) < ranks.astype(int)[:, None]).astype(float)
     return _df_kernel(d, live, r_x, q, s, np.zeros_like(s), gp)
 
 
@@ -276,13 +279,14 @@ def divergence_analytic(
 
 
 def _apply_rule(h: np.ndarray, rule: ShrinkageRule) -> np.ndarray:
-    f = thin_svd(h)
+    f = _svd(h)  # U diag(s d) V' is exactly unchanged when a pair (u_k, v_k) is negated
     s, _ = rule.weights(f.d)
     return (f.left * (s * f.d)[None, :]) @ f.right.T
 
 
 def divergence_fd(h, rule: ShrinkageRule, step: float = 1e-6) -> DofEstimate:
-    """Central finite-difference estimate of the divergence of the shrunk matrix."""
+    """Central finite-difference estimate of the divergence of the shrunk
+    matrix; H is validated once, not per perturbed copy."""
     if step <= 0:
         raise DomainError("step must be positive")
     h = _tall(as_matrix(h)).copy()
@@ -350,10 +354,11 @@ def mc_df(
 ) -> DofEstimate:
     """Monte-Carlo estimate of sum_ij cov(mu_hat_ij, y_ij) / sigma2.
 
-    Draws every Y_t = mean + Gaussian noise of variance sigma2 first
-    (substream (0, t)), refits each draw, and passes the moments of the fits
-    against the draws to the covariance engine `_cov_df`: unbiased sample
-    covariances across replications plus a jackknife standard error.
+    Draws the noise E_t (variance sigma2, substream (0, t)) first, refits
+    each Y_t = mean + E_t, and passes the moments of the fits against E_t
+    (cov(F, Y) = cov(F, E) for the known mean, without cancelling sums) to
+    the covariance engine `_cov_df`: unbiased sample covariances across
+    replications plus a jackknife standard error.
     """
     if reps < 3:
         raise DomainError("reps must be at least 3")
@@ -361,8 +366,8 @@ def mc_df(
         raise DomainError("sigma2 must be positive")
     mean = as_matrix(mean)
     sd = float(np.sqrt(sigma2))
-    draws = np.stack([mean + sd * _substream(seed, 0, t).standard_normal(mean.shape) for t in range(reps)])
-    value, se = _fitted_cov(fitter, draws, draws, sigma2)
+    noise = np.stack([sd * _substream(seed, 0, t).standard_normal(mean.shape) for t in range(reps)])
+    value, se = _fitted_cov(fitter, mean + noise, noise, sigma2)
     return DofEstimate(value=value, method="monte_carlo", std_error=se)
 
 

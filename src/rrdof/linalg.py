@@ -73,15 +73,21 @@ def _fix_signs(u: np.ndarray, vt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u, vt
 
 
-def thin_svd(m) -> SvdFactors:
-    """Thin SVD of a real matrix, k = min(rows, cols) factors."""
-    m = as_matrix(m)
+def _svd(m: np.ndarray) -> SvdFactors:
+    """Thin SVD of a validated matrix, with the backend's signs: for loops
+    whose result does not change when a singular-vector pair is negated."""
     try:
         u, d, vt = np.linalg.svd(m, full_matrices=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - backend dependent
         raise NumericalError(f"SVD did not converge: {exc}") from exc
-    u, vt = _fix_signs(u.copy(), vt.copy())
     return SvdFactors(left=u, d=d, right=vt.T)
+
+
+def thin_svd(m) -> SvdFactors:
+    """Thin SVD of a real matrix, k = min(rows, cols) factors."""
+    f = _svd(as_matrix(m))
+    u, vt = _fix_signs(f.left, f.right.T)  # in place: the factors are fresh
+    return SvdFactors(left=u, d=f.d, right=vt.T)
 
 
 def gram_factors(x, rank_tol: float = RANK_TOL) -> GramFactors:
@@ -125,10 +131,3 @@ def effective_rank(d, rel_tol: float = RANK_TOL) -> int:
     if d.size == 0 or d[0] <= 0:
         return 0
     return int(np.count_nonzero(d > rel_tol * d[0]))
-
-
-def projection_matrix(x, gf: GramFactors) -> np.ndarray:
-    """Hat matrix P = X (X'X)^+ X'; idempotent with trace r_x."""
-    x = as_matrix(x)
-    xq = x @ gf.q_mat
-    return (xq / gf.s[None, :] ** 2) @ xq.T

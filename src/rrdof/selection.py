@@ -29,28 +29,41 @@ def lambda_grid(d1: float, size: int = LAMBDA_GRID_SIZE) -> np.ndarray:
     return d1 * np.logspace(0.0, -LAMBDA_GRID_DECADES, size)
 
 
-def _check_unsaturated(df: float, nq: int) -> None:
-    """A df outside [0, n*q) leaves no residual degrees of freedom: the fit
-    interpolates and the criterion must not score it."""
-    if not 0 <= df < nq:
-        raise SaturationError(f"df={df} saturates the criterion (n*q={nq})")
+def _scores(kind: str, rss, df, n: int, q: int, sigma2: float | None = None) -> np.ndarray:
+    """Criterion `kind` at every (rss, df) pair as one array expression: the
+    only place each formula is written. A df outside [0, n q) leaves no
+    residual degrees of freedom (the fit interpolates), so GCV and BIC score
+    it +inf, as BIC does rss = 0; no warning is raised."""
+    nq = n * q
+    rss, df = np.asarray(rss, dtype=float), np.asarray(df, dtype=float)
+    if kind == "cp":
+        return rss / nq + 2.0 * df * sigma2 / nq
+    ok = (df >= 0) & (df < nq) & ((rss > 0) | (kind == "gcv"))
+    rss, df = np.where(ok, rss, nq), np.where(ok, df, 0.0)  # finite stand-ins where saturated
+    score = nq * rss / np.square(nq - df) if kind == "gcv" else nq * np.log(rss / nq) + math.log(nq) * df
+    return np.where(ok, score, np.inf)
+
+
+def _unsaturated_score(kind: str, rss: float, df: float, n: int, q: int) -> float:
+    """`_scores` of one GCV or BIC candidate; a saturated one raises."""
+    score = float(_scores(kind, rss, df, n, q))
+    if math.isinf(score):
+        raise SaturationError(f"rss={rss}, df={df} saturate {kind} (n*q={n * q})")
+    return score
 
 
 def gcv_score(rss: float, df: float, n: int, q: int) -> float:
     """Generalized cross-validation: n*q*rss / (n*q - df)^2."""
-    nq = n * q
     if rss < 0:
         raise DomainError("rss must be nonnegative")
-    _check_unsaturated(df, nq)
-    return nq * rss / (nq - df) ** 2
+    return _unsaturated_score("gcv", rss, df, n, q)
 
 
 def cp_score(rss: float, df: float, sigma2: float, n: int, q: int) -> float:
     """Mallows-type Cp normalized per entry: rss/(n q) + 2 df sigma2/(n q)."""
     if sigma2 <= 0:
         raise DomainError("sigma2 must be positive")
-    nq = n * q
-    return rss / nq + 2.0 * df * sigma2 / nq
+    return float(_scores("cp", rss, df, n, q, sigma2))
 
 
 def bic_score(rss: float, df: float, n: int, q: int) -> float:
@@ -59,11 +72,7 @@ def bic_score(rss: float, df: float, n: int, q: int) -> float:
     The log-likelihood surrogate requires rss > 0 and df < n q; an
     interpolating fit leaves only roundoff in rss and would win.
     """
-    if rss <= 0:
-        raise SaturationError("BIC is undefined at zero residual")
-    nq = n * q
-    _check_unsaturated(df, nq)
-    return nq * math.log(rss / nq) + math.log(nq) * df
+    return _unsaturated_score("bic", rss, df, n, q)
 
 
 @dataclass(frozen=True)
@@ -81,13 +90,6 @@ class Criterion:
             raise DomainError(f"unknown df mode: {self.df_mode!r}")
         if self.kind == "cp" and (self.sigma2 is None or self.sigma2 <= 0):
             raise DomainError("cp requires sigma2 > 0")
-
-    def score(self, rss: float, df: float, n: int, q: int) -> float:
-        if self.kind == "gcv":
-            return gcv_score(rss, df, n, q)
-        if self.kind == "cp":
-            return cp_score(rss, df, self.sigma2, n, q)
-        return bic_score(rss, df, n, q)
 
 
 @dataclass(frozen=True)
@@ -110,7 +112,7 @@ def rss_path(ls: LsFit, ranks) -> np.ndarray:
     base = float(np.sum((ls.y - ls.y_hat) ** 2))
     d2 = ls.d**2
     tail = np.concatenate([np.cumsum(d2[::-1])[::-1], [0.0]])  # tail[r] = sum_{k>r} d_k^2
-    return np.array([base + tail[r] for r in ranks])
+    return base + tail[np.asarray(ranks, dtype=int)]
 
 
 def select_ranks(
@@ -119,8 +121,9 @@ def select_ranks(
     """One SelectionReport per named criterion, all scored on one rank path.
 
     The candidates are ranks 1..min(n, p, q) (capped at the fit rank). The
-    rss path is built once, and each df mode's path once, when the first
-    criterion using it is scored; criteria are scored in order, so the
+    rss path and each df mode's path are arrays built once (a df path when
+    the first criterion using it is scored), and each criterion scores every
+    candidate in one array expression. Criteria are scored in order, so the
     first one that fails raises. Saturated candidates (df >= n*q, or rss = 0
     under BIC) get +inf scores; ties break toward the smaller rank.
     """
@@ -130,30 +133,26 @@ def select_ranks(
     if r_max < 1:
         raise SaturationError("no candidate ranks available")
     candidates = list(range(1, r_max + 1))
-    residual_ss = [float(v) for v in rss_path(ls, candidates)]
-    paths: dict[str, list[DofEstimate]] = {}
+    rss = rss_path(ls, candidates)
+    paths: dict[str, tuple[list[DofEstimate], np.ndarray]] = {}
     reports = {}
     for name, crit in criteria.items():
         if crit.df_mode not in paths:
-            paths[crit.df_mode] = (
-                [DofEstimate(value=naive_df(ls.gram.r_x, q, r), method="naive") for r in candidates]
+            dfs = (
+                [DofEstimate(value=v, method="naive") for v in naive_df(ls.gram.r_x, q, candidates)]
                 if crit.df_mode == "naive"
                 else exact_df_path(ls.d, ls.gram.r_x, q, candidates, gp=gp)
             )
-        dfs = paths[crit.df_mode]
-        scores: list[float] = []
-        for df, r_rss in zip(dfs, residual_ss):
-            try:
-                scores.append(crit.score(r_rss, df.value, n, q))
-            except SaturationError:
-                scores.append(math.inf)
-        if all(math.isinf(sc) for sc in scores):
+            paths[crit.df_mode] = dfs, np.array([e.value for e in dfs])
+        dfs, values = paths[crit.df_mode]
+        scores = _scores(crit.kind, rss, values, n, q, crit.sigma2)
+        if np.all(np.isinf(scores)):
             raise SaturationError("every candidate rank saturates the criterion")
         reports[name] = SelectionReport(
             candidates=list(candidates),
-            scores=scores,
+            scores=scores.tolist(),
             df_used=list(dfs),
-            residual_ss=list(residual_ss),
+            residual_ss=rss.tolist(),
             chosen=candidates[int(np.argmin(scores))],
         )
     return reports

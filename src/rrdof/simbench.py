@@ -17,7 +17,7 @@ import numpy as np
 from .dof import DofEstimate, GapPolicy, _cov_df, _rank_moments, _substream, exact_df_path, naive_df
 from .estimators import fit_ols, rrr_coef
 from .exceptions import DomainError
-from .linalg import gram_factors, thin_svd
+from .linalg import _svd, gram_factors, thin_svd
 from .selection import Criterion, select_ranks
 
 
@@ -129,10 +129,12 @@ def run_dof_study(
     The exact df comes from each replication's ``fit_ols(x, y, gram=gram)``.
     The covariances are taken in H space (see `dof`): one SVD per draw gives
     the moments of every rank, with no n x q fit. Draws come first, so each
-    mean draw is known before its fits. Monte-Carlo truth keeps per-rank sums
-    of the fits and each H_t = W'Y_t, one r_x x q matrix per replication.
+    mean draw is known before its fits. Monte-Carlo truth takes its moments
+    against the noise E_t (cov(F, Y) = cov(F, E) for the known XB): per-rank
+    sums of the fits and each W'E_t, one r_x x q matrix per replication.
     Perturbation k of replication t (size 0.1 sigma, substream (2, t, k))
-    refits H_t + W'Delta.
+    refits H_t + W'Delta by the sign-free `_svd`: the moments are unchanged
+    when a singular-vector pair is negated.
     """
     if cfg.reps < 3 or n_pert < 3:
         raise DomainError("reps and n_pert must be at least 3")
@@ -144,33 +146,34 @@ def run_dof_study(
     r_bar = min(r_x, cfg.q)
     ranks = list(range(1, r_bar + 1))
     tau = 0.1 * float(np.sqrt(cfg.sigma2))
-    h_bar = w.T @ (xb + sum(_errors(cfg, t) for t in range(m)) / m)  # the mean draw, before any fit
+    e_bar = w.T @ (sum(_errors(cfg, t) for t in range(m)) / m)  # the mean noise, before any fit
 
     exact_vals = np.empty((m, r_bar))
     pert_vals = np.empty((m, r_bar))
     mc_ab = np.empty((2, m, r_bar))
-    h_draws = np.empty((m, r_x, cfg.q))
+    e_draws = np.empty((m, r_x, cfg.q))  # W'E_t: the noise of each replication in H space
     fit_sum = np.zeros((r_bar, r_x, cfg.q))  # component k of the fits, summed over replications
     for t in range(m):
-        ls = fit_ols(x, xb + _errors(cfg, t), gram=gram)
+        noise = _errors(cfg, t)
+        ls = fit_ols(x, xb + noise, gram=gram)
         h, f = ls.hf.h, ls.hf.svd
         exact_vals[t] = [e.value for e in exact_df_path(f.d, r_x, cfg.q, ranks, gp=gp)]
-        h_draws[t] = h
-        mc_ab[:, t] = _rank_moments(f, np.stack([h, h_bar]))
+        e_draws[t] = w.T @ noise
+        mc_ab[:, t] = _rank_moments(f, np.stack([e_draws[t], e_bar]))
         fit_sum += np.einsum("ik,jk->kij", f.left * f.d, f.right)
         g = w.T @ np.stack([tau * _substream(cfg.seed, 2, t, k).standard_normal((cfg.n, cfg.q))
                             for k in range(n_pert)])
         pairs = np.stack([g, np.broadcast_to(g.mean(axis=0), g.shape)], axis=1)  # (draw, mean draw)
-        g_ab = np.array([_rank_moments(thin_svd(h + gk[0]), gk) for gk in pairs])
+        g_ab = np.array([_rank_moments(_svd(h + gk[0]), gk) for gk in pairs])
         pert_vals[t] = _cov_df(g_ab[:, 0], g_ab[:, 1], None, tau**2)[0]
 
-    mc_c = np.cumsum(h_draws.reshape(m, -1) @ fit_sum.reshape(r_bar, -1).T, axis=1) / m  # <mean fit, H_t>
+    mc_c = np.cumsum(e_draws.reshape(m, -1) @ fit_sum.reshape(r_bar, -1).T, axis=1) / m  # <mean fit, W'E_t>
     mc = [DofEstimate(value=float(v), method="monte_carlo", std_error=float(se))
           for v, se in zip(*_cov_df(mc_ab[0], mc_ab[1], mc_c, cfg.sigma2))]
     return DofStudyResult(
         config=cfg,
         ranks=ranks,
-        naive=[naive_df(r_x, cfg.q, r) for r in ranks],
+        naive=naive_df(r_x, cfg.q, ranks),
         exact_mean=list(exact_vals.mean(axis=0)),
         exact_se=list(exact_vals.std(axis=0, ddof=1) / np.sqrt(m)),
         exact_values=exact_vals,

@@ -5,6 +5,7 @@ import pytest
 
 from rrdof.dof import (
     GapPolicy,
+    _substream,
     divergence_analytic,
     divergence_fd,
     exact_df_path,
@@ -124,9 +125,10 @@ class TestExactDfPath:
         assert exact_df_path(d, 7, 5, []) == []
 
     def test_rejects_out_of_range_rank(self):
-        for r in (0, 6):
-            with pytest.raises(DomainError):
-                exact_df_path([3.0, 2.0, 1.0, 0.5, 0.1], 7, 5, [1, r])
+        # the ranks are checked as one array; the message names the first bad one
+        for ranks, bad in (([1, 0], 0), ([1, 6], 6), ([2, 6, 0], 6), (np.array([3, 7]), 7)):
+            with pytest.raises(DomainError, match=rf"^rank {bad} outside \[1, 5\]$"):
+                exact_df_path([3.0, 2.0, 1.0, 0.5, 0.1], 7, 5, ranks)
 
     def test_gap_policy_applies_below_full_rank(self):
         d = [2.0, 1.0 + 1e-12, 1.0]
@@ -197,6 +199,24 @@ class TestSvDerivatives:
         assert np.allclose(dd_wide, dd_tall, atol=1e-12)
 
 
+def reference_divergence_fd(h, rule, step=1e-6):
+    """Central differences through the sign-fixed thin_svd, one validated SVD
+    per perturbed copy (tall orientation)."""
+    h = (h if h.shape[0] >= h.shape[1] else h.T).copy()
+    total = 0.0
+    for i in range(h.shape[0]):
+        for j in range(h.shape[1]):
+            orig, sides = h[i, j], []
+            for value in (orig + step, orig - step):
+                h[i, j] = value
+                f = thin_svd(h)
+                s, _ = rule.weights(f.d)
+                sides.append(((f.left * (s * f.d)[None, :]) @ f.right.T)[i, j])
+            h[i, j] = orig
+            total += (sides[0] - sides[1]) / (2.0 * step)
+    return total
+
+
 class TestDivergences:
     def test_identity_rule_gives_rxq(self):
         rng = np.random.default_rng(35)
@@ -226,6 +246,15 @@ class TestDivergences:
             fd = divergence_fd(h, rule).value
             assert closed == pytest.approx(analytic, abs=1e-8)
             assert closed == pytest.approx(fd, abs=1e-4)
+
+    @pytest.mark.parametrize("shape", [(5, 3), (3, 5), (4, 4)], ids=["tall", "wide", "square"])
+    def test_fd_equals_sign_fixed_copy(self, shape):
+        # Each perturbed copy is factored without a sign convention; U diag(s d) V'
+        # is exactly unchanged when a singular-vector pair is negated, so the
+        # value is the sign-fixed loop's, bit for bit.
+        h = random_h(np.random.default_rng(47), *shape)
+        for rule in (hard(2), soft(0.4), adaptive(0.4)):
+            assert divergence_fd(h, rule).value == reference_divergence_fd(h, rule)
 
     def test_analytic_factors_h_once(self, monkeypatch):
         from rrdof import dof
@@ -359,6 +388,35 @@ class TestStochasticEstimators:
         est = perturbation_df(y, lambda z: fit_rrr(fit_ols(x, z), 2).y_fit,
                               n_pert=800, tau=0.1, seed=11)
         assert abs(est.value - exact) <= 3 * est.std_error
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_mc_is_accurate_under_a_large_mean(self, seed):
+        # The moments are taken against the noise, not against draws whose
+        # mean is about 50, so no large sums cancel: against a long-double
+        # centred covariance the value is within 5e-15 relative (moments
+        # against the draws were off by about 2e-13).
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((60, 4))
+        mean = 50.0 + x @ rng.standard_normal((4, 5))
+        sigma2, reps = 1.7, 40
+
+        def fitter(y):
+            return fit_rrr(fit_ols(x, y), 2).y_fit
+
+        est = mc_df(mean, sigma2, fitter, reps=reps, seed=seed)
+        e = np.stack([np.sqrt(sigma2) * _substream(seed, 0, t).standard_normal(mean.shape)
+                      for t in range(reps)])
+        f = np.stack([fitter(mean + et) for et in e]).astype(np.longdouble)
+        e = e.astype(np.longdouble)
+
+        def centred(keep):
+            fk, ek = f[keep], e[keep]
+            return np.sum((fk - fk.mean(axis=0)) * (ek - ek.mean(axis=0))) / ((keep.sum() - 1) * sigma2)
+
+        loo = np.array([centred(np.arange(reps) != t) for t in range(reps)])
+        se = np.sqrt((reps - 1) / reps * np.sum((loo - loo.mean()) ** 2))
+        assert est.value == pytest.approx(float(centred(np.ones(reps, dtype=bool))), rel=5e-15)
+        assert est.std_error == pytest.approx(float(se), rel=2e-14)
 
     def test_reps_validation(self):
         with pytest.raises(DomainError):

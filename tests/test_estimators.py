@@ -15,7 +15,13 @@ from rrdof.estimators import (
     validate_weights,
 )
 from rrdof.exceptions import ContractViolationError, DomainError, ShapeError
-from rrdof.linalg import gram_factors, projection_matrix
+from rrdof.linalg import gram_factors
+
+
+def projection_matrix(x, gf):
+    """Hat matrix P = X (X'X)^+ X' from the Gram factors; idempotent with trace r_x."""
+    xq = x @ gf.q_mat
+    return (xq / gf.s[None, :] ** 2) @ xq.T
 
 
 @pytest.fixture

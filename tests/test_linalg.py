@@ -7,7 +7,6 @@ from rrdof.linalg import (
     build_h,
     effective_rank,
     gram_factors,
-    projection_matrix,
     thin_svd,
 )
 
@@ -167,6 +166,7 @@ def test_projection_idempotent():
     rng = np.random.default_rng(12)
     x = rng.standard_normal((12, 20))  # wide: r_x = 12
     gf = gram_factors(x)
-    p = projection_matrix(x, gf)
+    xq = x @ gf.q_mat
+    p = (xq / gf.s[None, :] ** 2) @ xq.T  # the hat matrix X (X'X)^+ X' from the Gram factors
     assert np.linalg.norm(p @ p - p) < 1e-8
     assert abs(np.trace(p) - gf.r_x) < 1e-6

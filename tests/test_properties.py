@@ -1,5 +1,8 @@
 """Property-based invariants over randomly generated inputs."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -19,7 +22,7 @@ from rrdof.dof import (
 from rrdof.estimators import adaptive, fit_ols, fit_rrr, fit_rrr_path, hard, soft, validate_weights
 from rrdof.exceptions import SaturationError
 from rrdof.linalg import thin_svd
-from rrdof.selection import Criterion, select_rank, select_ranks
+from rrdof.selection import Criterion, _scores, bic_score, cp_score, gcv_score, select_rank, select_ranks
 
 
 def spectra(min_size=2, max_size=6):
@@ -154,9 +157,56 @@ def test_path_equals_per_rank_bit_for_bit(d, extra, wide, data):
     ranks = data.draw(st.lists(st.integers(1, d.size), max_size=2 * d.size))
     path = [e.value for e in exact_df_path(d, r_x, q, ranks)]
     assert path == [exact_df_rrr(d, r_x, q, r).value for r in ranks]
-    # hard weights through the double loop give the same bits
+    # hard weights through the double loop agree to rounding (the kernel sums
+    # each rank's pairs by a cumulative sum, the loop in another order)
     hard_ref = [reference_exact_df_shrunk(d, r_x, q, *hard(r).weights(d)) for r in ranks]
-    assert path == hard_ref
+    assert path == pytest.approx(hard_ref, rel=1e-13, abs=0)
+
+
+@settings(deadline=None, max_examples=150)
+@given(d=spectra(min_size=1, max_size=12), extra=st.integers(0, 5), wide=st.booleans())
+def test_hard_rank_df_within_ulps_of_fsum(d, extra, wide):
+    # Every P_r comes from one reversed cumulative sum of C; against the
+    # exactly rounded sum of the same C entries it is off by a few ulps.
+    r_x, q = shapes(d.size, extra, wide)
+    d2 = d**2
+    path = exact_df_path(d, r_x, q, range(1, d.size + 1))
+    for r, est in enumerate(path, start=1):
+        pairs = [(d2[k] + d2[l]) / (d2[k] - d2[l]) for k in range(r) for l in range(r, d.size)]
+        ref = math.fsum([max(r_x, q) * r, *pairs])
+        assert abs(est.value - ref) <= 4 * np.spacing(ref)
+
+
+SCALAR_SCORES = {
+    "gcv": lambda rss, df, n, q, sigma2: gcv_score(rss, df, n, q),
+    "cp": lambda rss, df, n, q, sigma2: cp_score(rss, df, sigma2, n, q),
+    "bic": lambda rss, df, n, q, sigma2: bic_score(rss, df, n, q),
+}
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    n=st.integers(1, 12),
+    q=st.integers(1, 8),
+    sigma2=st.floats(min_value=1e-3, max_value=10.0),
+    data=st.data(),
+)
+def test_array_scores_equal_scalar_scores(n, q, sigma2, data):
+    # One formula per criterion: the array scores of a path equal the scalar
+    # functions bit for bit, +inf where those raise SaturationError (df at or
+    # beyond n*q, negative df, rss = 0 under BIC), with no warning.
+    nq = n * q
+    size = data.draw(st.integers(1, 8))
+    rss = data.draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-8, 1e6)), min_size=size, max_size=size))
+    df = data.draw(st.lists(st.one_of(st.floats(0.0, 1.5 * nq), st.sampled_from(
+        [0.0, float(nq), nq - 1e-9, nq + 1.0, -1.0, math.inf])), min_size=size, max_size=size))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for kind, scalar in SCALAR_SCORES.items():
+            got = _scores(kind, np.array(rss), np.array(df), n, q, sigma2)
+            want = [_outcome(lambda: scalar(r, f, n, q, sigma2)) for r, f in zip(rss, df)]
+            want = [math.inf if isinstance(w, tuple) else w for w in want]
+            assert got.tolist() == want
 
 
 @settings(deadline=None, max_examples=150)

@@ -14,6 +14,7 @@ from rrdof.selection import (
     lambda_grid,
     rss_path,
     select_rank,
+    select_ranks,
 )
 
 
@@ -186,3 +187,22 @@ class TestSelectRank:
         assert saturated == [7, 10]
         assert saturated == [r for r, sc in zip(gcv.candidates, gcv.scores) if math.isinf(sc)]
         assert bic.chosen == 1
+
+    def test_report_scores_are_the_scalar_scores(self):
+        # the interpolating instance above: ranks that saturate GCV and BIC
+        # score +inf exactly where the scalar functions raise SaturationError
+        rng = np.random.default_rng(0)
+        ls = fit_ols(rng.standard_normal((10, 20)), rng.standard_normal((10, 30)))
+        scalar = {"gcv": lambda r, f: gcv_score(r, f, 10, 30),
+                  "cp": lambda r, f: cp_score(r, f, 0.7, 10, 30),
+                  "bic": lambda r, f: bic_score(r, f, 10, 30)}
+        criteria = {f"{k}_{m}": Criterion(k, m, 0.7 if k == "cp" else None)
+                    for k in scalar for m in ("exact", "naive")}
+        for name, rep in select_ranks(ls, criteria).items():
+            want = []
+            for r_rss, df in zip(rep.residual_ss, rep.df_used):
+                try:
+                    want.append(scalar[name.split("_")[0]](r_rss, df.value))
+                except SaturationError:
+                    want.append(math.inf)
+            assert rep.scores == want, name

@@ -4,9 +4,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from rrdof import simbench
 from rrdof.dof import DofEstimate, _cov_df, _substream, exact_df_rrr, naive_df
 from rrdof.estimators import fit_ols, fit_rrr
 from rrdof.exceptions import DomainError
+from rrdof.linalg import thin_svd
 from rrdof.selection import Criterion, select_rank
 from rrdof.simbench import (
     PRESETS,
@@ -253,6 +255,22 @@ def test_dof_study_equals_reference_loop(cfg):
                                rtol=1e-12, atol=0)
     np.testing.assert_allclose([e.std_error for e in got.mc], [e.std_error for e in ref["mc"]],
                                rtol=1e-10, atol=0)
+
+
+@pytest.mark.parametrize("cfg", [
+    SimConfig(n=20, p=6, q=4, r0=2, reps=3, seed=4),  # H is 6 x 4
+    SimConfig(n=20, p=4, q=6, r0=2, reps=3, seed=4),  # H is 4 x 6
+    SimConfig(n=20, p=5, q=5, r0=2, reps=3, seed=4),  # H is 5 x 5
+], ids=["tall", "wide", "square"])
+def test_perturbation_fields_need_no_svd_sign_convention(cfg, monkeypatch):
+    # The perturbation moments sum d_k u_k' G v_k, which is exactly unchanged
+    # when a pair (u_k, v_k) is negated: the study with the backend's signs
+    # equals the same study with sign-fixed SVDs bit for bit.
+    got = run_dof_study(cfg, n_pert=4)
+    monkeypatch.setattr(simbench, "_svd", thin_svd)
+    ref = run_dof_study(cfg, n_pert=4)
+    assert got.perturb_mean == ref.perturb_mean
+    assert got.perturb_se == ref.perturb_se
 
 
 def test_dof_study_memory_does_not_grow_with_reps():
