@@ -28,7 +28,6 @@ from .estimators import (
     coef_matrix,
     fit_ols,
     fit_rrr,
-    fit_rrr_path,
     fit_shrunk,
     hard,
     rrr_coef,
@@ -39,7 +38,6 @@ from .linalg import (
     HFactor,
     SvdFactors,
     build_h,
-    effective_rank,
     gram_factors,
     thin_svd,
 )
@@ -62,9 +60,9 @@ __all__ = [
     "exact_df_path", "exact_df_rrr", "exact_df_shrunk", "mc_df", "naive_df", "perturbation_df",
     "sv_derivatives",
     "FittedModel", "LsFit", "ShrinkageRule", "adaptive", "coef_matrix",
-    "fit_ols", "fit_rrr", "fit_rrr_path", "fit_shrunk", "hard", "rrr_coef", "soft",
-    "GramFactors", "HFactor", "SvdFactors", "build_h", "effective_rank",
-    "gram_factors", "thin_svd",
+    "fit_ols", "fit_rrr", "fit_shrunk", "hard", "rrr_coef", "soft",
+    "GramFactors", "HFactor", "SvdFactors", "build_h", "gram_factors",
+    "thin_svd",
     "EvalReport", "eval_splits", "ingest_csv", "synthetic_fixture",
     "Criterion", "SelectionReport", "bic_score", "cp_score", "gcv_score",
     "select_rank", "select_ranks",

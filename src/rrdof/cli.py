@@ -16,7 +16,7 @@ import numpy as np
 
 from . import dof as dof_mod
 from .estimators import _check_rank, adaptive, coef_matrix, fit_ols, fit_rrr, fit_shrunk, hard, soft
-from .exceptions import RrdofError
+from .exceptions import RrdofError, SaturationError
 from .pipeline import eval_splits, ingest_csv, write_matrix_csv, write_report
 from .selection import Criterion, select_rank
 from .simbench import PRESETS, run_dof_study, run_pred_study
@@ -109,7 +109,12 @@ def cmd_dof(args) -> int:
 
 def _sigma_hat(ls) -> float:
     n, q = ls.y.shape
-    dof_resid = max(n * q - ls.gram.r_x * q, 1)
+    dof_resid = n * q - ls.gram.r_x * q
+    if dof_resid < 1:
+        raise SaturationError(
+            f"the least-squares fit interpolates (n={n} <= r_x={ls.gram.r_x}), so sigma_hat "
+            "is roundoff and cannot set the default tau; pass --tau"
+        )
     return float(np.sqrt(np.sum((ls.y - ls.y_hat) ** 2) / dof_resid))
 
 
@@ -138,14 +143,11 @@ def _fitter_from(rule, ls):
     return fitter
 
 
-def _criterion_from(args) -> Criterion:
-    return Criterion(kind=args.criterion, df_mode=args.df, sigma2=args.sigma2)
-
-
 def cmd_select(args) -> int:
     x, y = _load_xy(args)
     ls = fit_ols(x, y)
-    report = select_rank(ls, _criterion_from(args))
+    crit = Criterion(kind=args.criterion, df_mode=args.df, sigma2=args.sigma2)
+    report = select_rank(ls, crit)
     payload = {
         "criterion": args.criterion,
         "df_mode": args.df,
@@ -169,9 +171,7 @@ def cmd_simulate(args) -> int:
     cfg = replace(cfg, **overrides)
     if args.study == "dof":
         res = run_dof_study(cfg)
-        payload = {
-            "preset": args.preset,
-            "config": asdict(cfg),
+        table = {  # the --table-out columns, in order
             "ranks": res.ranks,
             "naive": res.naive,
             "exact_mean": res.exact_mean,
@@ -181,28 +181,23 @@ def cmd_simulate(args) -> int:
             "mc_value": [e.value for e in res.mc],
             "mc_se": [e.std_error for e in res.mc],
         }
-        if args.table_out:
-            rows = np.column_stack([res.ranks, res.naive, res.exact_mean, res.exact_se,
-                                    res.perturb_mean, res.perturb_se,
-                                    [e.value for e in res.mc], [e.std_error for e in res.mc]])
-            write_matrix_csv(args.table_out, rows)
+        payload = {"preset": args.preset, "config": asdict(cfg), **table}
     else:
         res = run_pred_study(cfg)
+        table = {
+            "pred_exact": res.pred_exact, "pred_naive": res.pred_naive,
+            "rank_exact": res.rank_exact, "rank_naive": res.rank_naive,
+            "prg": res.prg,
+        }
         payload = {
             "preset": args.preset,
             "config": asdict(cfg),
             "summary": res.summary(),
-            "per_replication": {
-                "est_exact": res.est_exact, "est_naive": res.est_naive,
-                "pred_exact": res.pred_exact, "pred_naive": res.pred_naive,
-                "rank_exact": res.rank_exact, "rank_naive": res.rank_naive,
-                "prg": res.prg, "snr": res.snr,
-            },
+            "per_replication": {"est_exact": res.est_exact, "est_naive": res.est_naive,
+                                **table, "snr": res.snr},
         }
-        if args.table_out:
-            rows = np.column_stack([res.pred_exact, res.pred_naive,
-                                    res.rank_exact, res.rank_naive, res.prg])
-            write_matrix_csv(args.table_out, rows)
+    if args.table_out:
+        write_matrix_csv(args.table_out, np.column_stack(list(table.values())))
     write_report(args.output, f"simulate_{args.study}", payload, seed=cfg.seed)
     return 0
 

@@ -43,17 +43,20 @@ from .exceptions import ContractViolationError, DegeneracyError, DomainError
 from .linalg import SvdFactors, _svd, as_matrix, thin_svd
 
 
+#: Relative gaps (d_k - d_{k+1}) / d_1 below this count as near-equal.
+REL_GAP_TOL = 1e-8
+
+
 @dataclass(frozen=True)
 class GapPolicy:
     """Handling of near-equal singular values.
 
-    Relative gaps (d_k - d_{k+1}) / d_1 below `rel_gap_tol` either raise
-    (mode="error") or set the degenerate flag while still computing
-    (mode="flag", the default: the degenerate set has measure zero but
-    floating point visits its neighborhood).
+    Relative gaps below `REL_GAP_TOL` either raise (mode="error") or set the
+    degenerate flag while still computing (mode="flag", the default: the
+    degenerate set has measure zero but floating point visits its
+    neighborhood).
     """
 
-    rel_gap_tol: float = 1e-8
     mode: str = "flag"
 
     def check(self, d: np.ndarray) -> bool:
@@ -61,11 +64,11 @@ class GapPolicy:
         if d.size == 0 or d[0] <= 0:
             return False
         gaps = -np.diff(d) / d[0]
-        degenerate = bool(gaps.size and np.min(gaps) < self.rel_gap_tol)
+        degenerate = bool(gaps.size and np.min(gaps) < REL_GAP_TOL)
         if degenerate and self.mode == "error":
             raise DegeneracyError(
                 "near-equal singular values (relative gap below "
-                f"{self.rel_gap_tol:g})"
+                f"{REL_GAP_TOL:g})"
             )
         return degenerate
 
@@ -185,9 +188,16 @@ def _inverse_gaps(d: np.ndarray) -> np.ndarray:
     return 1.0 / gaps
 
 
-def _check_tied(d: np.ndarray) -> None:
-    """Raise on exactly equal singular values, where the derivatives of the
-    singular vectors do not exist (G would hold 1/0)."""
+def _tall_svd(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Singular values d, right vectors v and the near-tie flag of the tall
+    validated `h`. Raise unless h has full column rank, and on exactly equal
+    singular values, where the derivatives of the singular vectors do not
+    exist (G would hold 1/0)."""
+    f = thin_svd(h)
+    d = f.d
+    if d[-1] <= 0:
+        raise DegeneracyError("matrix must have full column rank")
+    degenerate = GapPolicy().check(d)
     tied = np.flatnonzero(d[1:] == d[:-1])
     if tied.size:
         k = int(tied[0]) + 1
@@ -195,6 +205,7 @@ def _check_tied(d: np.ndarray) -> None:
             f"singular values d_{k} and d_{k + 1} are exactly tied ({float(d[k])!r}); "
             "the singular-vector derivatives are undefined"
         )
+    return d, f.right, degenerate
 
 
 def _sv_derivative_row(h: np.ndarray, d: np.ndarray, v: np.ndarray, i: int):
@@ -209,9 +220,7 @@ def _sv_derivative_row(h: np.ndarray, d: np.ndarray, v: np.ndarray, i: int):
     return hv, dd, a, g
 
 
-def sv_derivatives(
-    h, i: int, j: int, gp: GapPolicy = GapPolicy()
-) -> tuple[np.ndarray, np.ndarray]:
+def sv_derivatives(h, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
     """Derivatives of all singular values and right singular vectors of `h`
     with respect to its (i, j) entry.
 
@@ -232,33 +241,21 @@ def sv_derivatives(
     if h.shape[0] < h.shape[1]:
         h, (i, j) = h.T, (j, i)
     r_x, q = h.shape
-    f = thin_svd(h)
-    d, v = f.d, f.right
-    if d[-1] <= 0:
-        raise DegeneracyError("matrix must have full column rank")
-    gp.check(d)
-    _check_tied(d)
+    d, v, _ = _tall_svd(h)
     if not (0 <= i < r_x and 0 <= j < q):
         raise DomainError(f"entry ({i}, {j}) outside a {r_x}x{q} matrix")
     hv, dd, a, g = _sv_derivative_row(h, d, v, i)
     return dd[j], -(a * v[j] + ((v * v[j]) @ g) * hv)
 
 
-def divergence_analytic(
-    h, rule: ShrinkageRule, gp: GapPolicy = GapPolicy()
-) -> DofEstimate:
+def divergence_analytic(h, rule: ShrinkageRule) -> DofEstimate:
     """Divergence of the shrunk matrix, assembled from the derivative kernel
     one row of H at a time from one SVD; independent of the closed-form
     estimators. Exactly tied singular values raise DegeneracyError naming
     the pair; near-ties compute and set the degenerate flag."""
     h = _tall(as_matrix(h))
     r_x, q = h.shape
-    f = thin_svd(h)
-    d, v = f.d, f.right
-    if d[-1] <= 0:
-        raise DegeneracyError("matrix must have full column rank")
-    degenerate = gp.check(d)
-    _check_tied(d)
+    d, v, degenerate = _tall_svd(h)
     s, s_prime = rule.weights(d)
     validate_weights(s, s_prime)
     m_trace = float(np.einsum("jk,k,jk->", v, s, v))  # sum of the diagonal of V diag(s) V'
@@ -284,23 +281,25 @@ def _apply_rule(h: np.ndarray, rule: ShrinkageRule) -> np.ndarray:
     return (f.left * (s * f.d)[None, :]) @ f.right.T
 
 
-def divergence_fd(h, rule: ShrinkageRule, step: float = 1e-6) -> DofEstimate:
+#: Step of the central differences in `divergence_fd`.
+FD_STEP = 1e-6
+
+
+def divergence_fd(h, rule: ShrinkageRule) -> DofEstimate:
     """Central finite-difference estimate of the divergence of the shrunk
     matrix; H is validated once, not per perturbed copy."""
-    if step <= 0:
-        raise DomainError("step must be positive")
     h = _tall(as_matrix(h)).copy()
     r_x, q = h.shape
     total = 0.0
     for i in range(r_x):
         for j in range(q):
             orig = h[i, j]
-            h[i, j] = orig + step
+            h[i, j] = orig + FD_STEP
             plus = _apply_rule(h, rule)[i, j]
-            h[i, j] = orig - step
+            h[i, j] = orig - FD_STEP
             minus = _apply_rule(h, rule)[i, j]
             h[i, j] = orig
-            total += (plus - minus) / (2.0 * step)
+            total += (plus - minus) / (2.0 * FD_STEP)
     return DofEstimate(value=total, method="finite_difference")
 
 
@@ -339,14 +338,17 @@ def _rank_moments(f: SvdFactors, g: np.ndarray) -> np.ndarray:
     return np.cumsum(f.d * np.sum(f.left * (g @ f.right), axis=-2), axis=-1)
 
 
-def _fitted_cov(fitter, inputs: np.ndarray, draws: np.ndarray, scale: float) -> tuple[float, float]:
-    """`_cov_df` of fitter(inputs[t]) against draws[t] over the stacked draws."""
-    m = draws.shape[0]
-    fitted = np.stack([np.asarray(fitter(z), dtype=float) for z in inputs]).reshape(m, -1)
+def _refit_cov(fitter, center: np.ndarray, sd: float, scale: float, m: int, seed: int,
+               stream: int, method: str) -> DofEstimate:
+    """Draw D_t = sd * N(0, I) from substream (stream, t) of `seed` for t < m,
+    refit center + D_t, and pass the moments of the fits against D_t to
+    `_cov_df`."""
+    draws = np.stack([sd * _substream(seed, stream, t).standard_normal(center.shape) for t in range(m)])
+    fitted = np.stack([np.asarray(fitter(z), dtype=float) for z in center + draws]).reshape(m, -1)
     draws = draws.reshape(m, -1)
     a = np.einsum("ti,ti->t", fitted, draws)
     value, se = _cov_df(a, fitted @ draws.mean(axis=0), draws @ fitted.mean(axis=0), scale)
-    return float(value), float(se)
+    return DofEstimate(value=float(value), method=method, std_error=float(se))
 
 
 def mc_df(
@@ -364,11 +366,8 @@ def mc_df(
         raise DomainError("reps must be at least 3")
     if sigma2 <= 0:
         raise DomainError("sigma2 must be positive")
-    mean = as_matrix(mean)
     sd = float(np.sqrt(sigma2))
-    noise = np.stack([sd * _substream(seed, 0, t).standard_normal(mean.shape) for t in range(reps)])
-    value, se = _fitted_cov(fitter, mean + noise, noise, sigma2)
-    return DofEstimate(value=value, method="monte_carlo", std_error=se)
+    return _refit_cov(fitter, as_matrix(mean), sd, sigma2, reps, seed, 0, "monte_carlo")
 
 
 def perturbation_df(
@@ -381,7 +380,4 @@ def perturbation_df(
         raise DomainError("n_pert must be at least 3")
     if tau <= 0:
         raise DomainError("tau must be positive")
-    y = as_matrix(y)
-    deltas = np.stack([tau * _substream(seed, 1, t).standard_normal(y.shape) for t in range(n_pert)])
-    value, se = _fitted_cov(fitter, y + deltas, deltas, tau**2)
-    return DofEstimate(value=value, method="perturbation", std_error=se)
+    return _refit_cov(fitter, as_matrix(y), tau, tau**2, n_pert, seed, 1, "perturbation")

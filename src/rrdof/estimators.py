@@ -139,16 +139,10 @@ def fit_shrunk(ls: LsFit, rule: ShrinkageRule) -> FittedModel:
     d = ls.d
     s, s_prime = rule.weights(d)
     validate_weights(s, s_prime)
-    y_fit = _weighted_fit(ls, s)
+    v = ls.hf.svd.right
+    y_fit = (ls.y_hat @ (v * s)) @ v.T
     r_tilde = int(np.count_nonzero(s > 0))
     return FittedModel(rule=rule, d_tilde=s * d, y_fit=y_fit, r_tilde=r_tilde, source=ls)
-
-
-def _weighted_fit(ls: LsFit, s: np.ndarray) -> np.ndarray:
-    # Y_hat V diag(s) V' for a weight vector s, or one such product per row
-    # of a weight matrix s, stacked along a leading axis.
-    v = ls.hf.svd.right
-    return (ls.y_hat @ (v * s[..., None, :])) @ v.T
 
 
 def _check_rank(ls: LsFit, r: int) -> None:
@@ -160,17 +154,6 @@ def fit_rrr(ls: LsFit, r: int) -> FittedModel:
     """Rank-r reduced-rank fit; identical to fit_shrunk with the hard rule."""
     _check_rank(ls, r)
     return fit_shrunk(ls, hard(r))
-
-
-def fit_rrr_path(ls: LsFit, ranks) -> np.ndarray:
-    """Fitted values of the rank-r fit for every r in `ranks`, shape (k, n, q).
-
-    Slice a equals ``fit_rrr(ls, ranks[a]).y_fit`` bit for bit.
-    """
-    for r in ranks:
-        _check_rank(ls, r)
-    s = np.arange(ls.d.size) < np.asarray(ranks)[:, None]
-    return _weighted_fit(ls, s.astype(float))
 
 
 def rrr_coef(ls: LsFit, r: int) -> np.ndarray:

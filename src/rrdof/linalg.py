@@ -14,7 +14,7 @@ import numpy as np
 
 from .exceptions import DegenerateDesignError, NumericalError, ShapeError
 
-#: Default relative tolerance for rank decisions.
+#: Relative tolerance for rank decisions.
 RANK_TOL = 1e-10
 
 
@@ -90,11 +90,9 @@ def thin_svd(m) -> SvdFactors:
     return SvdFactors(left=u, d=f.d, right=vt.T)
 
 
-def gram_factors(x, rank_tol: float = RANK_TOL) -> GramFactors:
-    """Eigenfactorization of X'X keeping eigenvalues above ``rank_tol * max``."""
+def gram_factors(x) -> GramFactors:
+    """Eigenfactorization of X'X keeping eigenvalues above ``RANK_TOL * max``."""
     x = as_matrix(x)
-    if rank_tol <= 0:
-        raise ValueError("rank_tol must be positive")
     xtx = x.T @ x
     try:
         evals, evecs = np.linalg.eigh(xtx)
@@ -105,7 +103,7 @@ def gram_factors(x, rank_tol: float = RANK_TOL) -> GramFactors:
     evecs = evecs[:, order]
     if evals[0] <= 0:
         raise DegenerateDesignError("design matrix has no nonzero column")
-    keep = evals > rank_tol * evals[0]
+    keep = evals > RANK_TOL * evals[0]
     r_x = int(np.count_nonzero(keep))
     return GramFactors(q_mat=evecs[:, :r_x], s=np.sqrt(evals[:r_x]), r_x=r_x)
 
@@ -124,10 +122,3 @@ def build_h(x, y, gf: GramFactors) -> HFactor:
     q = y.shape[1]
     return HFactor(h=h, svd=thin_svd(h), r_bar=min(gf.r_x, q))
 
-
-def effective_rank(d, rel_tol: float = RANK_TOL) -> int:
-    """Largest k with d[k-1] > rel_tol * d[0]; 0 for an all-zero spectrum."""
-    d = np.asarray(d, dtype=float)
-    if d.size == 0 or d[0] <= 0:
-        return 0
-    return int(np.count_nonzero(d > rel_tol * d[0]))

@@ -232,13 +232,7 @@ def eval_splits(
     return report
 
 
-def synthetic_fixture(
-    n: int = 118,
-    p: int = 39,
-    q: int = 36,
-    sigma2: float = 1.0,
-    seed: int = 20240501,
-) -> tuple[np.ndarray, np.ndarray]:
+def synthetic_fixture() -> tuple[np.ndarray, np.ndarray]:
     """Deterministic synthetic stand-in with the shape of a gene-expression
     train/test pipeline dataset.
 
@@ -246,14 +240,15 @@ def synthetic_fixture(
     factors near the noise level, so parsimonious criteria select rank 1
     while greedier ones chase the tail.
     """
-    rng = _substream(seed, 4)
+    n, p, q = 118, 39, 36
+    rng = _substream(20240501, 4)
     x = rng.standard_normal((n, p))
     sv = np.concatenate([[5.0], 1.6 * 0.95 ** np.arange(8)])
     r0 = sv.size
     left = np.linalg.qr(rng.standard_normal((p, r0)))[0]
     right = np.linalg.qr(rng.standard_normal((q, r0)))[0]
     b = (left * sv[None, :]) @ right.T
-    y = x @ b + math.sqrt(sigma2) * rng.standard_normal((n, q))
+    y = x @ b + rng.standard_normal((n, q))  # unit noise variance
     return x, y
 
 

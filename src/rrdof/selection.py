@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dof import DofEstimate, GapPolicy, exact_df_path, naive_df
+from .dof import DofEstimate, exact_df_path, naive_df
 from .estimators import LsFit
 from .exceptions import DomainError, SaturationError
 
@@ -115,9 +115,7 @@ def rss_path(ls: LsFit, ranks) -> np.ndarray:
     return base + tail[np.asarray(ranks, dtype=int)]
 
 
-def select_ranks(
-    ls: LsFit, criteria: dict[str, Criterion], gp: GapPolicy = GapPolicy()
-) -> dict[str, SelectionReport]:
+def select_ranks(ls: LsFit, criteria: dict[str, Criterion]) -> dict[str, SelectionReport]:
     """One SelectionReport per named criterion, all scored on one rank path.
 
     The candidates are ranks 1..min(n, p, q) (capped at the fit rank). The
@@ -141,7 +139,7 @@ def select_ranks(
             dfs = (
                 [DofEstimate(value=v, method="naive") for v in naive_df(ls.gram.r_x, q, candidates)]
                 if crit.df_mode == "naive"
-                else exact_df_path(ls.d, ls.gram.r_x, q, candidates, gp=gp)
+                else exact_df_path(ls.d, ls.gram.r_x, q, candidates)
             )
             paths[crit.df_mode] = dfs, np.array([e.value for e in dfs])
         dfs, values = paths[crit.df_mode]
@@ -158,12 +156,10 @@ def select_ranks(
     return reports
 
 
-def select_rank(
-    ls: LsFit, crit: Criterion, gp: GapPolicy = GapPolicy()
-) -> SelectionReport:
+def select_rank(ls: LsFit, crit: Criterion) -> SelectionReport:
     """Score ranks 1..min(n, p, q) (capped at the fit rank) under one
     criterion and pick the argmin: ``select_ranks`` with a single criterion.
     Callers scoring several criteria on one fit should call ``select_ranks``
     once, so the rss and df paths are built once.
     """
-    return select_ranks(ls, {crit.kind: crit}, gp)[crit.kind]
+    return select_ranks(ls, {crit.kind: crit})[crit.kind]

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dof import DofEstimate, GapPolicy, _cov_df, _rank_moments, _substream, exact_df_path, naive_df
+from .dof import DofEstimate, _cov_df, _rank_moments, _substream, exact_df_path, naive_df
 from .estimators import fit_ols, rrr_coef
 from .exceptions import DomainError
 from .linalg import _svd, gram_factors, thin_svd
@@ -118,11 +118,7 @@ class DofStudyResult:
     mc: list[DofEstimate]
 
 
-def run_dof_study(
-    cfg: SimConfig,
-    n_pert: int = 50,
-    gp: GapPolicy = GapPolicy(),
-) -> DofStudyResult:
+def run_dof_study(cfg: SimConfig, n_pert: int = 50) -> DofStudyResult:
     """Replicate the df comparison: exact vs naive vs perturbation vs
     Monte-Carlo truth, per candidate rank.
 
@@ -157,7 +153,7 @@ def run_dof_study(
         noise = _errors(cfg, t)
         ls = fit_ols(x, xb + noise, gram=gram)
         h, f = ls.hf.h, ls.hf.svd
-        exact_vals[t] = [e.value for e in exact_df_path(f.d, r_x, cfg.q, ranks, gp=gp)]
+        exact_vals[t] = [e.value for e in exact_df_path(f.d, r_x, cfg.q, ranks)]
         e_draws[t] = w.T @ noise
         mc_ab[:, t] = _rank_moments(f, np.stack([e_draws[t], e_bar]))
         fit_sum += np.einsum("ik,jk->kij", f.left * f.d, f.right)
@@ -215,10 +211,13 @@ class PredStudyResult:
 _PRED_CRITERIA = {mode: Criterion(kind="gcv", df_mode=mode) for mode in ("exact", "naive")}
 
 
-def run_pred_study(cfg: SimConfig, gp: GapPolicy = GapPolicy()) -> PredStudyResult:
+def run_pred_study(cfg: SimConfig) -> PredStudyResult:
     """GCV selection with exact vs naive df: estimation error, prediction
     error (both scaled by 100 per entry), selected rank, and per-replication
-    percentage relative gain PRG = 100 (Pred_naive - Pred_exact)/Pred_exact."""
+    percentage relative gain PRG = 100 (Pred_naive - Pred_exact)/Pred_exact.
+    The summary's standard deviations need at least 2 replications."""
+    if cfg.reps < 2:
+        raise DomainError("reps must be at least 2")
     x, b, _, _ = gen_instance(cfg, 0)
     xb = x @ b
     gram = gram_factors(x)
@@ -231,7 +230,7 @@ def run_pred_study(cfg: SimConfig, gp: GapPolicy = GapPolicy()) -> PredStudyResu
         res.snr.append(snr(x, b, y - xb))
         ls = fit_ols(x, y, gram=gram)
         metrics = {}
-        for mode, report in select_ranks(ls, _PRED_CRITERIA, gp=gp).items():
+        for mode, report in select_ranks(ls, _PRED_CRITERIA).items():
             bhat = rrr_coef(ls, report.chosen)
             est = 100.0 * float(np.sum((b - bhat) ** 2)) / (cfg.p * cfg.q)
             pred = 100.0 * float(np.sum((xb - x @ bhat) ** 2)) / (cfg.n * cfg.q)

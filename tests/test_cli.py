@@ -6,6 +6,7 @@ import pytest
 from rrdof.cli import _sigma_hat, main
 from rrdof.dof import mc_df, perturbation_df
 from rrdof.estimators import adaptive, fit_ols, fit_rrr, fit_shrunk
+from rrdof.exceptions import SaturationError
 from rrdof.pipeline import ingest_csv, write_matrix_csv
 
 
@@ -166,6 +167,23 @@ class TestDof:
         assert "rank 0 outside [1, 4]" in capsys.readouterr().err
         assert not (tmp / "e.json").exists()
 
+    def test_default_tau_needs_residual_df(self, tmp_path, capsys):
+        # A 10x20 design has r_x = n: the least-squares fit interpolates, its
+        # residual is roundoff, and 0.1 sigma_hat would set a roundoff tau.
+        rng = np.random.default_rng(91)
+        x, y = rng.standard_normal((10, 20)), rng.standard_normal((10, 6))
+        with pytest.raises(SaturationError, match="interpolates"):
+            _sigma_hat(fit_ols(x, y))
+        xp, yp, out = tmp_path / "x.csv", tmp_path / "y.csv", tmp_path / "dof.json"
+        write_matrix_csv(xp, x)
+        write_matrix_csv(yp, y)
+        args = ["dof", "--x", str(xp), "--y", str(yp), "--method", "perturb",
+                "--rank", "2", "--reps", "20"]
+        assert main(args + ["--output", str(out)]) == 2
+        assert "pass --tau" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(args + ["--tau", "0.01", "--output", str(out)]) == 0
+
 
 class TestFitRankPolicy:
     """`rrdof fit --rank` follows the rank policy of `rrdof dof`."""
@@ -239,6 +257,15 @@ class TestSimulate:
         pl = read_report(out)["payload"]
         assert set(pl["summary"]) == {"est", "pred", "rank", "prg", "snr"}
         assert len(pl["per_replication"]["prg"]) == 5
+
+    @pytest.mark.parametrize("reps", ["0", "1"])
+    def test_pred_study_needs_two_replications(self, tmp_path, reps, capsys):
+        out, table = tmp_path / "pred.json", tmp_path / "table.csv"
+        rc = main(["simulate", "--preset", "ld", "--study", "pred", "--reps", reps,
+                   "--output", str(out), "--table-out", str(table)])
+        assert rc == 2
+        assert "reps must be at least 2" in capsys.readouterr().err
+        assert not out.exists() and not table.exists()
 
 
 class TestEval:

@@ -317,15 +317,15 @@ class TestExactTies:
         from rrdof import dof
 
         calls = []
-        original = dof._check_tied
+        original = dof._tall_svd
 
-        def counting(d):
-            calls.append(d.size)
-            return original(d)
+        def counting(h):
+            calls.append(h.shape)
+            return original(h)
 
-        monkeypatch.setattr(dof, "_check_tied", counting)
+        monkeypatch.setattr(dof, "_tall_svd", counting)
         dof.divergence_analytic(random_h(np.random.default_rng(46), 6, 4), soft(0.5))
-        assert calls == [4]
+        assert calls == [(6, 4)]
 
 
 class TestStochasticEstimators:
@@ -394,29 +394,39 @@ class TestStochasticEstimators:
         # The moments are taken against the noise, not against draws whose
         # mean is about 50, so no large sums cancel: against a long-double
         # centred covariance the value is within 5e-15 relative (moments
-        # against the draws were off by about 2e-13).
+        # against the draws were off by about 2e-13). The perturbation
+        # estimate shares the draw-and-refit front end; rebuilding its draws
+        # from substream (1, t) pins their layout.
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((60, 4))
         mean = 50.0 + x @ rng.standard_normal((4, 5))
-        sigma2, reps = 1.7, 40
+        sigma2, tau, reps = 1.7, 0.3, 40
 
         def fitter(y):
             return fit_rrr(fit_ols(x, y), 2).y_fit
 
+        def reference(stream, sd, scale):
+            e = np.stack([sd * _substream(seed, stream, t).standard_normal(mean.shape)
+                          for t in range(reps)])
+            f = np.stack([fitter(mean + et) for et in e]).astype(np.longdouble)
+            e = e.astype(np.longdouble)
+
+            def centred(keep):
+                fk, ek = f[keep], e[keep]
+                return np.sum((fk - fk.mean(axis=0)) * (ek - ek.mean(axis=0))) / ((keep.sum() - 1) * scale)
+
+            loo = np.array([centred(np.arange(reps) != t) for t in range(reps)])
+            se = np.sqrt((reps - 1) / reps * np.sum((loo - loo.mean()) ** 2))
+            return float(centred(np.ones(reps, dtype=bool))), float(se)
+
         est = mc_df(mean, sigma2, fitter, reps=reps, seed=seed)
-        e = np.stack([np.sqrt(sigma2) * _substream(seed, 0, t).standard_normal(mean.shape)
-                      for t in range(reps)])
-        f = np.stack([fitter(mean + et) for et in e]).astype(np.longdouble)
-        e = e.astype(np.longdouble)
-
-        def centred(keep):
-            fk, ek = f[keep], e[keep]
-            return np.sum((fk - fk.mean(axis=0)) * (ek - ek.mean(axis=0))) / ((keep.sum() - 1) * sigma2)
-
-        loo = np.array([centred(np.arange(reps) != t) for t in range(reps)])
-        se = np.sqrt((reps - 1) / reps * np.sum((loo - loo.mean()) ** 2))
-        assert est.value == pytest.approx(float(centred(np.ones(reps, dtype=bool))), rel=5e-15)
-        assert est.std_error == pytest.approx(float(se), rel=2e-14)
+        value, se = reference(0, np.sqrt(sigma2), sigma2)
+        assert est.value == pytest.approx(value, rel=5e-15)
+        assert est.std_error == pytest.approx(se, rel=2e-14)
+        est = perturbation_df(mean, fitter, n_pert=reps, tau=tau, seed=seed)
+        value, se = reference(1, tau, tau**2)
+        assert est.value == pytest.approx(value, rel=1e-12)
+        assert est.std_error == pytest.approx(se, rel=1e-12)
 
     def test_reps_validation(self):
         with pytest.raises(DomainError):

@@ -7,7 +7,6 @@ from rrdof.estimators import (
     coef_matrix,
     fit_ols,
     fit_rrr,
-    fit_rrr_path,
     fit_shrunk,
     hard,
     rrr_coef,
@@ -148,11 +147,6 @@ class TestFitRrr:
             a = fit_rrr(random_fit, r).y_fit
             b = fit_shrunk(random_fit, hard(r)).y_fit
             assert np.array_equal(a, b)
-
-    def test_path_rejects_out_of_range_rank(self, random_fit):
-        for bad in ([0, 1], [1, random_fit.r_bar + 1]):
-            with pytest.raises(DomainError, match="outside"):
-                fit_rrr_path(random_fit, bad)
 
     def test_eckart_young_monotone_residuals(self, random_fit):
         y = random_fit.y

@@ -5,7 +5,6 @@ from rrdof.exceptions import DegenerateDesignError, ShapeError
 from rrdof.linalg import (
     _fix_signs,
     build_h,
-    effective_rank,
     gram_factors,
     thin_svd,
 )
@@ -151,15 +150,6 @@ class TestBuildH:
         x = rng.standard_normal((6, 3))
         with pytest.raises(ShapeError):
             build_h(x, np.zeros((5, 2)), gram_factors(x))
-
-
-class TestEffectiveRank:
-    @pytest.mark.parametrize(
-        "d,expected",
-        [([5, 3, 1], 3), ([5, 3, 0], 2), ([1, 1e-14], 1), ([0.0, 0.0], 0)],
-    )
-    def test_cases(self, d, expected):
-        assert effective_rank(np.array(d, dtype=float)) == expected
 
 
 def test_projection_idempotent():

@@ -19,7 +19,7 @@ from rrdof.dof import (
     naive_df,
     sv_derivatives,
 )
-from rrdof.estimators import adaptive, fit_ols, fit_rrr, fit_rrr_path, hard, soft, validate_weights
+from rrdof.estimators import adaptive, fit_ols, fit_rrr, hard, soft, validate_weights
 from rrdof.exceptions import SaturationError
 from rrdof.linalg import thin_svd
 from rrdof.selection import Criterion, _scores, bic_score, cp_score, gcv_score, select_rank, select_ranks
@@ -85,25 +85,6 @@ def test_hard_rule_projects(seed):
         s, sp = hard(r).weights(d)
         assert np.array_equal(s, (np.arange(5) < r).astype(float))
         assert np.array_equal(sp, np.zeros(5))
-
-
-@settings(deadline=None, max_examples=60)
-@given(
-    seed=st.integers(min_value=0, max_value=2**32 - 1),
-    n=st.integers(min_value=2, max_value=12),
-    p=st.integers(min_value=1, max_value=12),
-    q=st.integers(min_value=1, max_value=12),
-    data=st.data(),
-)
-def test_rank_path_equals_per_rank_fits(seed, n, p, q, data):
-    # Covers wide designs (n < p) and more responses than the design rank.
-    rng = np.random.default_rng(seed)
-    ls = fit_ols(rng.standard_normal((n, p)), rng.standard_normal((n, q)))
-    ranks = data.draw(st.lists(st.integers(1, ls.r_bar), max_size=2 * ls.r_bar))
-    path = fit_rrr_path(ls, ranks)
-    assert path.shape == (len(ranks), n, q)
-    for a, r in enumerate(ranks):
-        assert np.array_equal(path[a], fit_rrr(ls, r).y_fit)
 
 
 def reference_exact_df_shrunk(d, r_x, q, s, s_prime):
@@ -369,7 +350,8 @@ def test_h_space_moments_equal_fitted_value_inner_products(seed, n, p, q):
     w = (x @ ls.gram.q_mat) / ls.gram.s
     g = w.T @ delta
     got = _rank_moments(thin_svd(ls.hf.h + g), g)
-    fits = fit_rrr_path(fit_ols(x, y + delta), range(1, ls.r_bar + 1))
+    refit = fit_ols(x, y + delta)
+    fits = np.stack([fit_rrr(refit, r).y_fit for r in range(1, ls.r_bar + 1)])
     want = np.einsum("kij,ij->k", fits, delta)
     # relative to the Cauchy-Schwarz bound, as an inner product can be ~0
     scale = np.linalg.norm(fits.reshape(ls.r_bar, -1), axis=1) * np.linalg.norm(delta)

@@ -295,6 +295,13 @@ def test_dof_study_needs_three_replications():
         run_dof_study(SimConfig(n=20, p=5, q=7, r0=2, reps=5, seed=2), n_pert=2)
 
 
+def test_pred_study_needs_two_replications():
+    # the summary's sample standard deviations divide by reps - 1
+    for reps in (0, 1):
+        with pytest.raises(DomainError, match="at least 2"):
+            run_pred_study(SimConfig(n=20, p=5, q=7, r0=2, reps=reps, seed=2))
+
+
 def test_pred_study_uses_each_replications_instance():
     cfg = SimConfig(n=20, p=5, q=7, r0=2, reps=4, seed=2)
     got = run_pred_study(cfg)
