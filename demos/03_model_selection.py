@@ -38,6 +38,6 @@ print(f"{'rank':>4} {'rss':>10} {'df exact':>10} {'df naive':>10} "
       f"{'gcv exact':>10} {'gcv naive':>10}")
 for i, r in enumerate(exact.candidates):
     print(f"{r:>4} {exact.residual_ss[i]:>10.1f} "
-          f"{exact.df_used[i].value:>10.2f} {naive.df_used[i].value:>10.2f} "
+          f"{exact.df_used[i]:>10.2f} {naive.df_used[i]:>10.2f} "
           f"{exact.scores[i]:>10.4f} {naive.scores[i]:>10.4f}")
 print(f"\nchosen: exact df -> rank {exact.chosen}, naive df -> rank {naive.chosen}")

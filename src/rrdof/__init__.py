@@ -9,7 +9,6 @@ from the command line.
 
 from .dof import (
     DofEstimate,
-    GapPolicy,
     divergence_analytic,
     divergence_fd,
     exact_df_path,
@@ -45,9 +44,6 @@ from .pipeline import EvalReport, eval_splits, ingest_csv, synthetic_fixture
 from .selection import (
     Criterion,
     SelectionReport,
-    bic_score,
-    cp_score,
-    gcv_score,
     select_rank,
     select_ranks,
 )
@@ -56,7 +52,7 @@ from .simbench import PRESETS, SimConfig, gen_instance, run_dof_study, run_pred_
 __version__ = "0.1.0"
 
 __all__ = [
-    "DofEstimate", "GapPolicy", "divergence_analytic", "divergence_fd",
+    "DofEstimate", "divergence_analytic", "divergence_fd",
     "exact_df_path", "exact_df_rrr", "exact_df_shrunk", "mc_df", "naive_df", "perturbation_df",
     "sv_derivatives",
     "FittedModel", "LsFit", "ShrinkageRule", "adaptive", "coef_matrix",
@@ -64,7 +60,7 @@ __all__ = [
     "GramFactors", "HFactor", "SvdFactors", "build_h", "gram_factors",
     "thin_svd",
     "EvalReport", "eval_splits", "ingest_csv", "synthetic_fixture",
-    "Criterion", "SelectionReport", "bic_score", "cp_score", "gcv_score",
+    "Criterion", "SelectionReport",
     "select_rank", "select_ranks",
     "PRESETS", "SimConfig", "gen_instance", "run_dof_study", "run_pred_study",
     "snr",

@@ -10,12 +10,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 
 from . import dof as dof_mod
-from .estimators import _check_rank, adaptive, coef_matrix, fit_ols, fit_rrr, fit_shrunk, hard, soft
+from .estimators import _checked_ranks, adaptive, coef_matrix, fit_ols, fit_rrr, fit_shrunk, hard, soft
 from .exceptions import RrdofError, SaturationError
 from .pipeline import eval_splits, ingest_csv, write_matrix_csv, write_report
 from .selection import Criterion, select_rank
@@ -79,12 +79,11 @@ def cmd_dof(args) -> int:
     r_x, q = ls.gram.r_x, y.shape[1]
     rule = _checked_rule(args, ls)
     method = args.method
-    if method in ("exact", "naive", "fd") and rule is None:
-        raise RrdofError(f"--method {method} needs --rank, --soft, or --adaptive")
+    needs = "--rank" if method == "naive" else "--rank, --soft, or --adaptive"
+    if method in ("exact", "naive", "fd") and (rule is None or method == "naive" and rule.kind != "hard"):
+        raise RrdofError(f"--method {method} needs {needs}")
 
     if method == "naive":
-        if args.rank is None:
-            raise RrdofError("--method naive requires --rank")
         est = dof_mod.DofEstimate(value=dof_mod.naive_df(r_x, q, rule.rank), method="naive")
     elif method == "exact":
         s, sp = rule.weights(ls.d)
@@ -124,7 +123,7 @@ def _checked_rule(args, ls):
     to r_bar and one below 1 raises fit_rrr's error."""
     if args.rank is not None:
         rank = min(args.rank, ls.r_bar)
-        _check_rank(ls, rank)
+        _checked_ranks(rank, 1, ls.r_bar)
         return hard(rank)
     if args.soft is not None:
         return soft(args.soft)
@@ -153,7 +152,7 @@ def cmd_select(args) -> int:
         "df_mode": args.df,
         "candidates": report.candidates,
         "scores": report.scores,
-        "df_used": [e.value for e in report.df_used],
+        "df_used": report.df_used,
         "residual_ss": report.residual_ss,
         "chosen": report.chosen,
     }
@@ -162,8 +161,6 @@ def cmd_select(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    from dataclasses import replace
-
     cfg = PRESETS[args.preset]
     overrides = {"seed": _seed_from(args)}
     if args.reps is not None:

@@ -38,7 +38,7 @@ from typing import Callable
 
 import numpy as np
 
-from .estimators import ShrinkageRule, validate_weights
+from .estimators import ShrinkageRule, _checked_ranks, validate_weights
 from .exceptions import ContractViolationError, DegeneracyError, DomainError
 from .linalg import SvdFactors, _svd, as_matrix, thin_svd
 
@@ -47,30 +47,12 @@ from .linalg import SvdFactors, _svd, as_matrix, thin_svd
 REL_GAP_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class GapPolicy:
-    """Handling of near-equal singular values.
-
-    Relative gaps below `REL_GAP_TOL` either raise (mode="error") or set the
-    degenerate flag while still computing (mode="flag", the default: the
-    degenerate set has measure zero but floating point visits its
-    neighborhood).
-    """
-
-    mode: str = "flag"
-
-    def check(self, d: np.ndarray) -> bool:
-        d = np.asarray(d, dtype=float)
-        if d.size == 0 or d[0] <= 0:
-            return False
-        gaps = -np.diff(d) / d[0]
-        degenerate = bool(gaps.size and np.min(gaps) < REL_GAP_TOL)
-        if degenerate and self.mode == "error":
-            raise DegeneracyError(
-                "near-equal singular values (relative gap below "
-                f"{REL_GAP_TOL:g})"
-            )
-        return degenerate
+def _near_tie(d: np.ndarray) -> bool:
+    """Whether the decreasing spectrum `d` has a relative gap below
+    `REL_GAP_TOL`. A near-tie still computes and sets the degenerate flag:
+    the degenerate set has measure zero but floating point visits its
+    neighborhood."""
+    return bool(d.size > 1 and d[0] > 0 and np.min(-np.diff(d) / d[0]) < REL_GAP_TOL)
 
 
 @dataclass(frozen=True)
@@ -91,9 +73,7 @@ class DofEstimate:
 def naive_df(r_x: int, q: int, r) -> float | list[float]:
     """Free-parameter count (r_x + q - r) * r of a rank-r coefficient matrix;
     a list of counts for a sequence of ranks."""
-    ranks = np.asarray(r)
-    if np.any((ranks < 0) | (ranks > min(r_x, q))):
-        raise DomainError(f"rank {r} outside [0, {min(r_x, q)}]")
+    ranks = _checked_ranks(r, 0, min(r_x, q))
     return ((r_x + q - ranks) * ranks).astype(float).tolist()
 
 
@@ -119,7 +99,7 @@ def _validate_spectrum(d, r_x: int, q: int) -> tuple[np.ndarray, int]:
     return d, live
 
 
-def _df_kernel(d, live: int, r_x: int, q: int, s, s_prime, gp: GapPolicy) -> list[DofEstimate]:
+def _df_kernel(d, live: int, r_x: int, q: int, s, s_prime) -> np.ndarray:
     """max(r_x, q) sum s + delta . P + (s' o support) . d for every row of the
     (m, r_bar) weights `s`: C once, every P_r from one reversed cumulative sum
     along the rows of triu(C) and one down its columns, read above the
@@ -134,33 +114,36 @@ def _df_kernel(d, live: int, r_x: int, q: int, s, s_prime, gp: GapPolicy) -> lis
     delta = s.copy()
     delta[:, :-1] -= s[:, 1:]
     pair = (delta * np.where(delta != 0, hard_pair, 0.0)).sum(axis=1)
-    varying = np.any(delta[:, :-1] != 0, axis=1)  # only these rows have pair terms
-    degenerate = bool(np.any(varying)) and gp.check(d[:live])
-    values = max(r_x, q) * s.sum(axis=1) + pair + np.where(s > 0, s_prime, 0.0) @ d
-    return [DofEstimate(v, "exact", degenerate_flag=degenerate and vary)
-            for v, vary in zip(values.tolist(), varying.tolist())]
+    return max(r_x, q) * s.sum(axis=1) + pair + np.where(s > 0, s_prime, 0.0) @ d
 
 
-def exact_df_path(d, r_x: int, q: int, ranks, gp: GapPolicy = GapPolicy()) -> list[DofEstimate]:
-    """Exact df of the rank-r fit for every r in `ranks`, from one kernel
-    call; entry a equals ``exact_df_rrr(d, r_x, q, ranks[a])`` bit for bit."""
+def exact_df_path(d, r_x: int, q: int, ranks) -> np.ndarray:
+    """Exact df of the rank-r fit for every r in `ranks` as one float array,
+    from one kernel call; entry a equals ``exact_df_rrr(d, r_x, q,
+    ranks[a]).value`` bit for bit."""
     d, live = _validate_spectrum(d, r_x, q)
-    ranks = np.asarray(ranks)
-    if np.any(bad := (ranks < 1) | (ranks > d.size)):
-        raise DomainError(f"rank {ranks[bad][0]} outside [1, {d.size}]")
-    s = (np.arange(d.size) < ranks.astype(int)[:, None]).astype(float)
-    return _df_kernel(d, live, r_x, q, s, np.zeros_like(s), gp)
+    s = (np.arange(d.size) < _checked_ranks(ranks, 1, d.size)[:, None]).astype(float)
+    return _df_kernel(d, live, r_x, q, s, np.zeros_like(s))
 
 
-def exact_df_rrr(d, r_x: int, q: int, r: int, gp: GapPolicy = GapPolicy()) -> DofEstimate:
+def _estimate(d, live: int, r_x: int, q: int, s, s_prime) -> DofEstimate:
+    """The exact df of one weight vector. Unless the weights are constant
+    (then there is no pair term), a near-tie in the non-vanished spectrum
+    sets the degenerate flag."""
+    value = float(_df_kernel(d, live, r_x, q, s[None], s_prime[None])[0])
+    varying = bool(np.any(np.diff(s) != 0))
+    return DofEstimate(value, "exact", degenerate_flag=varying and _near_tie(d[:live]))
+
+
+def exact_df_rrr(d, r_x: int, q: int, r: int) -> DofEstimate:
     """Exact unbiased df of the rank-r reduced-rank fit: max(r_x, q) * r plus
     C_kl over kept/discarded pairs; exactly r_x * q at full rank."""
-    return exact_df_path(d, r_x, q, [r], gp)[0]
+    d, live = _validate_spectrum(d, r_x, q)
+    s = (np.arange(d.size) < _checked_ranks(r, 1, d.size)).astype(float)
+    return _estimate(d, live, r_x, q, s, np.zeros_like(s))
 
 
-def exact_df_shrunk(
-    d, r_x: int, q: int, s, s_prime, gp: GapPolicy = GapPolicy()
-) -> DofEstimate:
+def exact_df_shrunk(d, r_x: int, q: int, s, s_prime) -> DofEstimate:
     """Exact unbiased df of a shrinkage-class fit with weights s, derivatives s'."""
     d, live = _validate_spectrum(d, r_x, q)
     s = np.asarray(s, dtype=float)
@@ -170,7 +153,7 @@ def exact_df_shrunk(
     validate_weights(s, s_prime)
     if np.any(s[: np.count_nonzero(s > 0)] <= 0):
         raise ContractViolationError("weight support must be a leading block")
-    return _df_kernel(d, live, r_x, q, s[None], s_prime[None], gp)[0]
+    return _estimate(d, live, r_x, q, s, s_prime)
 
 
 def _tall(h: np.ndarray) -> np.ndarray:
@@ -197,7 +180,7 @@ def _tall_svd(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
     d = f.d
     if d[-1] <= 0:
         raise DegeneracyError("matrix must have full column rank")
-    degenerate = GapPolicy().check(d)
+    degenerate = _near_tie(d)
     tied = np.flatnonzero(d[1:] == d[:-1])
     if tied.size:
         k = int(tied[0]) + 1

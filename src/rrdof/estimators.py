@@ -57,11 +57,22 @@ class ShrinkageRule:
         raise DomainError(f"unknown shrinkage kind: {self.kind!r}")
 
 
+def _checked_ranks(r, lo: int, hi: float = np.inf) -> np.ndarray:
+    """The rank or ranks `r` as integers (integral floats pass); raise
+    DomainError naming the first that is not an integer in [lo, hi]."""
+    given = np.asarray(r)
+    v = given.astype(float)
+    whole = np.isfinite(v) & (v == np.round(v))
+    bad = ~whole | (v < lo) | (v > hi)
+    if np.any(bad):
+        why = f"outside [{lo}, {hi}]" if whole[bad][0] else "is not an integer"
+        raise DomainError(f"rank {given[bad][0]} {why}")
+    return v.astype(int)
+
+
 def hard(r: int) -> ShrinkageRule:
     """Rank truncation: keep the leading r singular values unchanged."""
-    if r < 0:
-        raise DomainError("rank must be nonnegative")
-    return ShrinkageRule(kind="hard", rank=int(r))
+    return ShrinkageRule(kind="hard", rank=int(_checked_ranks(r, 0)))
 
 
 def soft(lam: float) -> ShrinkageRule:
@@ -112,7 +123,6 @@ class LsFit:
 class FittedModel:
     """A member of the shrinkage class: weights applied to an LsFit."""
 
-    rule: ShrinkageRule
     d_tilde: np.ndarray
     y_fit: np.ndarray
     r_tilde: int
@@ -142,24 +152,19 @@ def fit_shrunk(ls: LsFit, rule: ShrinkageRule) -> FittedModel:
     v = ls.hf.svd.right
     y_fit = (ls.y_hat @ (v * s)) @ v.T
     r_tilde = int(np.count_nonzero(s > 0))
-    return FittedModel(rule=rule, d_tilde=s * d, y_fit=y_fit, r_tilde=r_tilde, source=ls)
-
-
-def _check_rank(ls: LsFit, r: int) -> None:
-    if not 1 <= r <= ls.r_bar:
-        raise DomainError(f"rank {r} outside [1, {ls.r_bar}]")
+    return FittedModel(d_tilde=s * d, y_fit=y_fit, r_tilde=r_tilde, source=ls)
 
 
 def fit_rrr(ls: LsFit, r: int) -> FittedModel:
     """Rank-r reduced-rank fit; identical to fit_shrunk with the hard rule."""
-    _check_rank(ls, r)
+    _checked_ranks(r, 1, ls.r_bar)
     return fit_shrunk(ls, hard(r))
 
 
 def rrr_coef(ls: LsFit, r: int) -> np.ndarray:
     """Coefficient matrix of the rank-r fit without building its fitted
     values; equals ``coef_matrix(fit_rrr(ls, r))`` bit for bit."""
-    _check_rank(ls, r)
+    _checked_ranks(r, 1, ls.r_bar)
     return _coef(ls, hard(r).weights(ls.d)[0] * ls.d)
 
 

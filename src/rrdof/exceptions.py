@@ -22,7 +22,7 @@ class NumericalError(RrdofError, RuntimeError):
 
 
 class DegeneracyError(RrdofError, RuntimeError):
-    """Repeated or near-equal singular values under an `error`-mode gap policy."""
+    """Singular values at which an SVD derivative does not exist (exact ties or rank deficiency)."""
 
 
 class ContractViolationError(RrdofError, ValueError):

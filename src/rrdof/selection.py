@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dof import DofEstimate, exact_df_path, naive_df
+from .dof import exact_df_path, naive_df
 from .estimators import LsFit
 from .exceptions import DomainError, SaturationError
 
@@ -44,37 +44,6 @@ def _scores(kind: str, rss, df, n: int, q: int, sigma2: float | None = None) -> 
     return np.where(ok, score, np.inf)
 
 
-def _unsaturated_score(kind: str, rss: float, df: float, n: int, q: int) -> float:
-    """`_scores` of one GCV or BIC candidate; a saturated one raises."""
-    score = float(_scores(kind, rss, df, n, q))
-    if math.isinf(score):
-        raise SaturationError(f"rss={rss}, df={df} saturate {kind} (n*q={n * q})")
-    return score
-
-
-def gcv_score(rss: float, df: float, n: int, q: int) -> float:
-    """Generalized cross-validation: n*q*rss / (n*q - df)^2."""
-    if rss < 0:
-        raise DomainError("rss must be nonnegative")
-    return _unsaturated_score("gcv", rss, df, n, q)
-
-
-def cp_score(rss: float, df: float, sigma2: float, n: int, q: int) -> float:
-    """Mallows-type Cp normalized per entry: rss/(n q) + 2 df sigma2/(n q)."""
-    if sigma2 <= 0:
-        raise DomainError("sigma2 must be positive")
-    return float(_scores("cp", rss, df, n, q, sigma2))
-
-
-def bic_score(rss: float, df: float, n: int, q: int) -> float:
-    """Gaussian-surrogate BIC: n q ln(rss/(n q)) + ln(n q) df.
-
-    The log-likelihood surrogate requires rss > 0 and df < n q; an
-    interpolating fit leaves only roundoff in rss and would win.
-    """
-    return _unsaturated_score("bic", rss, df, n, q)
-
-
 @dataclass(frozen=True)
 class Criterion:
     """A selection criterion plus the df mode feeding its penalty."""
@@ -98,7 +67,7 @@ class SelectionReport:
 
     candidates: list[int]
     scores: list[float]
-    df_used: list[DofEstimate]
+    df_used: list[float]
     residual_ss: list[float]
     chosen: int
 
@@ -118,38 +87,33 @@ def rss_path(ls: LsFit, ranks) -> np.ndarray:
 def select_ranks(ls: LsFit, criteria: dict[str, Criterion]) -> dict[str, SelectionReport]:
     """One SelectionReport per named criterion, all scored on one rank path.
 
-    The candidates are ranks 1..min(n, p, q) (capped at the fit rank). The
-    rss path and each df mode's path are arrays built once (a df path when
-    the first criterion using it is scored), and each criterion scores every
-    candidate in one array expression. Criteria are scored in order, so the
-    first one that fails raises. Saturated candidates (df >= n*q, or rss = 0
-    under BIC) get +inf scores; ties break toward the smaller rank.
+    The candidates are ranks 1..r_bar (r_bar = min(r_x, q) <= min(n, p, q)).
+    The rss path and each df mode's path are arrays built once (a df path
+    when the first criterion using it is scored), and each criterion scores
+    every candidate in one array expression. Criteria are scored in order,
+    so the first one that fails raises. Saturated candidates (df >= n*q, or
+    rss = 0 under BIC) get +inf scores; ties break toward the smaller rank.
     """
     n, q = ls.y.shape
-    p = ls.x.shape[1]
-    r_max = min(n, p, q, ls.r_bar)
-    if r_max < 1:
-        raise SaturationError("no candidate ranks available")
-    candidates = list(range(1, r_max + 1))
+    candidates = list(range(1, ls.r_bar + 1))
     rss = rss_path(ls, candidates)
-    paths: dict[str, tuple[list[DofEstimate], np.ndarray]] = {}
+    paths: dict[str, np.ndarray] = {}
     reports = {}
     for name, crit in criteria.items():
         if crit.df_mode not in paths:
-            dfs = (
-                [DofEstimate(value=v, method="naive") for v in naive_df(ls.gram.r_x, q, candidates)]
+            paths[crit.df_mode] = (
+                np.array(naive_df(ls.gram.r_x, q, candidates))
                 if crit.df_mode == "naive"
                 else exact_df_path(ls.d, ls.gram.r_x, q, candidates)
             )
-            paths[crit.df_mode] = dfs, np.array([e.value for e in dfs])
-        dfs, values = paths[crit.df_mode]
-        scores = _scores(crit.kind, rss, values, n, q, crit.sigma2)
+        df = paths[crit.df_mode]
+        scores = _scores(crit.kind, rss, df, n, q, crit.sigma2)
         if np.all(np.isinf(scores)):
             raise SaturationError("every candidate rank saturates the criterion")
         reports[name] = SelectionReport(
             candidates=list(candidates),
             scores=scores.tolist(),
-            df_used=list(dfs),
+            df_used=df.tolist(),
             residual_ss=rss.tolist(),
             chosen=candidates[int(np.argmin(scores))],
         )
@@ -157,9 +121,9 @@ def select_ranks(ls: LsFit, criteria: dict[str, Criterion]) -> dict[str, Selecti
 
 
 def select_rank(ls: LsFit, crit: Criterion) -> SelectionReport:
-    """Score ranks 1..min(n, p, q) (capped at the fit rank) under one
-    criterion and pick the argmin: ``select_ranks`` with a single criterion.
-    Callers scoring several criteria on one fit should call ``select_ranks``
-    once, so the rss and df paths are built once.
+    """Score ranks 1..r_bar under one criterion and pick the argmin:
+    ``select_ranks`` with a single criterion. Callers scoring several
+    criteria on one fit should call ``select_ranks`` once, so the rss and df
+    paths are built once.
     """
     return select_ranks(ls, {crit.kind: crit})[crit.kind]

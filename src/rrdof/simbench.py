@@ -153,7 +153,7 @@ def run_dof_study(cfg: SimConfig, n_pert: int = 50) -> DofStudyResult:
         noise = _errors(cfg, t)
         ls = fit_ols(x, xb + noise, gram=gram)
         h, f = ls.hf.h, ls.hf.svd
-        exact_vals[t] = [e.value for e in exact_df_path(f.d, r_x, cfg.q, ranks)]
+        exact_vals[t] = exact_df_path(f.d, r_x, cfg.q, ranks)
         e_draws[t] = w.T @ noise
         mc_ab[:, t] = _rank_moments(f, np.stack([e_draws[t], e_bar]))
         fit_sum += np.einsum("ik,jk->kij", f.left * f.d, f.right)

@@ -84,12 +84,17 @@ class TestDof:
         assert vals["exact"] >= vals["naive"]
         assert vals["naive"] == (5 + 4 - 2) * 2
 
-    def test_missing_rule_is_an_error(self, data_paths, capsys):
+    @pytest.mark.parametrize("method,rule", [
+        ("exact", []), ("fd", []), ("naive", ["--soft", "3"]), ("naive", ["--adaptive", "3"]),
+    ], ids=["exact", "fd", "naive-soft", "naive-adaptive"])
+    def test_missing_rule_is_an_error(self, data_paths, capsys, method, rule):
+        # naive df is a count for a hard rank only
         xp, yp, tmp = data_paths
-        rc = main(["dof", "--x", xp, "--y", yp, "--method", "exact",
+        rc = main(["dof", "--x", xp, "--y", yp, "--method", method, *rule,
                    "--output", str(tmp / "e.json")])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+        assert not (tmp / "e.json").exists()
 
     def test_mc_requires_sigma2(self, data_paths):
         xp, yp, tmp = data_paths

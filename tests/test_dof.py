@@ -1,10 +1,10 @@
+import re
 import warnings
 
 import numpy as np
 import pytest
 
 from rrdof.dof import (
-    GapPolicy,
     _substream,
     divergence_analytic,
     divergence_fd,
@@ -45,6 +45,12 @@ class TestNaiveDf:
     def test_out_of_range(self):
         with pytest.raises(DomainError):
             naive_df(3, 2, 3)
+        # the message names the first bad rank; non-integers are rejected
+        for r, msg in (([1, 3, 4], "rank 3 outside [0, 2]"), (2.5, "rank 2.5 is not an integer"),
+                       ([1, 1.5], "rank 1.5 is not an integer")):
+            with pytest.raises(DomainError, match=f"^{re.escape(msg)}$"):
+                naive_df(3, 2, r)
+        assert naive_df(3, 2, [1.0, np.int64(2)]) == [4.0, 6.0]
 
 
 class TestExactDfRrr:
@@ -82,9 +88,7 @@ class TestExactDfRrr:
 
     def test_degeneracy_policy(self):
         d = [2.0, 1.0 + 1e-12, 1.0]
-        with pytest.raises(DegeneracyError):
-            exact_df_rrr(d, 4, 3, 1, gp=GapPolicy(mode="error"))
-        est = exact_df_rrr(d, 4, 3, 1, gp=GapPolicy(mode="flag"))
+        est = exact_df_rrr(d, 4, 3, 1)
         assert est.degenerate_flag
 
     def test_rejects_unsorted(self):
@@ -112,31 +116,37 @@ class TestExactDfRrr:
         rep = select_rank(ls, Criterion(kind="gcv"))
         for r, used in zip(rep.candidates, rep.df_used):
             s, sp = hard(r).weights(ls.d)
-            assert exact_df_rrr(ls.d, 5, 4, r).value == used.value
-            assert exact_df_shrunk(ls.d, 5, 4, s, sp).value == used.value
-        assert rep.df_used[2].value == 18.0
+            assert exact_df_rrr(ls.d, 5, 4, r).value == used
+            assert exact_df_shrunk(ls.d, 5, 4, s, sp).value == used
+        assert rep.df_used[2] == 18.0
 
 
 class TestExactDfPath:
     def test_equals_per_rank(self):
         d = [10.0, 6.0, 3.01, 3.0, 0.5]
         path = exact_df_path(d, 7, 5, [3, 1, 5, 3])
-        assert [e.value for e in path] == [exact_df_rrr(d, 7, 5, r).value for r in (3, 1, 5, 3)]
-        assert exact_df_path(d, 7, 5, []) == []
+        assert path.tolist() == [exact_df_rrr(d, 7, 5, r).value for r in (3, 1, 5, 3)]
+        assert exact_df_path(d, 7, 5, []).tolist() == []
 
     def test_rejects_out_of_range_rank(self):
         # the ranks are checked as one array; the message names the first bad one
         for ranks, bad in (([1, 0], 0), ([1, 6], 6), ([2, 6, 0], 6), (np.array([3, 7]), 7)):
             with pytest.raises(DomainError, match=rf"^rank {bad} outside \[1, 5\]$"):
                 exact_df_path([3.0, 2.0, 1.0, 0.5, 0.1], 7, 5, ranks)
+        # a non-integer rank is named, not truncated; integral floats pass
+        d = [3.0, 2.0, 1.0, 0.5, 0.1]
+        for ranks, bad in (([1.9], 1.9), ([2, 2.5], 2.5), ([3.5, 7], 3.5), ([2, np.nan], "nan")):
+            with pytest.raises(DomainError, match=rf"^rank {bad} is not an integer$"):
+                exact_df_path(d, 7, 5, ranks)
+        with pytest.raises(DomainError, match=r"^rank 2.5 is not an integer$"):
+            exact_df_rrr(d, 7, 5, 2.5)
+        assert exact_df_path(d, 7, 5, [2.0, np.int64(3)]).tolist() == exact_df_path(d, 7, 5, [2, 3]).tolist()
 
     def test_gap_policy_applies_below_full_rank(self):
         d = [2.0, 1.0 + 1e-12, 1.0]
-        flags = [e.degenerate_flag for e in exact_df_path(d, 4, 3, [1, 2, 3])]
+        flags = [exact_df_rrr(d, 4, 3, r).degenerate_flag for r in (1, 2, 3)]
         assert flags == [True, True, False]
-        with pytest.raises(DegeneracyError):
-            exact_df_path(d, 4, 3, [1, 3], gp=GapPolicy(mode="error"))
-        assert exact_df_path(d, 4, 3, [3], gp=GapPolicy(mode="error"))[0].value == 12.0
+        assert exact_df_path(d, 4, 3, [3])[0] == 12.0
 
 
 class TestExactDfShrunk:

@@ -141,6 +141,12 @@ class TestFitRrr:
             fit_rrr(random_fit, 0)
         with pytest.raises(DomainError):
             fit_rrr(random_fit, random_fit.r_bar + 1)
+        # a non-integer rank is named, not truncated
+        with pytest.raises(DomainError, match=r"^rank 1.5 is not an integer$"):
+            fit_rrr(random_fit, 1.5)
+        with pytest.raises(DomainError, match=r"^rank 2.7 is not an integer$"):
+            hard(2.7)
+        assert fit_rrr(random_fit, 2.0).r_tilde == hard(np.int64(2)).rank == 2
 
     def test_hard_shrunk_equivalence_bitwise(self, random_fit):
         for r in range(1, random_fit.r_bar + 1):
@@ -250,3 +256,5 @@ class TestRrrCoef:
         for r in (0, -1, random_fit.r_bar + 1):
             with pytest.raises(DomainError, match=f"rank {r} outside"):
                 rrr_coef(random_fit, r)
+        with pytest.raises(DomainError, match=r"^rank 2.9 is not an integer$"):
+            rrr_coef(random_fit, 2.9)

@@ -22,7 +22,8 @@ from rrdof.dof import (
 from rrdof.estimators import adaptive, fit_ols, fit_rrr, hard, soft, validate_weights
 from rrdof.exceptions import SaturationError
 from rrdof.linalg import thin_svd
-from rrdof.selection import Criterion, _scores, bic_score, cp_score, gcv_score, select_rank, select_ranks
+from rrdof.selection import Criterion, _scores, select_rank, select_ranks
+from test_selection import assert_scores_match
 
 
 def spectra(min_size=2, max_size=6):
@@ -136,7 +137,7 @@ def test_kernel_matches_double_loop(d, extra, wide, kind, frac, gamma):
 def test_path_equals_per_rank_bit_for_bit(d, extra, wide, data):
     r_x, q = shapes(d.size, extra, wide)
     ranks = data.draw(st.lists(st.integers(1, d.size), max_size=2 * d.size))
-    path = [e.value for e in exact_df_path(d, r_x, q, ranks)]
+    path = exact_df_path(d, r_x, q, ranks).tolist()
     assert path == [exact_df_rrr(d, r_x, q, r).value for r in ranks]
     # hard weights through the double loop agree to rounding (the kernel sums
     # each rank's pairs by a cumulative sum, the loop in another order)
@@ -152,17 +153,10 @@ def test_hard_rank_df_within_ulps_of_fsum(d, extra, wide):
     r_x, q = shapes(d.size, extra, wide)
     d2 = d**2
     path = exact_df_path(d, r_x, q, range(1, d.size + 1))
-    for r, est in enumerate(path, start=1):
+    for r, value in enumerate(path.tolist(), start=1):
         pairs = [(d2[k] + d2[l]) / (d2[k] - d2[l]) for k in range(r) for l in range(r, d.size)]
         ref = math.fsum([max(r_x, q) * r, *pairs])
-        assert abs(est.value - ref) <= 4 * np.spacing(ref)
-
-
-SCALAR_SCORES = {
-    "gcv": lambda rss, df, n, q, sigma2: gcv_score(rss, df, n, q),
-    "cp": lambda rss, df, n, q, sigma2: cp_score(rss, df, sigma2, n, q),
-    "bic": lambda rss, df, n, q, sigma2: bic_score(rss, df, n, q),
-}
+        assert abs(value - ref) <= 4 * np.spacing(ref)
 
 
 @settings(deadline=None, max_examples=150)
@@ -173,9 +167,10 @@ SCALAR_SCORES = {
     data=st.data(),
 )
 def test_array_scores_equal_scalar_scores(n, q, sigma2, data):
-    # One formula per criterion: the array scores of a path equal the scalar
-    # functions bit for bit, +inf where those raise SaturationError (df at or
-    # beyond n*q, negative df, rss = 0 under BIC), with no warning.
+    # One formula per criterion: the array scores of a path equal the
+    # tests-local scalar formulas (GCV and Cp bit for bit, BIC to 4 ulps),
+    # +inf where those saturate (df at or beyond n*q, negative df, rss = 0
+    # under BIC), with no warning.
     nq = n * q
     size = data.draw(st.integers(1, 8))
     rss = data.draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-8, 1e6)), min_size=size, max_size=size))
@@ -183,11 +178,9 @@ def test_array_scores_equal_scalar_scores(n, q, sigma2, data):
         [0.0, float(nq), nq - 1e-9, nq + 1.0, -1.0, math.inf])), min_size=size, max_size=size))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for kind, scalar in SCALAR_SCORES.items():
+        for kind in ("gcv", "cp", "bic"):
             got = _scores(kind, np.array(rss), np.array(df), n, q, sigma2)
-            want = [_outcome(lambda: scalar(r, f, n, q, sigma2)) for r, f in zip(rss, df)]
-            want = [math.inf if isinstance(w, tuple) else w for w in want]
-            assert got.tolist() == want
+            assert_scores_match(kind, got.tolist(), rss, df, n, q, sigma2)
 
 
 @settings(deadline=None, max_examples=150)

@@ -45,11 +45,15 @@ def commands(data: list[str]) -> list[tuple[str, list[str], list[str]]]:
     }
     for method, flags in dof.items():
         runs.append((f"dof_{method}", ["dof", *data, "--method", method, *flags], ["--output"]))
+    for rule in ("soft", "adaptive"):  # the weight-derivative and flag terms of exact_df_shrunk
+        runs.append((f"dof_exact_{rule}", ["dof", *data, "--method", "exact", *RULES[rule]], ["--output"]))
     for kind in ("gcv", "bic"):
         for mode in ("exact", "naive"):
             runs.append((f"select_{kind}_{mode}",
                          ["select", *data, "--criterion", kind, "--df", mode], ["--output"]))
     runs.append(("select_cp", ["select", *data, "--criterion", "cp", "--sigma2", "1"], ["--output"]))
+    runs.append(("select_cp_naive", ["select", *data, "--criterion", "cp", "--df", "naive",
+                                     "--sigma2", "1"], ["--output"]))
     runs.append(("simulate_dof", ["simulate", "--preset", "setting1_desk", "--study", "dof",
                                   "--reps", "4"], ["--output", "--table-out"]))
     runs.append(("simulate_pred", ["simulate", "--preset", "ld", "--study", "pred",
