@@ -22,20 +22,18 @@ r_x = ls.gram.r_x
 print(f"least-squares singular values: {np.round(ls.d, 2)}")
 
 print()
-print("df along the soft-thresholding path (50 log-spaced penalties):")
+print("df along the soft-thresholding path (8 log-spaced penalties):")
 print(f"{'lambda':>10} {'kept':>5} {'df':>10} {'rss':>12}")
 for lam in lambda_grid(float(ls.d[0]), size=8):
     rule = soft(float(lam))
     s, sp = rule.weights(ls.d)
     df = exact_df_shrunk(ls.d, r_x, q, s, sp).value
-    fm = fit_shrunk(ls, rule)
-    rss = float(np.sum((y - fm.y_fit) ** 2))
-    print(f"{lam:>10.4f} {fm.r_tilde:>5} {df:>10.4f} {rss:>12.2f}")
+    rss = float(np.sum((y - fit_shrunk(ls, rule)) ** 2))
+    print(f"{lam:>10.4f} {np.count_nonzero(s):>5} {df:>10.4f} {rss:>12.2f}")
 
 print()
 print("Adaptive thresholding shrinks large singular values less than soft")
 print("thresholding at the same penalty:")
 lam = 0.5 * float(ls.d[0])
 for name, rule in [("soft", soft(lam)), ("adaptive", adaptive(lam))]:
-    fm = fit_shrunk(ls, rule)
-    print(f"  {name:>8}: shrunk values {np.round(fm.d_tilde, 3)}")
+    print(f"  {name:>8}: shrunk values {np.round(rule.weights(ls.d)[0] * ls.d, 3)}")

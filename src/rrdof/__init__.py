@@ -20,16 +20,13 @@ from .dof import (
     sv_derivatives,
 )
 from .estimators import (
-    FittedModel,
     LsFit,
     ShrinkageRule,
     adaptive,
     coef_matrix,
     fit_ols,
-    fit_rrr,
     fit_shrunk,
     hard,
-    rrr_coef,
     soft,
 )
 from .linalg import (
@@ -55,8 +52,8 @@ __all__ = [
     "DofEstimate", "divergence_analytic", "divergence_fd",
     "exact_df_path", "exact_df_rrr", "exact_df_shrunk", "mc_df", "naive_df", "perturbation_df",
     "sv_derivatives",
-    "FittedModel", "LsFit", "ShrinkageRule", "adaptive", "coef_matrix",
-    "fit_ols", "fit_rrr", "fit_shrunk", "hard", "rrr_coef", "soft",
+    "LsFit", "ShrinkageRule", "adaptive", "coef_matrix",
+    "fit_ols", "fit_shrunk", "hard", "soft",
     "GramFactors", "HFactor", "SvdFactors", "build_h", "gram_factors",
     "thin_svd",
     "EvalReport", "eval_splits", "ingest_csv", "synthetic_fixture",

@@ -15,7 +15,7 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from . import dof as dof_mod
-from .estimators import _checked_ranks, adaptive, coef_matrix, fit_ols, fit_rrr, fit_shrunk, hard, soft
+from .estimators import _checked_ranks, adaptive, coef_matrix, fit_ols, fit_shrunk, hard, soft
 from .exceptions import RrdofError, SaturationError
 from .pipeline import eval_splits, ingest_csv, write_matrix_csv, write_report
 from .selection import Criterion, select_rank
@@ -55,20 +55,19 @@ def _add_rule_flags(sp):
 def cmd_fit(args) -> int:
     x, y = _load_xy(args)
     ls = fit_ols(x, y)
-    rule = _checked_rule(args, ls)
-    fm = fit_shrunk(ls, rule) if rule is not None else fit_rrr(ls, ls.r_bar)
-    b = coef_matrix(fm)
+    rule = _checked_rule(args, ls) or hard(ls.r_bar)
+    s = rule.weights(ls.d)[0]
     payload = {
         "n": int(x.shape[0]), "p": int(x.shape[1]), "q": int(y.shape[1]),
         "r_x": int(ls.gram.r_x), "r_bar": int(ls.r_bar),
-        "rank_fitted": int(fm.r_tilde),
+        "rank_fitted": int(np.count_nonzero(s > 0)),
         "singular_values": [float(v) for v in ls.d],
-        "shrunk_singular_values": [float(v) for v in fm.d_tilde],
-        "rss": float(np.sum((y - fm.y_fit) ** 2)),
+        "shrunk_singular_values": [float(v) for v in s * ls.d],
+        "rss": float(np.sum((y - fit_shrunk(ls, rule)) ** 2)),
     }
     write_report(args.output, "fit", payload, seed=_seed_from(args))
     if args.coef_out:
-        write_matrix_csv(args.coef_out, b)
+        write_matrix_csv(args.coef_out, coef_matrix(ls, rule))
     return 0
 
 
@@ -120,7 +119,7 @@ def _sigma_hat(ls) -> float:
 def _checked_rule(args, ls):
     """The rule of `rrdof fit` and `rrdof dof` (None without a rule flag),
     one rank policy for every command and method: a rank above r_bar clamps
-    to r_bar and one below 1 raises fit_rrr's error."""
+    to r_bar and one below 1 is a DomainError."""
     if args.rank is not None:
         rank = min(args.rank, ls.r_bar)
         _checked_ranks(rank, 1, ls.r_bar)
@@ -137,7 +136,7 @@ def _fitter_from(rule, ls):
 
     def fitter(y_draw):
         refit = fit_ols(ls.x, y_draw, gram=ls.gram)
-        return refit.y_hat if rule is None else fit_shrunk(refit, rule).y_fit
+        return refit.y_hat if rule is None else fit_shrunk(refit, rule)
 
     return fitter
 

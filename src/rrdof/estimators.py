@@ -8,7 +8,7 @@ and the soft / adaptive threshold rules are provided.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,6 +37,8 @@ class ShrinkageRule:
         """
         d = np.asarray(d, dtype=float)
         if self.kind == "hard":
+            if self.rank > d.size:
+                raise DomainError(f"rank {self.rank} outside [0, {d.size}]")
             s = np.where(np.arange(d.size) < self.rank, 1.0, 0.0)
             return s, np.zeros_like(d)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -77,16 +79,16 @@ def hard(r: int) -> ShrinkageRule:
 
 def soft(lam: float) -> ShrinkageRule:
     """Soft threshold: shrunk values (d_k - lam)_+."""
-    if lam < 0:
+    if not lam >= 0:
         raise DomainError("lambda must be nonnegative")
     return ShrinkageRule(kind="soft", lam=float(lam))
 
 
 def adaptive(lam: float, gamma: float = 2.0) -> ShrinkageRule:
     """Power-weighted threshold: shrunk values (d_k - lam^(g+1) d_k^-g)_+."""
-    if lam < 0:
+    if not lam >= 0:
         raise DomainError("lambda must be nonnegative")
-    if gamma < 0:
+    if not gamma >= 0:
         raise DomainError("gamma must be nonnegative")
     return ShrinkageRule(kind="adaptive", lam=float(lam), gamma=float(gamma))
 
@@ -119,16 +121,6 @@ class LsFit:
         return self.hf.svd.d
 
 
-@dataclass(frozen=True)
-class FittedModel:
-    """A member of the shrinkage class: weights applied to an LsFit."""
-
-    d_tilde: np.ndarray
-    y_fit: np.ndarray
-    r_tilde: int
-    source: LsFit = field(repr=False)
-
-
 def fit_ols(x, y, gram: GramFactors | None = None) -> LsFit:
     """Least-squares fit Y_hat = X (X'X)^+ X' Y; valid for any p, q vs n.
 
@@ -141,39 +133,24 @@ def fit_ols(x, y, gram: GramFactors | None = None) -> LsFit:
     gf = gram_factors(x) if gram is None else gram
     hf = build_h(x, y, gf)
     y_hat = ((x @ gf.q_mat) / gf.s[None, :]) @ hf.h
-    return LsFit(x=x, y=y, gram=gf, hf=hf, y_hat=y_hat, r_bar=hf.r_bar)
+    return LsFit(x=x, y=y, gram=gf, hf=hf, y_hat=y_hat, r_bar=min(gf.r_x, y.shape[1]))
 
 
-def fit_shrunk(ls: LsFit, rule: ShrinkageRule) -> FittedModel:
-    """Apply a shrinkage rule to the singular values of the least-squares fit."""
-    d = ls.d
-    s, s_prime = rule.weights(d)
+def _weights(ls: LsFit, rule: ShrinkageRule) -> np.ndarray:
+    s, s_prime = rule.weights(ls.d)
     validate_weights(s, s_prime)
+    return s
+
+
+def fit_shrunk(ls: LsFit, rule: ShrinkageRule) -> np.ndarray:
+    """Fitted values of `rule` applied to the singular values of the
+    least-squares fit: Y_hat V diag(s) V'."""
     v = ls.hf.svd.right
-    y_fit = (ls.y_hat @ (v * s)) @ v.T
-    r_tilde = int(np.count_nonzero(s > 0))
-    return FittedModel(d_tilde=s * d, y_fit=y_fit, r_tilde=r_tilde, source=ls)
+    return (ls.y_hat @ (v * _weights(ls, rule))) @ v.T
 
 
-def fit_rrr(ls: LsFit, r: int) -> FittedModel:
-    """Rank-r reduced-rank fit; identical to fit_shrunk with the hard rule."""
-    _checked_ranks(r, 1, ls.r_bar)
-    return fit_shrunk(ls, hard(r))
-
-
-def rrr_coef(ls: LsFit, r: int) -> np.ndarray:
-    """Coefficient matrix of the rank-r fit without building its fitted
-    values; equals ``coef_matrix(fit_rrr(ls, r))`` bit for bit."""
-    _checked_ranks(r, 1, ls.r_bar)
-    return _coef(ls, hard(r).weights(ls.d)[0] * ls.d)
-
-
-def coef_matrix(fm: FittedModel) -> np.ndarray:
-    """Coefficient matrix B with X @ B = y_fit, lying in the row space of X."""
-    return _coef(fm.source, fm.d_tilde)
-
-
-def _coef(ls: LsFit, d_tilde: np.ndarray) -> np.ndarray:
-    # B = Q S^-1 U diag(d_tilde) V' for the shrunk singular values d_tilde.
-    core = (ls.hf.svd.left * d_tilde[None, :]) @ ls.hf.svd.right.T
+def coef_matrix(ls: LsFit, rule: ShrinkageRule) -> np.ndarray:
+    """Coefficient matrix B with X @ B = fit_shrunk(ls, rule), lying in the
+    row space of X: B = Q S^-1 U diag(s * d) V'."""
+    core = (ls.hf.svd.left * (_weights(ls, rule) * ls.d)[None, :]) @ ls.hf.svd.right.T
     return (ls.gram.q_mat / ls.gram.s[None, :]) @ core

@@ -59,7 +59,6 @@ class HFactor:
 
     h: np.ndarray
     svd: SvdFactors
-    r_bar: int
 
 
 def _fix_signs(u: np.ndarray, vt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -119,6 +118,5 @@ def build_h(x, y, gf: GramFactors) -> HFactor:
     if gf.q_mat.shape[0] != x.shape[1]:
         raise ShapeError("gram factors do not match the design matrix")
     h = (gf.q_mat.T @ (x.T @ y)) / gf.s[:, None]
-    q = y.shape[1]
-    return HFactor(h=h, svd=thin_svd(h), r_bar=min(gf.r_x, q))
+    return HFactor(h=h, svd=thin_svd(h))
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dof import _substream
-from .estimators import fit_ols, rrr_coef
+from .estimators import coef_matrix, fit_ols, hard
 from .exceptions import DomainError, ParseError, RrdofError, SaturationError
 from .selection import Criterion, select_ranks
 
@@ -156,7 +156,7 @@ def _eval_one_split(x, y, criteria, n_train, seed, t):
     ls = fit_ols(x[train], y[train])
     ranks = {name: rep.chosen for name, rep in select_ranks(ls, criteria).items()}
     # One prediction per distinct rank; OLS is the rank-r_bar fit.
-    by_rank = {r: _mspe(y_te, x_te @ rrr_coef(ls, r)) for r in {*ranks.values(), ls.r_bar}}
+    by_rank = {r: _mspe(y_te, x_te @ coef_matrix(ls, hard(r))) for r in {*ranks.values(), ls.r_bar}}
     mspe = {name: by_rank[r] for name, r in ranks.items()}
     mspe["ols"] = by_rank[ls.r_bar]
     return mspe, ranks

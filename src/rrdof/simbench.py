@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dof import DofEstimate, _cov_df, _rank_moments, _substream, exact_df_path, naive_df
-from .estimators import fit_ols, rrr_coef
+from .estimators import coef_matrix, fit_ols, hard
 from .exceptions import DomainError
 from .linalg import _svd, gram_factors, thin_svd
 from .selection import Criterion, select_ranks
@@ -36,7 +36,7 @@ class SimConfig:
     def __post_init__(self):
         if self.r0 > min(self.p, self.q):
             raise DomainError("r0 cannot exceed min(p, q)")
-        if self.sigma2 <= 0:
+        if not self.sigma2 > 0:
             raise DomainError("sigma2 must be positive")
         if not 0 <= self.rho < 1:
             raise DomainError("rho must be in [0, 1)")
@@ -231,7 +231,7 @@ def run_pred_study(cfg: SimConfig) -> PredStudyResult:
         ls = fit_ols(x, y, gram=gram)
         metrics = {}
         for mode, report in select_ranks(ls, _PRED_CRITERIA).items():
-            bhat = rrr_coef(ls, report.chosen)
+            bhat = coef_matrix(ls, hard(report.chosen))
             est = 100.0 * float(np.sum((b - bhat) ** 2)) / (cfg.p * cfg.q)
             pred = 100.0 * float(np.sum((xb - x @ bhat) ** 2)) / (cfg.n * cfg.q)
             metrics[mode] = (est, pred, report.chosen)

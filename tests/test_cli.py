@@ -5,7 +5,7 @@ import pytest
 
 from rrdof.cli import _sigma_hat, main
 from rrdof.dof import mc_df, perturbation_df
-from rrdof.estimators import adaptive, fit_ols, fit_rrr, fit_shrunk
+from rrdof.estimators import adaptive, fit_ols, fit_shrunk, hard
 from rrdof.exceptions import SaturationError
 from rrdof.pipeline import ingest_csv, write_matrix_csv
 
@@ -117,10 +117,10 @@ class TestDof:
 
     @pytest.mark.parametrize("method", ["mc", "perturb"])
     @pytest.mark.parametrize("flags,refit", [
-        (["--rank", "2"], lambda ls: fit_rrr(ls, 2).y_fit),
-        (["--rank", "9"], lambda ls: fit_rrr(ls, ls.r_bar).y_fit),  # clamps to r_bar
+        (["--rank", "2"], lambda ls: fit_shrunk(ls, hard(2))),
+        (["--rank", "9"], lambda ls: fit_shrunk(ls, hard(ls.r_bar))),  # clamps to r_bar
         (["--adaptive", "2.0", "--gamma", "1.5"],
-         lambda ls: fit_shrunk(ls, adaptive(2.0, 1.5)).y_fit),
+         lambda ls: fit_shrunk(ls, adaptive(2.0, 1.5))),
         ([], lambda ls: ls.y_hat),
     ], ids=["rank", "rank_clamped", "adaptive", "ols"])
     def test_stochastic_reports_match_per_draw_refits(self, data_paths, method, flags, refit):
@@ -285,3 +285,20 @@ class TestEval:
         names = {"gcv_exact", "gcv_naive", "bic_exact", "bic_naive", "ols"}
         assert set(pl["summary"]) == names
         assert len(pl["per_split"]["mspe"]["ols"]) == 4
+
+
+@pytest.mark.parametrize("argv,name", [
+    (["select", "--criterion", "cp", "--sigma2", "nan"], "sigma2"),
+    (["eval", "--criterion", "cp", "--sigma2", "nan", "--splits", "2"], "sigma2"),
+    (["fit", "--soft", "nan"], "lambda"),
+    (["fit", "--adaptive", "3", "--gamma", "nan"], "gamma"),
+    (["dof", "--method", "mc", "--rank", "2", "--sigma2", "nan"], "sigma2"),
+    (["dof", "--method", "perturb", "--rank", "2", "--tau", "nan"], "tau"),
+], ids=["select", "eval", "fit-soft", "fit-gamma", "dof-mc", "dof-perturb"])
+def test_nan_parameter_is_an_error(data_paths, capsys, argv, name):
+    xp, yp, tmp = data_paths
+    out = tmp / "r.json"
+    rc = main([argv[0], "--x", xp, "--y", yp, *argv[1:], "--output", str(out)])
+    assert rc == 2
+    assert name in capsys.readouterr().err
+    assert not out.exists()

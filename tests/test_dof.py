@@ -16,7 +16,7 @@ from rrdof.dof import (
     perturbation_df,
     sv_derivatives,
 )
-from rrdof.estimators import adaptive, fit_ols, fit_rrr, hard, soft
+from rrdof.estimators import adaptive, coef_matrix, fit_ols, fit_shrunk, hard, soft
 from rrdof.exceptions import ContractViolationError, DegeneracyError, DomainError
 from rrdof.linalg import thin_svd
 from rrdof.selection import Criterion, select_rank
@@ -171,6 +171,21 @@ class TestExactDfShrunk:
     def test_rejects_non_monotone_weights(self):
         with pytest.raises(ContractViolationError):
             exact_df_shrunk([2.0, 1.0], 3, 2, [0.4, 0.9], [0.0, 0.0])
+
+
+@pytest.mark.parametrize("apply", [
+    fit_shrunk,
+    coef_matrix,
+    lambda ls, rule: exact_df_shrunk(ls.d, ls.gram.r_x, ls.y.shape[1], *rule.weights(ls.d)),
+    lambda ls, rule: divergence_analytic(ls.hf.h, rule),
+], ids=["fit_shrunk", "coef_matrix", "exact_df_shrunk", "divergence_analytic"])
+def test_hard_rank_above_the_spectrum_is_an_error(apply):
+    # r_bar = 4: a rank-9 hard rule is rejected where it is applied, not
+    # silently read as the full-rank fit
+    rng = np.random.default_rng(60)
+    ls = fit_ols(rng.standard_normal((10, 5)), rng.standard_normal((10, 4)))
+    with pytest.raises(DomainError, match=r"^rank 9 outside \[0, 4\]$"):
+        apply(ls, hard(9))
 
 
 class TestSvDerivatives:
@@ -360,7 +375,7 @@ class TestStochasticEstimators:
         x, b, _, _ = gen_instance(cfg, 0)
         mean = x @ b
         r = 3
-        est = mc_df(mean, 1.0, lambda y: fit_rrr(fit_ols(x, y), r).y_fit,
+        est = mc_df(mean, 1.0, lambda y: fit_shrunk(fit_ols(x, y), hard(r)),
                     reps=500, seed=7)
         # average exact df over fresh draws
         vals = []
@@ -395,7 +410,7 @@ class TestStochasticEstimators:
         y = x @ b + rng.standard_normal((20, 5))
         ls = fit_ols(x, y)
         exact = exact_df_rrr(ls.d, ls.gram.r_x, 5, 2).value
-        est = perturbation_df(y, lambda z: fit_rrr(fit_ols(x, z), 2).y_fit,
+        est = perturbation_df(y, lambda z: fit_shrunk(fit_ols(x, z), hard(2)),
                               n_pert=800, tau=0.1, seed=11)
         assert abs(est.value - exact) <= 3 * est.std_error
 
@@ -413,7 +428,7 @@ class TestStochasticEstimators:
         sigma2, tau, reps = 1.7, 0.3, 40
 
         def fitter(y):
-            return fit_rrr(fit_ols(x, y), 2).y_fit
+            return fit_shrunk(fit_ols(x, y), hard(2))
 
         def reference(stream, sd, scale):
             e = np.stack([sd * _substream(seed, stream, t).standard_normal(mean.shape)
@@ -450,6 +465,13 @@ class TestStochasticEstimators:
                 mc_df(np.zeros((3, 2)), 1.0, lambda y: y, reps=2, seed=0)
             with pytest.raises(DomainError):
                 perturbation_df(np.zeros((3, 2)), lambda y: y, n_pert=2, tau=0.1, seed=0)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan")])
+    def test_scale_validation(self, bad):
+        with pytest.raises(DomainError, match="^sigma2 must be positive$"):
+            mc_df(np.zeros((3, 2)), bad, lambda y: y, reps=3, seed=0)
+        with pytest.raises(DomainError, match="^tau must be positive$"):
+            perturbation_df(np.zeros((3, 2)), lambda y: y, n_pert=3, tau=bad, seed=0)
 
     def test_seed_reproducibility(self):
         rng = np.random.default_rng(43)

@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
 
+import rrdof
 from rrdof.estimators import (
     ShrinkageRule,
     adaptive,
     coef_matrix,
     fit_ols,
-    fit_rrr,
     fit_shrunk,
     hard,
-    rrr_coef,
     soft,
     validate_weights,
 )
@@ -115,6 +114,13 @@ class TestShrinkageRules:
         s, _ = adaptive(lam, g).weights(d)
         assert np.allclose(s * d, np.maximum(d - lam ** (g + 1) * d ** (-g), 0))
 
+    @pytest.mark.parametrize("bad", [-1.0, float("nan")])
+    def test_parameter_validation(self, bad):
+        for make, name in ((soft, "lambda"), (adaptive, "lambda"),
+                           (lambda v: adaptive(1.0, v), "gamma")):
+            with pytest.raises(DomainError, match=f"^{name} must be nonnegative$"):
+                make(bad)
+
     def test_validate_rejects_non_monotone(self):
         with pytest.raises(ContractViolationError):
             validate_weights(np.array([0.5, 0.8]))
@@ -126,38 +132,35 @@ class TestShrinkageRules:
 
 class TestFitRrr:
     def test_full_rank_equals_ols(self, random_fit):
-        fm = fit_rrr(random_fit, random_fit.r_bar)
-        assert np.allclose(fm.y_fit, random_fit.y_hat, atol=1e-10)
+        y_fit = fit_shrunk(random_fit, hard(random_fit.r_bar))
+        assert np.allclose(y_fit, random_fit.y_hat, atol=1e-10)
 
     def test_rank_one_is_leading_term(self, random_fit):
-        fm = fit_rrr(random_fit, 1)
+        y_fit = fit_shrunk(random_fit, hard(1))
         f = random_fit.hf.svd
         w1 = random_fit.y_hat @ f.right[:, 0] / f.d[0]
         expected = f.d[0] * np.outer(w1, f.right[:, 0])
-        assert np.allclose(fm.y_fit, expected, atol=1e-9)
+        assert np.allclose(y_fit, expected, atol=1e-9)
 
     def test_rank_out_of_range(self, random_fit):
-        with pytest.raises(DomainError):
-            fit_rrr(random_fit, 0)
-        with pytest.raises(DomainError):
-            fit_rrr(random_fit, random_fit.r_bar + 1)
-        # a non-integer rank is named, not truncated
-        with pytest.raises(DomainError, match=r"^rank 1.5 is not an integer$"):
-            fit_rrr(random_fit, 1.5)
+        # the hard rule checks its rank against the spectrum where it is applied
+        r = random_fit.r_bar
+        with pytest.raises(DomainError, match=rf"^rank {r + 1} outside \[0, {r}\]$"):
+            fit_shrunk(random_fit, hard(r + 1))
+        # a negative or non-integer rank is named, not truncated
+        with pytest.raises(DomainError, match=r"^rank -1 outside"):
+            fit_shrunk(random_fit, hard(-1))
         with pytest.raises(DomainError, match=r"^rank 2.7 is not an integer$"):
-            hard(2.7)
-        assert fit_rrr(random_fit, 2.0).r_tilde == hard(np.int64(2)).rank == 2
-
-    def test_hard_shrunk_equivalence_bitwise(self, random_fit):
-        for r in range(1, random_fit.r_bar + 1):
-            a = fit_rrr(random_fit, r).y_fit
-            b = fit_shrunk(random_fit, hard(r)).y_fit
-            assert np.array_equal(a, b)
+            fit_shrunk(random_fit, hard(2.7))
+        assert np.count_nonzero(hard(2.0).weights(random_fit.d)[0]) == hard(np.int64(2)).rank == 2
+        # rank 0 is the zero fit
+        assert not np.any(fit_shrunk(random_fit, hard(0)))
+        assert not np.any(coef_matrix(random_fit, hard(0)))
 
     def test_eckart_young_monotone_residuals(self, random_fit):
         y = random_fit.y
         rss = [
-            np.linalg.norm(y - fit_rrr(random_fit, r).y_fit)
+            np.linalg.norm(y - fit_shrunk(random_fit, hard(r)))
             for r in range(1, random_fit.r_bar + 1)
         ]
         assert np.all(np.diff(rss) <= 1e-12)
@@ -167,7 +170,7 @@ class TestFitRrr:
         x = rng.standard_normal((10, 5))
         y = rng.standard_normal((10, 4))
         ls = fit_ols(x, y)
-        fm = fit_rrr(ls, 2)
+        y_fit = fit_shrunk(ls, hard(2))
         # ALS oracle: B = L R' with L (5x2), R (4x2), alternating ridge-free
         # least squares updates.
         left = rng.standard_normal((5, 2))
@@ -177,40 +180,41 @@ class TestFitRrr:
             lt = np.linalg.lstsq(np.kron(right, x), y.ravel(order="F"), rcond=None)[0]
             left = lt.reshape(5, 2, order="F")
         b_als = left @ right.T
-        assert np.linalg.norm(y - fm.y_fit) <= np.linalg.norm(y - x @ b_als) + 1e-8
+        assert np.linalg.norm(y - y_fit) <= np.linalg.norm(y - x @ b_als) + 1e-8
 
 
 class TestFitShrunk:
     def test_soft_zero_is_identity(self, random_fit):
-        fm = fit_shrunk(random_fit, soft(0.0))
-        assert np.allclose(fm.y_fit, random_fit.y_hat, atol=1e-10)
+        y_fit = fit_shrunk(random_fit, soft(0.0))
+        assert np.allclose(y_fit, random_fit.y_hat, atol=1e-10)
 
     def test_total_shrinkage(self, random_fit):
-        lam = float(random_fit.d[0]) + 1.0
-        fm = fit_shrunk(random_fit, soft(lam))
-        assert fm.r_tilde == 0
-        assert np.allclose(fm.y_fit, 0)
+        # lambda = inf is legal: the zero-fit limit
+        for rule in (soft(float(random_fit.d[0]) + 1.0), soft(np.inf), adaptive(np.inf)):
+            assert not np.any(np.concatenate(rule.weights(random_fit.d)))
+            assert np.allclose(fit_shrunk(random_fit, rule), 0)
 
     def test_soft_shrunk_values(self):
-        rng = np.random.default_rng(26)
         x = np.eye(3)
         y = np.diag([2.0, 1.0, 0.0])[:, :2]
-        fm = fit_shrunk(fit_ols(x, y), soft(1.0))
-        assert np.allclose(np.sort(fm.d_tilde)[::-1], [1.0, 0.0])
+        ls = fit_ols(x, y)
+        d_tilde = soft(1.0).weights(ls.d)[0] * ls.d
+        assert np.allclose(np.sort(d_tilde)[::-1], [1.0, 0.0])
 
     def test_rejects_bad_rule(self, random_fit):
         class Bad(ShrinkageRule):
             def weights(self, d):
                 return np.linspace(0, 1, d.size), np.zeros(d.size)
 
-        with pytest.raises(ContractViolationError):
-            fit_shrunk(random_fit, Bad(kind="hard"))
+        for apply in (fit_shrunk, coef_matrix):
+            with pytest.raises(ContractViolationError):
+                apply(random_fit, Bad(kind="hard"))
 
     def test_column_space_containment(self, random_fit):
         p = projection_matrix(random_fit.x, random_fit.gram)
         for rule in (hard(2), soft(0.5), adaptive(0.5)):
-            fm = fit_shrunk(random_fit, rule)
-            assert np.linalg.norm(fm.y_fit - p @ fm.y_fit) < 1e-8
+            y_fit = fit_shrunk(random_fit, rule)
+            assert np.linalg.norm(y_fit - p @ y_fit) < 1e-8
 
 
 class TestCoefMatrix:
@@ -219,42 +223,47 @@ class TestCoefMatrix:
         x = rng.standard_normal((4, 4)) + 4 * np.eye(4)
         y = rng.standard_normal((4, 3))
         ls = fit_ols(x, y)
-        b = coef_matrix(fit_rrr(ls, ls.r_bar))
+        b = coef_matrix(ls, hard(ls.r_bar))
         assert np.allclose(b, np.linalg.solve(x, ls.y_hat), atol=1e-8)
 
     def test_total_shrinkage_zero(self, random_fit):
-        fm = fit_shrunk(random_fit, soft(float(random_fit.d[0]) + 1))
-        assert np.allclose(coef_matrix(fm), 0)
+        assert np.allclose(coef_matrix(random_fit, soft(float(random_fit.d[0]) + 1)), 0)
 
     def test_self_consistency(self, random_fit):
         for rule in (hard(1), hard(3), soft(0.7), adaptive(0.4)):
-            fm = fit_shrunk(random_fit, rule)
-            b = coef_matrix(fm)
-            assert np.linalg.norm(random_fit.x @ b - fm.y_fit) < 1e-8
+            b = coef_matrix(random_fit, rule)
+            assert np.linalg.norm(random_fit.x @ b - fit_shrunk(random_fit, rule)) < 1e-8
+
+    @pytest.mark.parametrize("shape", [(10, 5, 4), (6, 10, 3), (8, 3, 7)])
+    def test_self_consistency_across_shapes(self, shape):
+        n, p, q = shape
+        rng = np.random.default_rng(29)
+        ls = fit_ols(rng.standard_normal((n, p)), rng.standard_normal((n, q)))
+        rules = [hard(r) for r in range(ls.r_bar + 1)] + [soft(0.7), adaptive(0.4)]
+        for rule in rules:
+            assert np.linalg.norm(ls.x @ coef_matrix(ls, rule) - fit_shrunk(ls, rule)) < 1e-8
 
     def test_row_space_containment(self):
         rng = np.random.default_rng(28)
         x = rng.standard_normal((6, 10))  # rank-deficient design
         y = rng.standard_normal((6, 3))
         ls = fit_ols(x, y)
-        b = coef_matrix(fit_rrr(ls, 2))
+        b = coef_matrix(ls, hard(2))
         # b should be reachable from the row space of x
         proj = x.T @ np.linalg.pinv(x.T)
         assert np.linalg.norm(proj @ b - b) < 1e-8
 
-
-class TestRrrCoef:
-    @pytest.mark.parametrize("shape", [(10, 5, 4), (6, 10, 3), (8, 3, 7)])
-    def test_equals_coef_of_the_rank_r_fit(self, shape):
-        n, p, q = shape
-        rng = np.random.default_rng(29)
-        ls = fit_ols(rng.standard_normal((n, p)), rng.standard_normal((n, q)))
-        for r in range(1, ls.r_bar + 1):
-            assert np.array_equal(rrr_coef(ls, r), coef_matrix(fit_rrr(ls, r)))
-
     def test_rejects_out_of_range_ranks(self, random_fit):
-        for r in (0, -1, random_fit.r_bar + 1):
+        for r in (-1, random_fit.r_bar + 1):
             with pytest.raises(DomainError, match=f"rank {r} outside"):
-                rrr_coef(random_fit, r)
+                coef_matrix(random_fit, hard(r))
         with pytest.raises(DomainError, match=r"^rank 2.9 is not an integer$"):
-            rrr_coef(random_fit, 2.9)
+            coef_matrix(random_fit, hard(2.9))
+
+
+def test_public_names_resolve():
+    for name in rrdof.__all__:
+        assert getattr(rrdof, name) is not None
+    for gone in ("FittedModel", "fit_rrr", "rrr_coef"):
+        assert not hasattr(rrdof, gone)
+        assert gone not in rrdof.__all__

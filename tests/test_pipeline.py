@@ -176,9 +176,9 @@ class TestFixture:
 
 def reference_eval(x, y, criteria, n_splits, split_fraction=0.5, seed=0):
     """The split loop as it was before one rank path per split: one
-    select_rank and one coef_matrix(fit_rrr(...)) per criterion, plus OLS.
+    select_rank and one coef_matrix(ls, hard(r)) per criterion, plus OLS.
     Returns (mspe, ranks, failures) as eval_splits reports them."""
-    from rrdof.estimators import coef_matrix, fit_ols, fit_rrr
+    from rrdof.estimators import coef_matrix, fit_ols, hard
     from rrdof.exceptions import SaturationError
     from rrdof.pipeline import _mspe
     from rrdof.selection import select_rank
@@ -198,10 +198,10 @@ def reference_eval(x, y, criteria, n_splits, split_fraction=0.5, seed=0):
             got_mspe, got_ranks = {}, {}
             for name, crit in criteria.items():
                 rep = select_rank(ls, crit)
-                bhat = coef_matrix(fit_rrr(ls, rep.chosen))
+                bhat = coef_matrix(ls, hard(rep.chosen))
                 got_mspe[name] = _mspe(y_te, x_te @ bhat)
                 got_ranks[name] = rep.chosen
-            got_mspe["ols"] = _mspe(y_te, x_te @ coef_matrix(fit_rrr(ls, ls.r_bar)))
+            got_mspe["ols"] = _mspe(y_te, x_te @ coef_matrix(ls, hard(ls.r_bar)))
         except (SaturationError, DomainError) as exc:
             failures.append({"split": t, "error": str(exc)})
             continue

@@ -19,7 +19,7 @@ from rrdof.dof import (
     naive_df,
     sv_derivatives,
 )
-from rrdof.estimators import adaptive, fit_ols, fit_rrr, hard, soft, validate_weights
+from rrdof.estimators import adaptive, fit_ols, fit_shrunk, hard, soft, validate_weights
 from rrdof.exceptions import SaturationError
 from rrdof.linalg import thin_svd
 from rrdof.selection import Criterion, _scores, select_rank, select_ranks
@@ -344,7 +344,7 @@ def test_h_space_moments_equal_fitted_value_inner_products(seed, n, p, q):
     g = w.T @ delta
     got = _rank_moments(thin_svd(ls.hf.h + g), g)
     refit = fit_ols(x, y + delta)
-    fits = np.stack([fit_rrr(refit, r).y_fit for r in range(1, ls.r_bar + 1)])
+    fits = np.stack([fit_shrunk(refit, hard(r)) for r in range(1, ls.r_bar + 1)])
     want = np.einsum("kij,ij->k", fits, delta)
     # relative to the Cauchy-Schwarz bound, as an inner product can be ~0
     scale = np.linalg.norm(fits.reshape(ls.r_bar, -1), axis=1) * np.linalg.norm(delta)

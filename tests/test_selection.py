@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rrdof.dof import naive_df
-from rrdof.estimators import fit_ols, fit_rrr
+from rrdof.estimators import fit_ols, fit_shrunk, hard
 from rrdof.exceptions import DomainError
 from rrdof.selection import (
     Criterion,
@@ -79,8 +79,9 @@ class TestScores:
             Criterion(kind="gcv", df_mode="approximate")
         with pytest.raises(DomainError):
             Criterion(kind="cp")  # missing sigma2
-        with pytest.raises(DomainError):
-            Criterion(kind="cp", sigma2=0.0)
+        for sigma2 in (0.0, float("nan")):
+            with pytest.raises(DomainError, match="sigma2"):
+                Criterion(kind="cp", sigma2=sigma2)
 
 
 class TestLambdaGrid:
@@ -104,7 +105,7 @@ class TestRssPath:
         ls = fit_ols(x, y)
         ranks = list(range(1, ls.r_bar + 1))
         path = rss_path(ls, ranks)
-        direct = [float(np.sum((y - fit_rrr(ls, r).y_fit) ** 2)) for r in ranks]
+        direct = [float(np.sum((y - fit_shrunk(ls, hard(r))) ** 2)) for r in ranks]
         assert np.allclose(path, direct, rtol=1e-10)
 
     def test_full_rank_is_base_rss(self):

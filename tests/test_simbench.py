@@ -6,7 +6,7 @@ import pytest
 
 from rrdof import simbench
 from rrdof.dof import DofEstimate, _cov_df, _substream, exact_df_rrr, naive_df
-from rrdof.estimators import fit_ols, fit_rrr
+from rrdof.estimators import fit_ols, fit_shrunk, hard
 from rrdof.exceptions import DomainError
 from rrdof.linalg import thin_svd
 from rrdof.selection import Criterion, select_rank
@@ -36,8 +36,9 @@ class TestSimConfig:
     def test_validation(self):
         with pytest.raises(DomainError):
             SimConfig(n=10, p=3, q=3, r0=4)
-        with pytest.raises(DomainError):
-            SimConfig(n=10, p=3, q=3, r0=2, sigma2=0.0)
+        for sigma2 in (0.0, float("nan")):
+            with pytest.raises(DomainError, match="sigma2"):
+                SimConfig(n=10, p=3, q=3, r0=2, sigma2=sigma2)
         with pytest.raises(DomainError):
             SimConfig(n=10, p=3, q=3, r0=2, rho=1.0)
 
@@ -196,7 +197,7 @@ def test_cov_engine_is_accurate_under_a_large_mean(seed):
 
 def _reference_dof_study(cfg, n_pert):
     # The study loop as first written: a fresh Gram factorisation for every
-    # refit, one fit_rrr per rank, and n*q fitted values for both covariance
+    # refit, one hard-rule fit per rank, and n*q fitted values for both covariance
     # estimates.
     x, _, _, _ = gen_instance(cfg, 0)
     r_x = fit_ols(x, np.zeros((cfg.n, cfg.q))).gram.r_x
@@ -212,7 +213,7 @@ def _reference_dof_study(cfg, n_pert):
         ls = fit_ols(x, y)
         for a, r in enumerate(ranks):
             exact[t, a] = exact_df_rrr(ls.d, r_x, cfg.q, r).value
-            fitted[a, t] = fit_rrr(ls, r).y_fit.ravel()
+            fitted[a, t] = fit_shrunk(ls, hard(r)).ravel()
         p_fitted = np.empty((len(ranks), n_pert, cfg.n * cfg.q))
         deltas = np.empty((n_pert, cfg.n * cfg.q))
         for k in range(n_pert):
@@ -220,7 +221,7 @@ def _reference_dof_study(cfg, n_pert):
             deltas[k] = delta.ravel()
             ls_k = fit_ols(x, y + delta)
             for a, r in enumerate(ranks):
-                p_fitted[a, k] = fit_rrr(ls_k, r).y_fit.ravel()
+                p_fitted[a, k] = fit_shrunk(ls_k, hard(r)).ravel()
         pert[t] = [_reference_cov_df(p_fitted[a], deltas, tau**2)[0] for a in range(len(ranks))]
     mc = [DofEstimate(value=v, method="monte_carlo", std_error=se)
           for v, se in (_reference_cov_df(fitted[a], draws, cfg.sigma2) for a in range(len(ranks)))]

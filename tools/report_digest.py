@@ -47,6 +47,9 @@ def commands(data: list[str]) -> list[tuple[str, list[str], list[str]]]:
         runs.append((f"dof_{method}", ["dof", *data, "--method", method, *flags], ["--output"]))
     for rule in ("soft", "adaptive"):  # the weight-derivative and flag terms of exact_df_shrunk
         runs.append((f"dof_exact_{rule}", ["dof", *data, "--method", "exact", *RULES[rule]], ["--output"]))
+    ols = {"mc": ["--sigma2", "1", "--reps", "20"], "perturb": ["--reps", "20"]}
+    for method, flags in ols.items():  # no rule flag: the refits are least squares
+        runs.append((f"dof_{method}_ols", ["dof", *data, "--method", method, *flags], ["--output"]))
     for kind in ("gcv", "bic"):
         for mode in ("exact", "naive"):
             runs.append((f"select_{kind}_{mode}",
