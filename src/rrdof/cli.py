@@ -269,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--sigma2", type=float, help="error variance (required for cp)")
     sp.add_argument("--splits", type=int, default=100)
     sp.add_argument("--split-fraction", type=float, default=0.5)
-    sp.add_argument("--jobs", type=int, default=1, help="worker threads for splits")
+    sp.add_argument("--jobs", type=int, default=1, help="worker threads, >= 1 (threads do not speed up splits)")
     sp.add_argument("--output", required=True)
     sp.set_defaults(func=cmd_eval)
 

@@ -347,8 +347,8 @@ def mc_df(
     """
     if reps < 3:
         raise DomainError("reps must be at least 3")
-    if not sigma2 > 0:
-        raise DomainError("sigma2 must be positive")
+    if not 0 < sigma2 < np.inf:
+        raise DomainError("sigma2 must be positive and finite")
     sd = float(np.sqrt(sigma2))
     return _refit_cov(fitter, as_matrix(mean), sd, sigma2, reps, seed, 0, "monte_carlo")
 
@@ -361,6 +361,6 @@ def perturbation_df(
     (substream (1, t)), drawn first and then refitted, through `_cov_df`."""
     if n_pert < 3:
         raise DomainError("n_pert must be at least 3")
-    if not tau > 0:
-        raise DomainError("tau must be positive")
+    if not 0 < tau < np.inf:
+        raise DomainError("tau must be positive and finite")
     return _refit_cov(fitter, as_matrix(y), tau, tau**2, n_pert, seed, 1, "perturbation")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dof import _substream
-from .estimators import coef_matrix, fit_ols, hard
+from .estimators import LsFit, fit_ols
 from .exceptions import DomainError, ParseError, RrdofError, SaturationError
 from .selection import Criterion, select_ranks
 
@@ -141,24 +141,32 @@ class EvalReport:
         }
 
 
-def _mspe(y_test: np.ndarray, y_pred: np.ndarray) -> float:
-    # Factor 2 follows the equal-halves convention of the train/test split;
-    # normalization is by the test size explicitly so other fractions stay
-    # well defined.
-    n_test, q = y_test.shape
-    return 2.0 * float(np.sum((y_test - y_pred) ** 2)) / (n_test * q)
+def _mspe_path(ls: LsFit, x_te: np.ndarray, y_te: np.ndarray) -> np.ndarray:
+    """Held-out MSPE 2 ||Y_te - X_te B_r||^2 / (n_te q) of every hard rank
+    r = 1..r_bar as one array (entry r - 1), for the rank-r coefficients B_r.
+
+    With Z = X_te Q S^-1 U diag(d) and A = Y_te V, X_te B_r = Z_{:r} V_{:r}',
+    so the squared error is ||Y_te - A V'||^2 + sum_{k<r} ||a_k - z_k||^2 +
+    sum_{k>=r} ||a_k||^2: the held-out analogue of rss_path's tail sum, and a
+    sum of nonnegative terms, so nothing cancels at high SNR. The factor 2
+    follows the equal-halves convention of the split.
+    """
+    v = ls.hf.svd.right
+    z = ((x_te @ ls.gram.q_mat) / ls.gram.s[None, :]) @ (ls.hf.svd.left * ls.d[None, :])
+    a = y_te @ v
+    head = np.cumsum(np.sum((a - z) ** 2, axis=0))  # head[r-1] = sum_{k<r}
+    tail = np.append(np.cumsum(np.sum(a**2, axis=0)[:0:-1])[::-1], 0.0)  # tail[r-1] = sum_{k>=r}
+    return 2.0 * (np.sum((y_te - a @ v.T) ** 2) + head + tail) / y_te.size
 
 
 def _eval_one_split(x, y, criteria, n_train, seed, t):
     perm = _substream(seed, 3, t).permutation(x.shape[0])
     train, test = perm[:n_train], perm[n_train:]
-    x_te, y_te = x[test], y[test]
     ls = fit_ols(x[train], y[train])
     ranks = {name: rep.chosen for name, rep in select_ranks(ls, criteria).items()}
-    # One prediction per distinct rank; OLS is the rank-r_bar fit.
-    by_rank = {r: _mspe(y_te, x_te @ coef_matrix(ls, hard(r))) for r in {*ranks.values(), ls.r_bar}}
-    mspe = {name: by_rank[r] for name, r in ranks.items()}
-    mspe["ols"] = by_rank[ls.r_bar]
+    path = _mspe_path(ls, x[test], y[test]).tolist()  # OLS is the rank-r_bar fit
+    mspe = {name: path[r - 1] for name, r in ranks.items()}
+    mspe["ols"] = path[-1]
     return mspe, ranks
 
 
@@ -176,11 +184,11 @@ def eval_splits(
     Each criterion selects a rank on the training half; MSPE is recorded on
     the held-out half, alongside a full-rank OLS baseline. All criteria of a
     split are scored by one ``select_ranks`` call on one rss path and one df
-    path per df mode, and each distinct chosen rank (and the OLS rank r_bar)
-    is predicted once from its coefficient matrix. Any rrdof error on one
-    split (from the first criterion that fails) is recorded and the run
-    continues. With jobs > 1 splits run on a thread pool; results merge in
-    split order either way.
+    path per df mode; each chosen rank and the OLS rank r_bar read their MSPE
+    from one held-out tail-sum path (``_mspe_path``), with no coefficient
+    matrix. Any rrdof error on one split (from the first criterion that
+    fails) is recorded and the run continues. jobs > 1 runs splits on a
+    thread pool (no faster: they hold the GIL); results merge in split order.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -188,6 +196,8 @@ def eval_splits(
         raise DomainError("x and y must have the same number of rows")
     if n_splits < 1:
         raise DomainError("n_splits must be at least 1")
+    if jobs < 1:
+        raise DomainError("jobs must be at least 1")
     if not 0.0 < split_fraction < 1.0:
         raise DomainError("split_fraction must be in (0, 1)")
     n = x.shape[0]

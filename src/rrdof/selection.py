@@ -57,8 +57,8 @@ class Criterion:
             raise DomainError(f"unknown criterion kind: {self.kind!r}")
         if self.df_mode not in ("exact", "naive"):
             raise DomainError(f"unknown df mode: {self.df_mode!r}")
-        if self.kind == "cp" and (self.sigma2 is None or not self.sigma2 > 0):
-            raise DomainError("cp requires sigma2 > 0")
+        if self.kind == "cp" and (self.sigma2 is None or not 0 < self.sigma2 < math.inf):
+            raise DomainError("cp requires a finite sigma2 > 0")
 
 
 @dataclass(frozen=True)

@@ -36,8 +36,8 @@ class SimConfig:
     def __post_init__(self):
         if self.r0 > min(self.p, self.q):
             raise DomainError("r0 cannot exceed min(p, q)")
-        if not self.sigma2 > 0:
-            raise DomainError("sigma2 must be positive")
+        if not 0 < self.sigma2 < np.inf:
+            raise DomainError("sigma2 must be positive and finite")
         if not 0 <= self.rho < 1:
             raise DomainError("rho must be in [0, 1)")
 

@@ -22,6 +22,17 @@ def data_paths(tmp_path):
     return str(xp), str(yp), tmp_path
 
 
+def rejected(data_paths, capsys, argv):
+    """Run ``rrdof argv[0]`` on the data with argv[1:] and an --output path;
+    check that it exits 2 and writes no report, and return its stderr."""
+    xp, yp, tmp = data_paths
+    out = tmp / "r.json"
+    rc = main([argv[0], "--x", xp, "--y", yp, *argv[1:], "--output", str(out)])
+    assert rc == 2
+    assert not out.exists()
+    return capsys.readouterr().err
+
+
 def read_report(path):
     doc = json.loads(path.read_text())
     assert doc["schema_version"] == 1
@@ -274,6 +285,11 @@ class TestSimulate:
 
 
 class TestEval:
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_is_an_error(self, data_paths, capsys, jobs):
+        err = rejected(data_paths, capsys, ["eval", "--splits", "2", "--jobs", jobs])
+        assert "jobs must be at least 1" in err
+
     def test_eval_report(self, data_paths):
         xp, yp, tmp = data_paths
         out = tmp / "eval.json"
@@ -296,9 +312,15 @@ class TestEval:
     (["dof", "--method", "perturb", "--rank", "2", "--tau", "nan"], "tau"),
 ], ids=["select", "eval", "fit-soft", "fit-gamma", "dof-mc", "dof-perturb"])
 def test_nan_parameter_is_an_error(data_paths, capsys, argv, name):
-    xp, yp, tmp = data_paths
-    out = tmp / "r.json"
-    rc = main([argv[0], "--x", xp, "--y", yp, *argv[1:], "--output", str(out)])
-    assert rc == 2
-    assert name in capsys.readouterr().err
-    assert not out.exists()
+    assert name in rejected(data_paths, capsys, argv)
+
+
+@pytest.mark.parametrize("argv,name", [
+    (["select", "--criterion", "cp", "--sigma2", "inf"], "sigma2"),
+    (["eval", "--criterion", "cp", "--sigma2", "inf", "--splits", "2"], "sigma2"),
+    (["dof", "--method", "mc", "--rank", "2", "--sigma2", "inf"], "sigma2"),
+    (["dof", "--method", "perturb", "--rank", "2", "--tau", "inf"], "tau"),
+], ids=["select", "eval", "dof-mc", "dof-perturb"])
+def test_infinite_parameter_is_an_error(data_paths, capsys, argv, name):
+    err = rejected(data_paths, capsys, argv)
+    assert name in err and "finite" in err

@@ -466,11 +466,11 @@ class TestStochasticEstimators:
             with pytest.raises(DomainError):
                 perturbation_df(np.zeros((3, 2)), lambda y: y, n_pert=2, tau=0.1, seed=0)
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
     def test_scale_validation(self, bad):
-        with pytest.raises(DomainError, match="^sigma2 must be positive$"):
+        with pytest.raises(DomainError, match="^sigma2 must be positive and finite$"):
             mc_df(np.zeros((3, 2)), bad, lambda y: y, reps=3, seed=0)
-        with pytest.raises(DomainError, match="^tau must be positive$"):
+        with pytest.raises(DomainError, match="^tau must be positive and finite$"):
             perturbation_df(np.zeros((3, 2)), lambda y: y, n_pert=3, tau=bad, seed=0)
 
     def test_seed_reproducibility(self):

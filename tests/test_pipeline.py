@@ -158,6 +158,9 @@ class TestEvalSplits:
             eval_splits(x, y, crit, n_splits=0)
         with pytest.raises(DomainError):
             eval_splits(x, y, crit, n_splits=2, split_fraction=1.5)
+        for jobs in (0, -2):
+            with pytest.raises(DomainError, match="^jobs must be at least 1$"):
+                eval_splits(x, y, crit, n_splits=2, jobs=jobs)
 
 
 class TestFixture:
@@ -174,13 +177,18 @@ class TestFixture:
         assert np.array_equal(ingest_csv(py), y)
 
 
+def direct_mspe(y_te, pred):
+    """2 ||Y_te - pred||^2 / (n_te q): the held-out error as a direct residual."""
+    return 2.0 * float(np.sum((y_te - pred) ** 2)) / y_te.size
+
+
 def reference_eval(x, y, criteria, n_splits, split_fraction=0.5, seed=0):
-    """The split loop as it was before one rank path per split: one
-    select_rank and one coef_matrix(ls, hard(r)) per criterion, plus OLS.
-    Returns (mspe, ranks, failures) as eval_splits reports them."""
+    """The split loop as a black box: one select_rank and one
+    coef_matrix(ls, hard(r)) per criterion, plus OLS, each scored by its
+    direct held-out residual. Returns (mspe, ranks, failures) as eval_splits
+    reports them."""
     from rrdof.estimators import coef_matrix, fit_ols, hard
     from rrdof.exceptions import SaturationError
-    from rrdof.pipeline import _mspe
     from rrdof.selection import select_rank
 
     n_train = int(round(x.shape[0] * split_fraction))
@@ -199,9 +207,9 @@ def reference_eval(x, y, criteria, n_splits, split_fraction=0.5, seed=0):
             for name, crit in criteria.items():
                 rep = select_rank(ls, crit)
                 bhat = coef_matrix(ls, hard(rep.chosen))
-                got_mspe[name] = _mspe(y_te, x_te @ bhat)
+                got_mspe[name] = direct_mspe(y_te, x_te @ bhat)
                 got_ranks[name] = rep.chosen
-            got_mspe["ols"] = _mspe(y_te, x_te @ coef_matrix(ls, hard(ls.r_bar)))
+            got_mspe["ols"] = direct_mspe(y_te, x_te @ coef_matrix(ls, hard(ls.r_bar)))
         except (SaturationError, DomainError) as exc:
             failures.append({"split": t, "error": str(exc)})
             continue
@@ -237,6 +245,14 @@ def saturating_xy():
     return x, y
 
 
+def assert_mspe_close(got, want):
+    # The held-out path sums the squared error in another order than the
+    # direct residual does, so MSPE agrees to roundoff, not bit for bit.
+    assert got.keys() == want.keys()
+    for name in want:
+        np.testing.assert_allclose(got[name], want[name], rtol=1e-13, atol=0)
+
+
 def _train_x(x, seed, t):
     # the training rows of split t, drawn as eval_splits draws them
     from rrdof.dof import _substream
@@ -252,7 +268,7 @@ class TestOneRankPathPerSplit:
         x, y = synthetic_fixture() if data == "fixture" else wide_xy()
         got = eval_splits(x, y, ALL_CRITERIA, n_splits=25, seed=5, jobs=jobs)
         mspe, ranks, failures = reference_eval(x, y, ALL_CRITERIA, n_splits=25, seed=5)
-        assert got.mspe == mspe
+        assert_mspe_close(got.mspe, mspe)
         assert got.ranks == ranks
         assert got.failures == failures
 
@@ -275,6 +291,19 @@ class TestOneRankPathPerSplit:
         rep = eval_splits(x, y, ALL_CRITERIA, n_splits=7, seed=2)
         assert len(calls) == 7
         assert len(rep.mspe["ols"]) == 7
+
+    def test_no_coefficient_matrix_per_split(self, monkeypatch):
+        from rrdof import estimators
+
+        def no_coef(*args, **kwargs):
+            raise AssertionError("the eval path built a coefficient matrix")
+
+        # every coefficient matrix and fit weighs the spectrum through _weights
+        monkeypatch.setattr(estimators, "coef_matrix", no_coef)
+        monkeypatch.setattr(estimators, "_weights", no_coef)
+        x, y = synthetic_fixture()
+        rep = eval_splits(x, y, ALL_CRITERIA, n_splits=7, seed=2)
+        assert not rep.failures and len(rep.mspe["ols"]) == 7
 
     @pytest.mark.parametrize("jobs", [1, 4])
     def test_any_rrdof_error_is_recorded_per_split(self, monkeypatch, jobs):
@@ -306,4 +335,5 @@ class TestOneRankPathPerSplit:
         assert 0 < len(got.failures) < 12
         assert got.failures == failures
         assert all(f["error"] == "every candidate rank saturates the criterion" for f in failures)
-        assert got.mspe == mspe and got.ranks == ranks
+        assert_mspe_close(got.mspe, mspe)
+        assert got.ranks == ranks

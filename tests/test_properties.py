@@ -19,9 +19,10 @@ from rrdof.dof import (
     naive_df,
     sv_derivatives,
 )
-from rrdof.estimators import adaptive, fit_ols, fit_shrunk, hard, soft, validate_weights
+from rrdof.estimators import adaptive, coef_matrix, fit_ols, fit_shrunk, hard, soft, validate_weights
 from rrdof.exceptions import SaturationError
 from rrdof.linalg import thin_svd
+from rrdof.pipeline import _mspe_path
 from rrdof.selection import Criterion, _scores, select_rank, select_ranks
 from test_selection import assert_scores_match
 
@@ -350,3 +351,46 @@ def test_h_space_moments_equal_fitted_value_inner_products(seed, n, p, q):
     scale = np.linalg.norm(fits.reshape(ls.r_bar, -1), axis=1) * np.linalg.norm(delta)
     assert got.shape == (ls.r_bar,)
     assert np.all(np.abs(got - want) <= 1e-10 * scale)
+
+
+def held_out_design(rng, design):
+    """(n_train, n_test, p, q): r_x = p > q when "tall", r_x = p < q when
+    "q_above_r_x", and r_x = n_train < p when "wide". At least 4 test rows,
+    so a high-SNR residual is not one entry that is small by chance."""
+    if design == "tall":
+        p = rng.integers(2, 9)
+        n_train, q = rng.integers(p + 1, 40), rng.integers(1, p)
+    elif design == "q_above_r_x":
+        p = rng.integers(1, 7)
+        n_train, q = rng.integers(p + 1, 40), rng.integers(p + 1, 10)
+    else:
+        n_train = rng.integers(2, 11)
+        p, q = rng.integers(n_train + 1, 17), rng.integers(1, 9)
+    return n_train, rng.integers(4, 30), p, q
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    design=st.sampled_from(["tall", "q_above_r_x", "wide"]),
+    snr=st.sampled_from([(1.0, 1.0), (100.0, 1e-6)]),
+)
+@hypothesis.example(seed=0, design="tall", snr=(100.0, 1e-6))
+def test_held_out_mspe_path_is_a_direct_residual(seed, design, snr):
+    # The held-out path is >= 0 and matches a long-double residual of the
+    # rank-r coefficient matrices at every rank, at high SNR too (signal x100,
+    # noise sd 1e-6), where ||Y||^2 - 2<Y, XB> + ||XB||^2 cancels to noise.
+    rng = np.random.default_rng(seed)
+    n_train, n_test, p, q = held_out_design(rng, design)
+    scale, noise = snr
+    r0 = rng.integers(1, min(p, q) + 1)
+    x = rng.standard_normal((n_train + n_test, p))
+    b = scale * rng.standard_normal((p, r0)) @ rng.standard_normal((r0, q))
+    y = x @ b + noise * rng.standard_normal((n_train + n_test, q))
+    ls = fit_ols(x[:n_train], y[:n_train])
+    got = _mspe_path(ls, x[n_train:], y[n_train:])
+    x_te, y_te = x[n_train:].astype(np.longdouble), y[n_train:].astype(np.longdouble)
+    want = [2 * np.sum((y_te - x_te @ coef_matrix(ls, hard(r)).astype(np.longdouble)) ** 2) / y_te.size
+            for r in range(1, ls.r_bar + 1)]
+    assert got.shape == (ls.r_bar,) and np.all(got >= 0)
+    np.testing.assert_allclose(got, np.array(want, dtype=float), rtol=1e-5, atol=0)

@@ -79,7 +79,7 @@ class TestScores:
             Criterion(kind="gcv", df_mode="approximate")
         with pytest.raises(DomainError):
             Criterion(kind="cp")  # missing sigma2
-        for sigma2 in (0.0, float("nan")):
+        for sigma2 in (0.0, float("nan"), float("inf")):
             with pytest.raises(DomainError, match="sigma2"):
                 Criterion(kind="cp", sigma2=sigma2)
 

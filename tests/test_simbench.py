@@ -36,7 +36,7 @@ class TestSimConfig:
     def test_validation(self):
         with pytest.raises(DomainError):
             SimConfig(n=10, p=3, q=3, r0=4)
-        for sigma2 in (0.0, float("nan")):
+        for sigma2 in (0.0, float("nan"), float("inf")):
             with pytest.raises(DomainError, match="sigma2"):
                 SimConfig(n=10, p=3, q=3, r0=2, sigma2=sigma2)
         with pytest.raises(DomainError):
