@@ -92,12 +92,10 @@ def cmd_dof(args) -> int:
     elif method == "mc":
         if args.sigma2 is None:
             raise RrdofError("--method mc requires --sigma2")
-        fitter = _fitter_from(rule, ls)
-        est = dof_mod.mc_df(ls.y_hat, args.sigma2, fitter, reps=args.reps, seed=seed)
+        est = dof_mod.mc_df(ls, rule, args.sigma2, reps=args.reps, seed=seed)
     elif method == "perturb":
         tau = args.tau if args.tau is not None else 0.1 * _sigma_hat(ls)
-        fitter = _fitter_from(rule, ls)
-        est = dof_mod.perturbation_df(y, fitter, n_pert=args.reps, tau=tau, seed=seed)
+        est = dof_mod.perturbation_df(ls, rule, n_pert=args.reps, tau=tau, seed=seed)
     else:  # pragma: no cover - argparse restricts choices
         raise RrdofError(f"unknown method {method}")
     payload = asdict(est)
@@ -129,16 +127,6 @@ def _checked_rule(args, ls):
     if args.adaptive is not None:
         return adaptive(args.adaptive, gamma=args.gamma)
     return None
-
-
-def _fitter_from(rule, ls):
-    """Refit ls.x under `rule` (None: least squares) reusing ls.gram."""
-
-    def fitter(y_draw):
-        refit = fit_ols(ls.x, y_draw, gram=ls.gram)
-        return refit.y_hat if rule is None else fit_shrunk(refit, rule)
-
-    return fitter
 
 
 def cmd_select(args) -> int:

@@ -18,9 +18,10 @@ data-perturbation covariance estimators).
 
 The covariance estimators share one engine, `_cov_df`, closed in the moments
 a_t = <F_t, D_t>, b_t = <F_t, mean D> and c_t = <mean F, D_t> of fits F_t and
-draws D_t. With W = X Q S^-1 (orthonormal columns) a rank-r fit is W H_r, so
-<Y_hat_r, D> = sum_{k<=r} d_k u_k' (W'D) v_k: one SVD of H + W'D gives the
-moments of every rank (`_rank_moments`) without an n x q fit.
+draws D_t. With W = X Q S^-1 (orthonormal columns) the fit of Y + D under a
+rule is W f(H + G), G = W'D, so <F, D> = sum_k s_k d_k u_k' G v_k on the SVD
+of H + G: one stacked SVD over the draws, no n x q fit; every hard rank at
+once by cumulative sums (`_rank_moments`).
 
 The derivatives of the SVD H = U D V' (H tall) with respect to h_ij come in
 factored form for a whole row i at once: with hv = h_i' V,
@@ -34,11 +35,10 @@ so the analytic divergence takes one SVD and two q x q products per row.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .estimators import ShrinkageRule, _checked_ranks, validate_weights
+from .estimators import LsFit, ShrinkageRule, _checked_ranks, _weights, validate_weights
 from .exceptions import ContractViolationError, DegeneracyError, DomainError
 from .linalg import SvdFactors, _svd, as_matrix, thin_svd
 
@@ -315,52 +315,63 @@ def _cov_df(a: np.ndarray, b: np.ndarray, c: np.ndarray | None, scale: float) ->
     return value, se
 
 
+def _sv_terms(f: SvdFactors, g: np.ndarray) -> np.ndarray:
+    """d_k u_k' G v_k for the thin SVD f of one H or a stack of them and each
+    G of the stack g (..., r_x, q)."""
+    terms = g @ f.right
+    terms *= f.left  # in place: one stack of products alive at a time
+    return f.d * np.sum(terms, axis=-2)
+
+
 def _rank_moments(f: SvdFactors, g: np.ndarray) -> np.ndarray:
-    """<H_r, G> at every rank r, for the H with thin SVD f and each G of the
-    stack g (..., r_x, q): cumulative sums of d_k u_k' G v_k."""
-    return np.cumsum(f.d * np.sum(f.left * (g @ f.right), axis=-2), axis=-1)
+    """<H_r, G> at every rank r: cumulative sums of `_sv_terms`."""
+    return np.cumsum(_sv_terms(f, g), axis=-1)
 
 
-def _refit_cov(fitter, center: np.ndarray, sd: float, scale: float, m: int, seed: int,
-               stream: int, method: str) -> DofEstimate:
-    """Draw D_t = sd * N(0, I) from substream (stream, t) of `seed` for t < m,
-    refit center + D_t, and pass the moments of the fits against D_t to
-    `_cov_df`."""
-    draws = np.stack([sd * _substream(seed, stream, t).standard_normal(center.shape) for t in range(m)])
-    fitted = np.stack([np.asarray(fitter(z), dtype=float) for z in center + draws]).reshape(m, -1)
-    draws = draws.reshape(m, -1)
-    a = np.einsum("ti,ti->t", fitted, draws)
-    value, se = _cov_df(a, fitted @ draws.mean(axis=0), draws @ fitted.mean(axis=0), scale)
+def _normal_draws(out: np.ndarray, sd: float, seed: int, *path: int) -> np.ndarray:
+    """`out`, with out[k] = sd * N(0, I) from substream (*path, k) of `seed`."""
+    for k, draw in enumerate(out):
+        _substream(seed, *path, k).standard_normal(out=draw)
+    out *= sd
+    return out
+
+
+def _h_space_cov(ls: LsFit, rule: ShrinkageRule | None, sd: float, scale: float, m: int,
+                 seed: int, stream: int, method: str) -> DofEstimate:
+    """Draw D_t = sd * N(0, I) from substream (stream, t) of `seed` for t < m
+    and pass the moments of the fits of ls.y + D_t under `rule` (None: least
+    squares, s = 1) against D_t to `_cov_df`, from one stacked SVD of
+    H + G_t: <F_t, D_t> = s(d_t) . c_t, c_tk = d_k u_k' G_t v_k, G_t = W'D_t."""
+    w = (ls.x @ ls.gram.q_mat) / ls.gram.s
+    g = w.T @ _normal_draws(np.empty((m, *ls.y.shape)), sd, seed, stream)
+    f = _svd(ls.hf.h + g)
+    s = np.ones_like(f.d) if rule is None else _weights(rule, f.d)
+    fit_mean = np.tensordot(f.left * (s * f.d)[:, None, :], f.right, axes=([0, 2], [0, 2])) / m
+    a = np.sum(s * _sv_terms(f, g), axis=-1)
+    b = np.sum(s * _sv_terms(f, g.mean(axis=0)), axis=-1)
+    value, se = _cov_df(a, b, g.reshape(m, -1) @ fit_mean.ravel(), scale)
     return DofEstimate(value=float(value), method=method, std_error=float(se))
 
 
-def mc_df(
-    mean, sigma2: float, fitter: Callable[[np.ndarray], np.ndarray], reps: int, seed: int
-) -> DofEstimate:
-    """Monte-Carlo estimate of sum_ij cov(mu_hat_ij, y_ij) / sigma2.
-
-    Draws the noise E_t (variance sigma2, substream (0, t)) first, refits
-    each Y_t = mean + E_t, and passes the moments of the fits against E_t
-    (cov(F, Y) = cov(F, E) for the known mean, without cancelling sums) to
-    the covariance engine `_cov_df`: unbiased sample covariances across
-    replications plus a jackknife standard error.
-    """
+def mc_df(ls: LsFit, rule: ShrinkageRule | None, sigma2: float, reps: int, seed: int) -> DofEstimate:
+    """Monte-Carlo estimate of sum_ij cov(mu_hat_ij, y_ij) / sigma2 for the
+    fit of `rule` (None: least squares) on the design of `ls` around the mean
+    ls.y_hat, with moments against the noise E_t (substream (0, t)): cov(F, Y)
+    = cov(F, E) for the known mean, without cancelling sums."""
     if reps < 3:
         raise DomainError("reps must be at least 3")
     if not 0 < sigma2 < np.inf:
         raise DomainError("sigma2 must be positive and finite")
-    sd = float(np.sqrt(sigma2))
-    return _refit_cov(fitter, as_matrix(mean), sd, sigma2, reps, seed, 0, "monte_carlo")
+    return _h_space_cov(ls, rule, float(np.sqrt(sigma2)), sigma2, reps, seed, 0, "monte_carlo")
 
 
-def perturbation_df(
-    y, fitter: Callable[[np.ndarray], np.ndarray], n_pert: int, tau: float, seed: int
-) -> DofEstimate:
+def perturbation_df(ls: LsFit, rule: ShrinkageRule | None, n_pert: int, tau: float, seed: int) -> DofEstimate:
     """Data-perturbation estimate sum_ij cov(mu_hat_ij(Y + D), D_ij) / tau^2
-    over Gaussian perturbations D with entrywise standard deviation tau
-    (substream (1, t)), drawn first and then refitted, through `_cov_df`."""
+    for the fit of `rule` (None: least squares) on the data of `ls`, over
+    Gaussian perturbations D with entrywise standard deviation tau
+    (substream (1, t)), taken in H space through `_cov_df`."""
     if n_pert < 3:
         raise DomainError("n_pert must be at least 3")
     if not 0 < tau < np.inf:
         raise DomainError("tau must be positive and finite")
-    return _refit_cov(fitter, as_matrix(y), tau, tau**2, n_pert, seed, 1, "perturbation")
+    return _h_space_cov(ls, rule, tau, tau**2, n_pert, seed, 1, "perturbation")

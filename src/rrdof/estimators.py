@@ -30,16 +30,16 @@ class ShrinkageRule:
     gamma: float = 2.0
 
     def weights(self, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Weights and derivatives evaluated at the singular values `d`.
+        """Weights and derivatives at the singular values `d`, along its last axis.
 
         At the threshold point d_k = lam the derivative is taken from the
         right; the non-differentiable set has measure zero.
         """
         d = np.asarray(d, dtype=float)
         if self.kind == "hard":
-            if self.rank > d.size:
-                raise DomainError(f"rank {self.rank} outside [0, {d.size}]")
-            s = np.where(np.arange(d.size) < self.rank, 1.0, 0.0)
+            if self.rank > d.shape[-1]:
+                raise DomainError(f"rank {self.rank} outside [0, {d.shape[-1]}]")
+            s = np.where(np.arange(d.shape[-1]) < self.rank, 1.0, np.zeros_like(d))
             return s, np.zeros_like(d)
         with np.errstate(divide="ignore", invalid="ignore"):
             if self.kind == "soft":
@@ -136,8 +136,8 @@ def fit_ols(x, y, gram: GramFactors | None = None) -> LsFit:
     return LsFit(x=x, y=y, gram=gf, hf=hf, y_hat=y_hat, r_bar=min(gf.r_x, y.shape[1]))
 
 
-def _weights(ls: LsFit, rule: ShrinkageRule) -> np.ndarray:
-    s, s_prime = rule.weights(ls.d)
+def _weights(rule: ShrinkageRule, d: np.ndarray) -> np.ndarray:
+    s, s_prime = rule.weights(d)
     validate_weights(s, s_prime)
     return s
 
@@ -146,11 +146,11 @@ def fit_shrunk(ls: LsFit, rule: ShrinkageRule) -> np.ndarray:
     """Fitted values of `rule` applied to the singular values of the
     least-squares fit: Y_hat V diag(s) V'."""
     v = ls.hf.svd.right
-    return (ls.y_hat @ (v * _weights(ls, rule))) @ v.T
+    return (ls.y_hat @ (v * _weights(rule, ls.d))) @ v.T
 
 
 def coef_matrix(ls: LsFit, rule: ShrinkageRule) -> np.ndarray:
     """Coefficient matrix B with X @ B = fit_shrunk(ls, rule), lying in the
     row space of X: B = Q S^-1 U diag(s * d) V'."""
-    core = (ls.hf.svd.left * (_weights(ls, rule) * ls.d)[None, :]) @ ls.hf.svd.right.T
+    core = (ls.hf.svd.left * (_weights(rule, ls.d) * ls.d)[None, :]) @ ls.hf.svd.right.T
     return (ls.gram.q_mat / ls.gram.s[None, :]) @ core

@@ -73,13 +73,13 @@ def _fix_signs(u: np.ndarray, vt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _svd(m: np.ndarray) -> SvdFactors:
-    """Thin SVD of a validated matrix, with the backend's signs: for loops
-    whose result does not change when a singular-vector pair is negated."""
+    """Thin SVD of a validated matrix or stack (..., rows, cols) of them, with
+    the backend's signs: for callers blind to negating a singular-vector pair."""
     try:
         u, d, vt = np.linalg.svd(m, full_matrices=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - backend dependent
         raise NumericalError(f"SVD did not converge: {exc}") from exc
-    return SvdFactors(left=u, d=d, right=vt.T)
+    return SvdFactors(left=u, d=d, right=vt.swapaxes(-1, -2))
 
 
 def thin_svd(m) -> SvdFactors:

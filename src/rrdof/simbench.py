@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dof import DofEstimate, _cov_df, _rank_moments, _substream, exact_df_path, naive_df
+from .dof import DofEstimate, _cov_df, _normal_draws, _rank_moments, _substream, exact_df_path, naive_df
 from .estimators import coef_matrix, fit_ols, hard
 from .exceptions import DomainError
 from .linalg import _svd, gram_factors, thin_svd
@@ -123,14 +123,14 @@ def run_dof_study(cfg: SimConfig, n_pert: int = 50) -> DofStudyResult:
     Monte-Carlo truth, per candidate rank.
 
     The exact df comes from each replication's ``fit_ols(x, y, gram=gram)``.
-    The covariances are taken in H space (see `dof`): one SVD per draw gives
-    the moments of every rank, with no n x q fit. Draws come first, so each
-    mean draw is known before its fits. Monte-Carlo truth takes its moments
-    against the noise E_t (cov(F, Y) = cov(F, E) for the known XB): per-rank
-    sums of the fits and each W'E_t, one r_x x q matrix per replication.
-    Perturbation k of replication t (size 0.1 sigma, substream (2, t, k))
-    refits H_t + W'Delta by the sign-free `_svd`: the moments are unchanged
-    when a singular-vector pair is negated.
+    The covariances are taken in H space (see `dof`), with no n x q fit;
+    draws come first, so each mean draw is known before its fits.
+    Monte-Carlo truth takes its moments against the noise E_t (cov(F, Y) =
+    cov(F, E) for the known XB): per-rank sums of the fits and each W'E_t,
+    one r_x x q matrix per replication. Perturbation k of replication t
+    (size 0.1 sigma, substream (2, t, k)) fills slot k of one reused buffer,
+    and one stacked SVD of H_t + W'Delta by the sign-free `_svd` gives every
+    rank's moments against each draw and the mean draw.
     """
     if cfg.reps < 3 or n_pert < 3:
         raise DomainError("reps and n_pert must be at least 3")
@@ -149,6 +149,7 @@ def run_dof_study(cfg: SimConfig, n_pert: int = 50) -> DofStudyResult:
     mc_ab = np.empty((2, m, r_bar))
     e_draws = np.empty((m, r_x, cfg.q))  # W'E_t: the noise of each replication in H space
     fit_sum = np.zeros((r_bar, r_x, cfg.q))  # component k of the fits, summed over replications
+    draws = np.empty((n_pert, cfg.n, cfg.q))  # the perturbations of one replication, refilled in place
     for t in range(m):
         noise = _errors(cfg, t)
         ls = fit_ols(x, xb + noise, gram=gram)
@@ -157,11 +158,10 @@ def run_dof_study(cfg: SimConfig, n_pert: int = 50) -> DofStudyResult:
         e_draws[t] = w.T @ noise
         mc_ab[:, t] = _rank_moments(f, np.stack([e_draws[t], e_bar]))
         fit_sum += np.einsum("ik,jk->kij", f.left * f.d, f.right)
-        g = w.T @ np.stack([tau * _substream(cfg.seed, 2, t, k).standard_normal((cfg.n, cfg.q))
-                            for k in range(n_pert)])
-        pairs = np.stack([g, np.broadcast_to(g.mean(axis=0), g.shape)], axis=1)  # (draw, mean draw)
-        g_ab = np.array([_rank_moments(_svd(h + gk[0]), gk) for gk in pairs])
-        pert_vals[t] = _cov_df(g_ab[:, 0], g_ab[:, 1], None, tau**2)[0]
+        g = w.T @ _normal_draws(draws, tau, cfg.seed, 2, t)
+        f_g = _svd(h + g)  # every perturbation of replication t in one stacked SVD
+        pert_vals[t] = _cov_df(_rank_moments(f_g, g), _rank_moments(f_g, g.mean(axis=0)), None, tau**2)[0]
+        del f_g  # not alive beside the next replication's stack
 
     mc_c = np.cumsum(e_draws.reshape(m, -1) @ fit_sum.reshape(r_bar, -1).T, axis=1) / m  # <mean fit, W'E_t>
     mc = [DofEstimate(value=float(v), method="monte_carlo", std_error=float(se))

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from rrdof.cli import _sigma_hat, main
-from rrdof.dof import mc_df, perturbation_df
-from rrdof.estimators import adaptive, fit_ols, fit_shrunk, hard
+from rrdof.dof import _cov_df, _substream
+from rrdof.estimators import adaptive, fit_ols, fit_shrunk, hard, soft
 from rrdof.exceptions import SaturationError
 from rrdof.pipeline import ingest_csv, write_matrix_csv
 
@@ -130,11 +130,15 @@ class TestDof:
     @pytest.mark.parametrize("flags,refit", [
         (["--rank", "2"], lambda ls: fit_shrunk(ls, hard(2))),
         (["--rank", "9"], lambda ls: fit_shrunk(ls, hard(ls.r_bar))),  # clamps to r_bar
+        (["--soft", "20"], lambda ls: fit_shrunk(ls, soft(20.0))),
         (["--adaptive", "2.0", "--gamma", "1.5"],
          lambda ls: fit_shrunk(ls, adaptive(2.0, 1.5))),
         ([], lambda ls: ls.y_hat),
-    ], ids=["rank", "rank_clamped", "adaptive", "ols"])
+    ], ids=["rank", "rank_clamped", "soft", "adaptive", "ols"])
     def test_stochastic_reports_match_per_draw_refits(self, data_paths, method, flags, refit):
+        # The CLI takes its moments in H space from one stacked SVD; the
+        # reference refits every draw as an n x q fit. They sum in another
+        # order, so they agree to rounding.
         xp, yp, tmp = data_paths
         out = tmp / "dof.json"
         extra = ["--sigma2", "1.5"] if method == "mc" else []
@@ -142,17 +146,20 @@ class TestDof:
                    "--reps", "12", "--output", str(out)] + flags + extra)
         assert rc == 0
         x, y = ingest_csv(xp), ingest_csv(yp)
-
-        def fitter(y_draw):  # factors X again for every draw
-            return refit(fit_ols(x, y_draw))
-
         ls = fit_ols(x, y)
         if method == "mc":
-            est = mc_df(ls.y_hat, 1.5, fitter, reps=12, seed=4)
+            center, sd, stream = ls.y_hat, np.sqrt(1.5), 0
         else:
-            est = perturbation_df(y, fitter, n_pert=12, tau=0.1 * _sigma_hat(ls), seed=4)
+            center, sd, stream = y, 0.1 * _sigma_hat(ls), 1
+        draws = np.stack([sd * _substream(4, stream, t).standard_normal(y.shape) for t in range(12)])
+        # the reference factors X again for every draw
+        fitted = np.stack([refit(fit_ols(x, center + d)) for d in draws]).reshape(12, -1)
+        draws = draws.reshape(12, -1)
+        value, se = _cov_df(np.einsum("ti,ti->t", fitted, draws), fitted @ draws.mean(axis=0),
+                            draws @ fitted.mean(axis=0), sd**2)
         pl = read_report(out)["payload"]
-        assert (pl["value"], pl["std_error"]) == (est.value, est.std_error)
+        assert pl["value"] == pytest.approx(value, rel=1e-12)
+        assert pl["std_error"] == pytest.approx(se, rel=1e-12)
 
     def test_rank_zero_is_a_domain_error(self, data_paths, capsys):
         xp, yp, tmp = data_paths

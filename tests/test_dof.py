@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from rrdof.dof import (
+    _cov_df,
     _substream,
     divergence_analytic,
     divergence_fd,
@@ -353,19 +354,29 @@ class TestExactTies:
         assert calls == [(6, 4)]
 
 
+def _identity_df(center, sd, scale, m, seed, stream):
+    # The identity smoother F(Y) = Y has df = nq; no design gives it, so its
+    # moments against draws from substream (stream, t) go to the covariance
+    # engine directly.
+    d = np.stack([sd * _substream(seed, stream, t).standard_normal(center.shape)
+                  for t in range(m)]).reshape(m, -1)
+    f = center.ravel() + d
+    return _cov_df(np.einsum("ti,ti->t", f, d), f @ d.mean(axis=0), d @ f.mean(axis=0), scale)
+
+
 class TestStochasticEstimators:
     def test_mc_identity_smoother(self):
         rng = np.random.default_rng(38)
-        x = rng.standard_normal((8, 3))
+        rng.standard_normal((8, 3))  # skipped: the identity smoother has no design
         mean = rng.standard_normal((8, 4))
-        est = mc_df(mean, 1.0, lambda y: y, reps=2000, seed=5)
-        assert abs(est.value - 32) <= 3 * est.std_error
+        value, se = _identity_df(mean, 1.0, 1.0, 2000, 5, 0)
+        assert abs(value - 32) <= 3 * se
 
     def test_mc_ols_projection(self):
         rng = np.random.default_rng(39)
         x = rng.standard_normal((12, 4))
         mean = rng.standard_normal((12, 3))
-        est = mc_df(mean, 1.0, lambda y: fit_ols(x, y).y_hat, reps=1500, seed=6)
+        est = mc_df(fit_ols(x, mean), None, 1.0, reps=1500, seed=6)
         assert abs(est.value - 12) <= 3 * est.std_error
 
     def test_mc_rrr_matches_exact(self):
@@ -375,8 +386,7 @@ class TestStochasticEstimators:
         x, b, _, _ = gen_instance(cfg, 0)
         mean = x @ b
         r = 3
-        est = mc_df(mean, 1.0, lambda y: fit_shrunk(fit_ols(x, y), hard(r)),
-                    reps=500, seed=7)
+        est = mc_df(fit_ols(x, mean), hard(r), 1.0, reps=500, seed=7)
         # average exact df over fresh draws
         vals = []
         rng = np.random.default_rng(8)
@@ -390,17 +400,16 @@ class TestStochasticEstimators:
 
     def test_perturbation_identity(self):
         rng = np.random.default_rng(40)
-        x = rng.standard_normal((8, 3))
+        rng.standard_normal((8, 3))  # skipped: the identity smoother has no design
         y = rng.standard_normal((8, 4))
-        est = perturbation_df(y, lambda z: z, n_pert=2000, tau=0.1, seed=9)
-        assert abs(est.value - 32) <= 3 * est.std_error
+        value, se = _identity_df(y, 0.1, 0.1**2, 2000, 9, 1)
+        assert abs(value - 32) <= 3 * se
 
     def test_perturbation_ols(self):
         rng = np.random.default_rng(41)
         x = rng.standard_normal((12, 4))
         y = rng.standard_normal((12, 3))
-        est = perturbation_df(y, lambda z: fit_ols(x, z).y_hat,
-                              n_pert=1500, tau=0.1, seed=10)
+        est = perturbation_df(fit_ols(x, y), None, n_pert=1500, tau=0.1, seed=10)
         assert abs(est.value - 12) <= 3 * est.std_error
 
     def test_perturbation_rrr_agrees_with_exact(self):
@@ -410,18 +419,17 @@ class TestStochasticEstimators:
         y = x @ b + rng.standard_normal((20, 5))
         ls = fit_ols(x, y)
         exact = exact_df_rrr(ls.d, ls.gram.r_x, 5, 2).value
-        est = perturbation_df(y, lambda z: fit_shrunk(fit_ols(x, z), hard(2)),
-                              n_pert=800, tau=0.1, seed=11)
+        est = perturbation_df(ls, hard(2), n_pert=800, tau=0.1, seed=11)
         assert abs(est.value - exact) <= 3 * est.std_error
 
     @pytest.mark.parametrize("seed", range(3))
     def test_mc_is_accurate_under_a_large_mean(self, seed):
         # The moments are taken against the noise, not against draws whose
         # mean is about 50, so no large sums cancel: against a long-double
-        # centred covariance the value is within 5e-15 relative (moments
-        # against the draws were off by about 2e-13). The perturbation
-        # estimate shares the draw-and-refit front end; rebuilding its draws
-        # from substream (1, t) pins their layout.
+        # centred covariance of n x q refits the value is within 5e-15
+        # relative (moments against the draws were off by about 2e-13). The
+        # perturbation estimate shares the H-space front end; rebuilding its
+        # draws from substream (1, t) pins their layout.
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((60, 4))
         mean = 50.0 + x @ rng.standard_normal((4, 5))
@@ -444,39 +452,60 @@ class TestStochasticEstimators:
             se = np.sqrt((reps - 1) / reps * np.sum((loo - loo.mean()) ** 2))
             return float(centred(np.ones(reps, dtype=bool))), float(se)
 
-        est = mc_df(mean, sigma2, fitter, reps=reps, seed=seed)
+        ls = fit_ols(x, mean)  # the fits of mean + E and of ls.y_hat + E are one fit
+        est = mc_df(ls, hard(2), sigma2, reps=reps, seed=seed)
         value, se = reference(0, np.sqrt(sigma2), sigma2)
         assert est.value == pytest.approx(value, rel=5e-15)
         assert est.std_error == pytest.approx(se, rel=2e-14)
-        est = perturbation_df(mean, fitter, n_pert=reps, tau=tau, seed=seed)
+        est = perturbation_df(ls, hard(2), n_pert=reps, tau=tau, seed=seed)
         value, se = reference(1, tau, tau**2)
         assert est.value == pytest.approx(value, rel=1e-12)
         assert est.std_error == pytest.approx(se, rel=1e-12)
 
+    @pytest.mark.parametrize("n,p,q", [(8, 12, 5), (10, 3, 6), (6, 6, 6)], ids=["wide", "tall", "square"])
+    @pytest.mark.parametrize("rule", [None, hard(2), soft(1.0)], ids=["ols", "hard", "soft"])
+    def test_perturbation_equals_n_by_q_refits(self, n, p, q, rule):
+        # The H-space moments against refits of y + D_t through fit_ols: wide
+        # designs (r_x = n), q above r_x and square H. Another summation
+        # order, so they agree to rounding.
+        rng = np.random.default_rng(n * p * q)
+        x = rng.standard_normal((n, p))
+        y = x @ rng.standard_normal((p, q)) + rng.standard_normal((n, q))
+        est = perturbation_df(fit_ols(x, y), rule, n_pert=30, tau=0.3, seed=3)
+        d = np.stack([0.3 * _substream(3, 1, t).standard_normal(y.shape) for t in range(30)])
+        fits = [fit_ols(x, y + dt) for dt in d]
+        f = np.stack([ls.y_hat if rule is None else fit_shrunk(ls, rule) for ls in fits]).reshape(30, -1)
+        d = d.reshape(30, -1)
+        value, se = _cov_df(np.einsum("ti,ti->t", f, d), f @ d.mean(axis=0), d @ f.mean(axis=0), 0.3**2)
+        assert est.value == pytest.approx(value, rel=1e-12)
+        assert est.std_error == pytest.approx(se, rel=1e-12)
+
     def test_reps_validation(self):
+        ls = fit_ols(np.eye(3)[:, :2], np.zeros((3, 2)))
         with pytest.raises(DomainError):
-            mc_df(np.zeros((2, 2)), 1.0, lambda y: y, reps=1, seed=0)
+            mc_df(ls, None, 1.0, reps=1, seed=0)
         with pytest.raises(DomainError):
-            perturbation_df(np.zeros((2, 2)), lambda y: y, n_pert=1, tau=0.1, seed=0)
+            perturbation_df(ls, None, n_pert=1, tau=0.1, seed=0)
         # the jackknife divides by m - 2, so two draws raise instead of warning
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DomainError):
-                mc_df(np.zeros((3, 2)), 1.0, lambda y: y, reps=2, seed=0)
+                mc_df(ls, None, 1.0, reps=2, seed=0)
             with pytest.raises(DomainError):
-                perturbation_df(np.zeros((3, 2)), lambda y: y, n_pert=2, tau=0.1, seed=0)
+                perturbation_df(ls, None, n_pert=2, tau=0.1, seed=0)
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
     def test_scale_validation(self, bad):
+        ls = fit_ols(np.eye(3)[:, :2], np.zeros((3, 2)))
         with pytest.raises(DomainError, match="^sigma2 must be positive and finite$"):
-            mc_df(np.zeros((3, 2)), bad, lambda y: y, reps=3, seed=0)
+            mc_df(ls, None, bad, reps=3, seed=0)
         with pytest.raises(DomainError, match="^tau must be positive and finite$"):
-            perturbation_df(np.zeros((3, 2)), lambda y: y, n_pert=3, tau=bad, seed=0)
+            perturbation_df(ls, None, n_pert=3, tau=bad, seed=0)
 
     def test_seed_reproducibility(self):
         rng = np.random.default_rng(43)
         x = rng.standard_normal((6, 2))
         mean = rng.standard_normal((6, 3))
-        a = mc_df(mean, 1.0, lambda y: y, reps=50, seed=99)
-        b = mc_df(mean, 1.0, lambda y: y, reps=50, seed=99)
+        a = mc_df(fit_ols(x, mean), hard(1), 1.0, reps=50, seed=99)
+        b = mc_df(fit_ols(x, mean), hard(1), 1.0, reps=50, seed=99)
         assert a.value == b.value and a.std_error == b.std_error

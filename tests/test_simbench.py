@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from rrdof import simbench
-from rrdof.dof import DofEstimate, _cov_df, _substream, exact_df_rrr, naive_df
+from rrdof.dof import DofEstimate, _cov_df, _rank_moments, _substream, exact_df_path, exact_df_rrr, naive_df
 from rrdof.estimators import fit_ols, fit_shrunk, hard
 from rrdof.exceptions import DomainError
-from rrdof.linalg import thin_svd
+from rrdof.linalg import SvdFactors, _svd, gram_factors, thin_svd
 from rrdof.selection import Criterion, select_rank
 from rrdof.simbench import (
     PRESETS,
@@ -258,6 +258,63 @@ def test_dof_study_equals_reference_loop(cfg):
                                rtol=1e-10, atol=0)
 
 
+def _per_draw_dof_study(cfg, n_pert):
+    # run_dof_study with one SVD of H + G_k and one _rank_moments call per
+    # perturbation k, against the stack (G_k, mean G).
+    x, b, _, _ = gen_instance(cfg, 0)
+    xb = x @ b
+    gram = gram_factors(x)
+    w = (x @ gram.q_mat) / gram.s
+    r_x, m = gram.r_x, cfg.reps
+    r_bar = min(r_x, cfg.q)
+    ranks = list(range(1, r_bar + 1))
+    tau = 0.1 * float(np.sqrt(cfg.sigma2))
+    e_bar = w.T @ (sum(simbench._errors(cfg, t) for t in range(m)) / m)
+    exact, pert = np.empty((m, r_bar)), np.empty((m, r_bar))
+    mc_ab = np.empty((2, m, r_bar))
+    e_draws = np.empty((m, r_x, cfg.q))
+    fit_sum = np.zeros((r_bar, r_x, cfg.q))
+    for t in range(m):
+        noise = simbench._errors(cfg, t)
+        ls = fit_ols(x, xb + noise, gram=gram)
+        f = ls.hf.svd
+        exact[t] = exact_df_path(f.d, r_x, cfg.q, ranks)
+        e_draws[t] = w.T @ noise
+        mc_ab[:, t] = _rank_moments(f, np.stack([e_draws[t], e_bar]))
+        fit_sum += np.einsum("ik,jk->kij", f.left * f.d, f.right)
+        g = w.T @ np.stack([tau * _substream(cfg.seed, 2, t, k).standard_normal((cfg.n, cfg.q))
+                            for k in range(n_pert)])
+        g_bar = g.mean(axis=0)
+        ab = np.array([_rank_moments(_svd(ls.hf.h + gk), np.stack([gk, g_bar])) for gk in g])
+        pert[t] = _cov_df(ab[:, 0], ab[:, 1], None, tau**2)[0]
+    mc_c = np.cumsum(e_draws.reshape(m, -1) @ fit_sum.reshape(r_bar, -1).T, axis=1) / m
+    mc = _cov_df(mc_ab[0], mc_ab[1], mc_c, cfg.sigma2)
+    return {
+        "exact_values": exact,
+        "exact_mean": list(exact.mean(axis=0)),
+        "exact_se": list(exact.std(axis=0, ddof=1) / np.sqrt(m)),
+        "perturb_mean": list(pert.mean(axis=0)),
+        "perturb_se": list(pert.std(axis=0, ddof=1) / np.sqrt(m)),
+        "mc": [DofEstimate(value=float(v), method="monte_carlo", std_error=float(se)) for v, se in zip(*mc)],
+    }
+
+
+@pytest.mark.parametrize("cfg", [
+    SimConfig(n=8, p=12, q=6, r0=2, reps=4, seed=3),  # wide: n < p, H is 8 x 6
+    SimConfig(n=20, p=5, q=7, r0=2, reps=5, seed=2),  # tall: q > r_x, H is 5 x 7
+    SimConfig(n=20, p=5, q=5, r0=2, reps=3, seed=4),  # H is 5 x 5
+], ids=["wide", "tall", "square"])
+def test_dof_study_equals_per_draw_loop_bit_for_bit(cfg):
+    # One stacked SVD over the perturbations of a replication runs the same
+    # LAPACK call on every slice, and the moments reduce over the same axes
+    # in the same order, so every field is unchanged bit for bit.
+    got = run_dof_study(cfg, n_pert=6)
+    ref = _per_draw_dof_study(cfg, n_pert=6)
+    assert np.array_equal(got.exact_values, ref["exact_values"])
+    for name in ("exact_mean", "exact_se", "perturb_mean", "perturb_se", "mc"):
+        assert getattr(got, name) == ref[name], name
+
+
 @pytest.mark.parametrize("cfg", [
     SimConfig(n=20, p=6, q=4, r0=2, reps=3, seed=4),  # H is 6 x 4
     SimConfig(n=20, p=4, q=6, r0=2, reps=3, seed=4),  # H is 4 x 6
@@ -266,10 +323,19 @@ def test_dof_study_equals_reference_loop(cfg):
 def test_perturbation_fields_need_no_svd_sign_convention(cfg, monkeypatch):
     # The perturbation moments sum d_k u_k' G v_k, which is exactly unchanged
     # when a pair (u_k, v_k) is negated: the study with the backend's signs
-    # equals the same study with sign-fixed SVDs bit for bit.
+    # equals the same study with sign-fixed SVDs of every slice bit for bit.
     got = run_dof_study(cfg, n_pert=4)
-    monkeypatch.setattr(simbench, "_svd", thin_svd)
+    flips = []
+
+    def sign_fixed_svd(stack):
+        fixed = [thin_svd(m) for m in stack]
+        backend = np.linalg.svd(stack, full_matrices=False)[2]
+        flips.append(np.any(np.stack([f.right.T for f in fixed]) != backend))
+        return SvdFactors(*(np.stack([getattr(f, name) for f in fixed]) for name in ("left", "d", "right")))
+
+    monkeypatch.setattr(simbench, "_svd", sign_fixed_svd)
     ref = run_dof_study(cfg, n_pert=4)
+    assert len(flips) == cfg.reps and any(flips)  # the stand-in ran, and changed signs
     assert got.perturb_mean == ref.perturb_mean
     assert got.perturb_se == ref.perturb_se
 
@@ -286,6 +352,20 @@ def test_dof_study_memory_does_not_grow_with_reps():
             tracemalloc.stop()
 
     assert peak(40) - peak(4) < 5e6
+
+
+def test_dof_study_peak_memory_with_stacked_perturbations():
+    # One replication's 50 perturbations are stacked (draws, W'draws, SVD
+    # factors and one moment product at a time, about 0.8 MB each on
+    # setting2); stacking (draw, mean draw) pairs against broadcast factors
+    # as well would pass 7 MB.
+    tracemalloc.start()
+    try:
+        run_dof_study(replace(PRESETS["setting2"], reps=3), n_pert=50)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7.0e6
 
 
 def test_dof_study_needs_three_replications():

@@ -47,8 +47,12 @@ def commands(data: list[str]) -> list[tuple[str, list[str], list[str]]]:
         runs.append((f"dof_{method}", ["dof", *data, "--method", method, *flags], ["--output"]))
     for rule in ("soft", "adaptive"):  # the weight-derivative and flag terms of exact_df_shrunk
         runs.append((f"dof_exact_{rule}", ["dof", *data, "--method", "exact", *RULES[rule]], ["--output"]))
+    stochastic = {"mc_soft": ["--method", "mc", *RULES["soft"], "--sigma2", "1", "--reps", "20"],
+                  "perturb_adaptive": ["--method", "perturb", *RULES["adaptive"], "--reps", "20"]}
+    for name, flags in stochastic.items():  # weights of each draw's own spectrum
+        runs.append((f"dof_{name}", ["dof", *data, *flags], ["--output"]))
     ols = {"mc": ["--sigma2", "1", "--reps", "20"], "perturb": ["--reps", "20"]}
-    for method, flags in ols.items():  # no rule flag: the refits are least squares
+    for method, flags in ols.items():  # no rule flag: the fits are least squares
         runs.append((f"dof_{method}_ols", ["dof", *data, "--method", method, *flags], ["--output"]))
     for kind in ("gcv", "bic"):
         for mode in ("exact", "naive"):
