@@ -81,17 +81,20 @@ def naive_df(r_x: int, q: int, r) -> float | list[float]:
 VANISH_TOL = 1e-12
 
 
-def _validate_spectrum(d, r_x: int, q: int) -> tuple[np.ndarray, int]:
+def _validate_spectrum(d, r_x: int, q: int) -> tuple[np.ndarray, np.ndarray]:
     """The spectrum as floats and the count of its leading non-vanished
-    values, which must be strictly decreasing; vanished ones may follow."""
-    d = np.asarray(d, dtype=float)
+    values, which must be strictly decreasing; vanished ones may follow. A
+    stack (..., r_bar) of spectra gives one count per spectrum."""
+    d = np.atleast_1d(np.asarray(d, dtype=float))
     r_bar = min(r_x, q)
-    if d.size != r_bar:
-        raise DomainError(f"expected {r_bar} singular values, got {d.size}")
-    tol = VANISH_TOL * np.max(d, initial=1.0)
-    live = int(np.count_nonzero(d > tol))
-    bad = not np.all((d >= 0) & (d < np.inf)) or np.any(d[live:] > tol)
-    if bad or np.any(np.diff(d[:live]) >= 0):
+    if d.shape[-1] != r_bar:
+        raise DomainError(f"expected {r_bar} singular values, got {d.shape[-1]}")
+    tol = VANISH_TOL * d.max(axis=-1, initial=1.0, keepdims=True)
+    above = d > tol
+    live = np.count_nonzero(above, axis=-1)
+    in_tail = np.arange(r_bar) >= live[..., None]
+    bad = not ((d >= 0) & (d < np.inf)).all() or (above & in_tail).any()
+    if bad or ((d[..., 1:] >= d[..., :-1]) & ~in_tail[..., 1:]).any():
         raise DomainError(
             "singular values must be nonnegative and strictly decreasing "
             f"down to a vanished tail (at most {VANISH_TOL:g} * max(d_1, 1))"
@@ -99,40 +102,45 @@ def _validate_spectrum(d, r_x: int, q: int) -> tuple[np.ndarray, int]:
     return d, live
 
 
-def _df_kernel(d, live: int, r_x: int, q: int, s, s_prime) -> np.ndarray:
+def _df_kernel(d, live, r_x: int, q: int, s, s_prime) -> np.ndarray:
     """max(r_x, q) sum s + delta . P + (s' o support) . d for every row of the
     (m, r_bar) weights `s`: C once, every P_r from one reversed cumulative sum
     along the rows of triu(C) and one down its columns, read above the
     diagonal. A delta_r = 0 adds exactly 0 even where P_r is infinite; a hard
-    row (delta = e_r) gets P_r itself."""
+    row (delta = e_r) gets P_r itself. A stack (..., r_bar) of spectra `d`
+    with one `live` count each gives (..., m) values."""
     d2 = d**2
     with np.errstate(divide="ignore", invalid="ignore"):
-        c = (d2[:, None] + d2[None, :]) / (d2[:, None] - d2[None, :])
-    c[:, live:] = 1.0  # limit of the pair term against a vanished value
-    tail = np.cumsum(np.triu(c, 1)[:, ::-1], axis=1)[:, ::-1]  # tail[k, j] = sum_{l>=j} C_kl
-    hard_pair = np.append(np.cumsum(tail, axis=0).diagonal(1), 0.0)  # P_r: sum of tail[k < r, r]
+        c = (d2[..., :, None] + d2[..., None, :]) / (d2[..., :, None] - d2[..., None, :])
+    # limit of the pair term against a vanished value
+    np.copyto(c, 1.0, where=np.arange(d.shape[-1]) >= live[..., None, None])
+    tail = np.cumsum(np.triu(c, 1)[..., ::-1], axis=-1)[..., ::-1]  # tail[k, j] = sum_{l>=j} C_kl
+    hard_pair = np.cumsum(tail, axis=-2).diagonal(1, axis1=-2, axis2=-1)  # P_r: sum of tail[k < r, r]
+    hard_pair = np.concatenate([hard_pair, np.zeros(d.shape[:-1] + (1,))], axis=-1)
     delta = s.copy()
     delta[:, :-1] -= s[:, 1:]
-    pair = (delta * np.where(delta != 0, hard_pair, 0.0)).sum(axis=1)
-    return max(r_x, q) * s.sum(axis=1) + pair + np.where(s > 0, s_prime, 0.0) @ d
+    pair = (delta * np.where(delta != 0, hard_pair[..., None, :], 0.0)).sum(axis=-1)
+    slope = (np.where(s > 0, s_prime, 0.0) @ d[..., :, None])[..., 0]
+    return max(r_x, q) * s.sum(axis=1) + pair + slope
 
 
 def exact_df_path(d, r_x: int, q: int, ranks) -> np.ndarray:
     """Exact df of the rank-r fit for every r in `ranks` as one float array,
     from one kernel call; entry a equals ``exact_df_rrr(d, r_x, q,
-    ranks[a]).value`` bit for bit."""
+    ranks[a]).value`` bit for bit. A stack (..., r_bar) of spectra gives
+    (..., len(ranks)) values, each row equal to its spectrum's own path."""
     d, live = _validate_spectrum(d, r_x, q)
-    s = (np.arange(d.size) < _checked_ranks(ranks, 1, d.size)[:, None]).astype(float)
+    s = (np.arange(d.shape[-1]) < _checked_ranks(ranks, 1, d.shape[-1])[:, None]).astype(float)
     return _df_kernel(d, live, r_x, q, s, np.zeros_like(s))
 
 
-def _estimate(d, live: int, r_x: int, q: int, s, s_prime) -> DofEstimate:
+def _estimate(d, live, r_x: int, q: int, s, s_prime) -> DofEstimate:
     """The exact df of one weight vector. Unless the weights are constant
     (then there is no pair term), a near-tie in the non-vanished spectrum
     sets the degenerate flag."""
     value = float(_df_kernel(d, live, r_x, q, s[None], s_prime[None])[0])
     varying = bool(np.any(np.diff(s) != 0))
-    return DofEstimate(value, "exact", degenerate_flag=varying and _near_tie(d[:live]))
+    return DofEstimate(value, "exact", degenerate_flag=varying and _near_tie(d[: int(live)]))
 
 
 def exact_df_rrr(d, r_x: int, q: int, r: int) -> DofEstimate:

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ContractViolationError, DomainError, ShapeError
-from .linalg import GramFactors, HFactor, as_matrix, build_h, gram_factors
+from .exceptions import ContractViolationError, DomainError
+from .linalg import GramFactors, HFactor, _check_rows, as_matrix, build_h, gram_factors
 
 
 @dataclass(frozen=True)
@@ -106,7 +106,11 @@ def validate_weights(s: np.ndarray, s_prime: np.ndarray | None = None) -> None:
 
 @dataclass(frozen=True)
 class LsFit:
-    """Least-squares fit bundle: data, Gram factors, H and its SVD, fitted values."""
+    """Least-squares fit bundle: data, Gram factors, H and its SVD, fitted values.
+
+    A stack of fits (from stacked x and y) holds stacks along the same leading
+    axes; `r_bar` is shared.
+    """
 
     x: np.ndarray
     y: np.ndarray
@@ -124,16 +128,18 @@ class LsFit:
 def fit_ols(x, y, gram: GramFactors | None = None) -> LsFit:
     """Least-squares fit Y_hat = X (X'X)^+ X' Y; valid for any p, q vs n.
 
-    Refits of one design can pass ``gram=gram_factors(x)`` to factor X once.
+    Stacked x (..., n, p) and y (..., n, q) give a stack of fits along their
+    leading axes, each slice equal bit for bit to its own fit; the designs of
+    a stack must share one rank (``gram_factors``). Refits of one design can
+    pass ``gram=gram_factors(x)`` to factor X once.
     """
-    x = as_matrix(x)
-    y = as_matrix(y)
-    if x.shape[0] != y.shape[0]:
-        raise ShapeError(f"x has {x.shape[0]} rows but y has {y.shape[0]}")
+    x = as_matrix(x, stack=True)
+    y = as_matrix(y, stack=True)
+    _check_rows(x, y)
     gf = gram_factors(x) if gram is None else gram
     hf = build_h(x, y, gf)
-    y_hat = ((x @ gf.q_mat) / gf.s[None, :]) @ hf.h
-    return LsFit(x=x, y=y, gram=gf, hf=hf, y_hat=y_hat, r_bar=min(gf.r_x, y.shape[1]))
+    y_hat = ((x @ gf.q_mat) / gf.s[..., None, :]) @ hf.h
+    return LsFit(x=x, y=y, gram=gf, hf=hf, y_hat=y_hat, r_bar=min(gf.r_x, y.shape[-1]))
 
 
 def _weights(rule: ShrinkageRule, d: np.ndarray) -> np.ndarray:

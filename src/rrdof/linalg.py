@@ -18,21 +18,32 @@ from .exceptions import DegenerateDesignError, NumericalError, ShapeError
 RANK_TOL = 1e-10
 
 
-def as_matrix(a) -> np.ndarray:
-    """Validate and return `a` as a finite 2-d float array."""
+def as_matrix(a, stack: bool = False) -> np.ndarray:
+    """Validate and return `a` as a finite 2-d float array; with `stack`, a
+    stack (..., rows, cols) of them passes too."""
     m = np.asarray(a, dtype=float)
-    if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
-        raise ShapeError(f"expected a 2-d matrix, got shape {m.shape}")
+    if m.ndim != 2 and not (stack and m.ndim > 2) or 0 in m.shape:
+        what = "matrix or a stack of them" if stack else "matrix"
+        raise ShapeError(f"expected a 2-d {what}, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ShapeError("matrix contains non-finite entries")
     return m
+
+
+def _check_rows(x: np.ndarray, y: np.ndarray) -> None:
+    """Raise ShapeError unless x and y have the same rows and stack axes."""
+    if x.shape[-2] != y.shape[-2]:
+        raise ShapeError(f"x has {x.shape[-2]} rows but y has {y.shape[-2]}")
+    if x.shape[:-2] != y.shape[:-2]:
+        raise ShapeError(f"x is a stack of {x.shape[:-2]} but y of {y.shape[:-2]}")
 
 
 @dataclass(frozen=True)
 class SvdFactors:
     """Thin SVD: ``left @ diag(d) @ right.T`` reconstructs the input.
 
-    Columns of `left` and `right` are orthonormal; `d` is nonincreasing.
+    Columns of `left` and `right` are orthonormal; `d` is nonincreasing. The
+    factors of a stack of matrices are stacks along the same leading axes.
     """
 
     left: np.ndarray
@@ -45,7 +56,8 @@ class GramFactors:
     """Eigenfactors of X'X: ``X'X = q_mat @ diag(s**2) @ q_mat.T``.
 
     `s` holds the `r_x` strictly positive singular values of X, so
-    ``(X'X)^+ = q_mat @ diag(s**-2) @ q_mat.T``.
+    ``(X'X)^+ = q_mat @ diag(s**-2) @ q_mat.T``. The factors of a stack of
+    designs are stacks along the same leading axes, with one `r_x`.
     """
 
     q_mat: np.ndarray
@@ -64,11 +76,12 @@ class HFactor:
 def _fix_signs(u: np.ndarray, vt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Force the largest-magnitude entry of each right singular vector to be
     # positive (the first one on ties); the compensating flip goes into the
-    # left vectors.
-    j = np.argmax(np.abs(vt), axis=1)
-    flip = vt[np.arange(vt.shape[0]), j] < 0
+    # left vectors. Works along leading (stack) axes.
+    j = np.argmax(np.abs(vt), axis=-1)
+    flip = np.take_along_axis(vt, j[..., None], axis=-1)[..., 0] < 0
     vt[flip] = -vt[flip]
-    u[:, flip] = -u[:, flip]
+    ut = u.swapaxes(-1, -2)  # a view: flipping its rows flips the columns of u
+    ut[flip] = -ut[flip]
     return u, vt
 
 
@@ -83,40 +96,49 @@ def _svd(m: np.ndarray) -> SvdFactors:
 
 
 def thin_svd(m) -> SvdFactors:
-    """Thin SVD of a real matrix, k = min(rows, cols) factors."""
-    f = _svd(as_matrix(m))
-    u, vt = _fix_signs(f.left, f.right.T)  # in place: the factors are fresh
-    return SvdFactors(left=u, d=f.d, right=vt.T)
+    """Thin SVD of a real matrix, k = min(rows, cols) factors; of each matrix
+    of a stack (..., rows, cols), along its leading axes."""
+    f = _svd(as_matrix(m, stack=True))
+    u, vt = _fix_signs(f.left, f.right.swapaxes(-1, -2))  # in place: the factors are fresh
+    return SvdFactors(left=u, d=f.d, right=vt.swapaxes(-1, -2))
 
 
 def gram_factors(x) -> GramFactors:
-    """Eigenfactorization of X'X keeping eigenvalues above ``RANK_TOL * max``."""
-    x = as_matrix(x)
-    xtx = x.T @ x
+    """Eigenfactorization of X'X keeping eigenvalues above ``RANK_TOL * max``;
+    of each design of a stack (..., n, p), along its leading axes.
+
+    The designs of a stack must keep the same number of eigenvalues, or
+    ShapeError is raised. Each slice of `q_mat` is column-major, as the
+    single-design factor is, so BLAS takes the same path on every slice.
+    """
+    x = as_matrix(x, stack=True)
+    xtx = x.swapaxes(-1, -2) @ x
     try:
         evals, evecs = np.linalg.eigh(xtx)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise NumericalError(f"eigendecomposition failed: {exc}") from exc
-    order = np.argsort(evals)[::-1]
-    evals = evals[order]
-    evecs = evecs[:, order]
-    if evals[0] <= 0:
+    order = np.argsort(evals, axis=-1)[..., ::-1]
+    evals = np.take_along_axis(evals, order, axis=-1)
+    # gather the columns as rows of the transpose: column-major slices
+    evecs = np.take_along_axis(evecs.swapaxes(-1, -2), order[..., None], axis=-2).swapaxes(-1, -2)
+    if np.any(evals[..., 0] <= 0):
         raise DegenerateDesignError("design matrix has no nonzero column")
-    keep = evals > RANK_TOL * evals[0]
-    r_x = int(np.count_nonzero(keep))
-    return GramFactors(q_mat=evecs[:, :r_x], s=np.sqrt(evals[:r_x]), r_x=r_x)
+    keep = evals > RANK_TOL * evals[..., :1]
+    ranks = np.count_nonzero(keep, axis=-1)
+    r_x = int(ranks.max())
+    if ranks.min() != r_x:
+        raise ShapeError(f"the designs of a stack differ in rank: {int(ranks.min())} and {r_x}")
+    return GramFactors(q_mat=evecs[..., :r_x], s=np.sqrt(evals[..., :r_x]), r_x=r_x)
 
 
 def build_h(x, y, gf: GramFactors) -> HFactor:
-    """Build H = S^{-1} Q' X' Y together with its thin SVD."""
-    x = as_matrix(x)
-    y = as_matrix(y)
-    if x.shape[0] != y.shape[0]:
-        raise ShapeError(
-            f"x has {x.shape[0]} rows but y has {y.shape[0]}"
-        )
-    if gf.q_mat.shape[0] != x.shape[1]:
+    """Build H = S^{-1} Q' X' Y together with its thin SVD; of each pair of a
+    stack, along the leading axes of x and y."""
+    x = as_matrix(x, stack=True)
+    y = as_matrix(y, stack=True)
+    _check_rows(x, y)
+    if gf.q_mat.shape[:-1] != x.shape[:-2] + x.shape[-1:]:
         raise ShapeError("gram factors do not match the design matrix")
-    h = (gf.q_mat.T @ (x.T @ y)) / gf.s[:, None]
+    h = (gf.q_mat.swapaxes(-1, -2) @ (x.swapaxes(-1, -2) @ y)) / gf.s[..., :, None]
     return HFactor(h=h, svd=thin_svd(h))
 

@@ -11,6 +11,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -143,7 +144,8 @@ class EvalReport:
 
 def _mspe_path(ls: LsFit, x_te: np.ndarray, y_te: np.ndarray) -> np.ndarray:
     """Held-out MSPE 2 ||Y_te - X_te B_r||^2 / (n_te q) of every hard rank
-    r = 1..r_bar as one array (entry r - 1), for the rank-r coefficients B_r.
+    r = 1..r_bar as one array (entry r - 1), for the rank-r coefficients B_r;
+    for a stack of fits and held-out halves, one row per fit.
 
     With Z = X_te Q S^-1 U diag(d) and A = Y_te V, X_te B_r = Z_{:r} V_{:r}',
     so the squared error is ||Y_te - A V'||^2 + sum_{k<r} ||a_k - z_k||^2 +
@@ -152,22 +154,47 @@ def _mspe_path(ls: LsFit, x_te: np.ndarray, y_te: np.ndarray) -> np.ndarray:
     follows the equal-halves convention of the split.
     """
     v = ls.hf.svd.right
-    z = ((x_te @ ls.gram.q_mat) / ls.gram.s[None, :]) @ (ls.hf.svd.left * ls.d[None, :])
+    # in place where it can be: a stack holds few n_te-row arrays at once
+    z = x_te @ ls.gram.q_mat
+    z /= ls.gram.s[..., None, :]
+    z = z @ (ls.hf.svd.left * ls.d[..., None, :])
     a = y_te @ v
-    head = np.cumsum(np.sum((a - z) ** 2, axis=0))  # head[r-1] = sum_{k<r}
-    tail = np.append(np.cumsum(np.sum(a**2, axis=0)[:0:-1])[::-1], 0.0)  # tail[r-1] = sum_{k>=r}
-    return 2.0 * (np.sum((y_te - a @ v.T) ** 2) + head + tail) / y_te.size
+    z -= a
+    head = np.cumsum(np.sum(np.square(z, out=z), axis=-2), axis=-1)  # head[r-1] = sum_{k<r}
+    tail = np.cumsum(np.sum(a**2, axis=-2)[..., :0:-1], axis=-1)[..., ::-1]
+    tail = np.concatenate([tail, np.zeros(tail.shape[:-1] + (1,))], axis=-1)  # tail[r-1] = sum_{k>=r}
+    res = a @ v.swapaxes(-1, -2)
+    np.subtract(y_te, res, out=res)
+    rest = np.sum(np.square(res, out=res), axis=(-2, -1))[..., None]
+    return 2.0 * (rest + head + tail) / (y_te.shape[-2] * y_te.shape[-1])
 
 
-def _eval_one_split(x, y, criteria, n_train, seed, t):
-    perm = _substream(seed, 3, t).permutation(x.shape[0])
-    train, test = perm[:n_train], perm[n_train:]
-    ls = fit_ols(x[train], y[train])
-    ranks = {name: rep.chosen for name, rep in select_ranks(ls, criteria).items()}
-    path = _mspe_path(ls, x[test], y[test]).tolist()  # OLS is the rank-r_bar fit
-    mspe = {name: path[r - 1] for name, r in ranks.items()}
-    mspe["ols"] = path[-1]
-    return mspe, ranks
+def _eval_stack(x, y, criteria, n_train, seed, splits: range) -> list:
+    """(mspe, ranks) of each split of the stack `splits`, or its error: a
+    stack that raises an rrdof error runs again one split at a time. Kept at
+    module level: a closure that calls itself is a reference cycle, which
+    would hold x and y after the run until the cyclic collector frees them."""
+    try:
+        perm = np.array([_substream(seed, 3, t).permutation(x.shape[0]) for t in splits])
+        train, test = perm[:, :n_train], perm[:, n_train:]
+        ls = fit_ols(x[train], y[train])
+        ranks = {name: rep.chosen for name, rep in select_ranks(ls, criteria).items()}
+        path = _mspe_path(ls, x[test], y[test])  # OLS is the rank-r_bar fit
+    except RrdofError as exc:
+        if len(splits) == 1:
+            return [exc]
+        return [res for t in splits for res in _eval_stack(x, y, criteria, n_train, seed, range(t, t + 1))]
+    rows = range(len(splits))
+    mspe = {name: path[rows, np.subtract(r, 1)].tolist() for name, r in ranks.items()}
+    mspe["ols"] = path[:, -1].tolist()
+    return [({name: m[i] for name, m in mspe.items()}, {name: r[i] for name, r in ranks.items()})
+            for i in rows]
+
+
+#: Bytes of data (training and held-out rows of X and Y) per stack of eval
+#: splits: about four splits of the bundled fixture. Larger stacks save little
+#: more time and hold more memory at once.
+STACK_BYTES = 300_000
 
 
 def eval_splits(
@@ -182,13 +209,19 @@ def eval_splits(
     """Repeated random-split evaluation of selection criteria.
 
     Each criterion selects a rank on the training half; MSPE is recorded on
-    the held-out half, alongside a full-rank OLS baseline. All criteria of a
-    split are scored by one ``select_ranks`` call on one rss path and one df
-    path per df mode; each chosen rank and the OLS rank r_bar read their MSPE
-    from one held-out tail-sum path (``_mspe_path``), with no coefficient
-    matrix. Any rrdof error on one split (from the first criterion that
-    fails) is recorded and the run continues. jobs > 1 runs splits on a
-    thread pool (no faster: they hold the GIL); results merge in split order.
+    the held-out half, alongside a full-rank OLS baseline. Split t permutes
+    the rows by substream (3, t). Consecutive splits are fitted, scored and
+    held out as one stack of up to ``STACK_BYTES`` of data, along the leading
+    axes of the same kernels a single fit uses, so every split's numbers
+    equal its own fit's bit for bit. All criteria of a stack are scored by
+    one ``select_ranks`` call on one rss path and one df path per df mode;
+    each chosen rank and the OLS rank r_bar read their MSPE from one held-out
+    tail-sum path (``_mspe_path``), with no coefficient matrix. If a stack
+    raises an rrdof error (one split fails, or the training halves differ in
+    rank), its splits are run again one at a time: the error of a failing
+    split (from the first criterion that fails) is recorded and the run
+    continues. jobs > 1 runs stacks on a thread pool (no faster: they hold
+    the GIL); results merge in split order.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -205,19 +238,16 @@ def eval_splits(
     if n_train < 1 or n_train >= n:
         raise DomainError("split_fraction leaves an empty train or test set")
 
-    def run(t):
-        try:
-            return _eval_one_split(x, y, criteria, n_train, seed, t)
-        except RrdofError as exc:
-            return exc
-
+    run = partial(_eval_stack, x, y, criteria, n_train, seed)
+    per_stack = max(1, STACK_BYTES // (x.nbytes + y.nbytes))
+    stacks = [range(t, min(t + per_stack, n_splits)) for t in range(0, n_splits, per_stack)]
     if jobs > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run, range(n_splits)))
+            results = [res for stack in pool.map(run, stacks) for res in stack]
     else:
-        results = [run(t) for t in range(n_splits)]
+        results = [res for stack in stacks for res in run(stack)]
 
     names = list(criteria)
     report = EvalReport(

@@ -63,25 +63,31 @@ class Criterion:
 
 @dataclass(frozen=True)
 class SelectionReport:
-    """Scores, df values, and residuals over the candidate ranks."""
+    """Scores, df values, and residuals over the candidate ranks.
+
+    For a stack of fits, `scores`, `df_used` and `residual_ss` hold one list
+    per fit and `chosen` one rank per fit.
+    """
 
     candidates: list[int]
-    scores: list[float]
-    df_used: list[float]
-    residual_ss: list[float]
-    chosen: int
+    scores: list
+    df_used: list
+    residual_ss: list
+    chosen: int | list
 
 
 def rss_path(ls: LsFit, ranks) -> np.ndarray:
-    """Residual sum of squares of the rank-r fits for each candidate r.
+    """Residual sum of squares of the rank-r fits for each candidate r; for a
+    stack of fits, one row per fit.
 
     The truncated directions are orthogonal to the residual, so
     rss(r) = ||Y - Y_hat||^2 + sum of the discarded squared singular values.
     """
-    base = float(np.sum((ls.y - ls.y_hat) ** 2))
+    base = np.sum((ls.y - ls.y_hat) ** 2, axis=(-2, -1))
     d2 = ls.d**2
-    tail = np.concatenate([np.cumsum(d2[::-1])[::-1], [0.0]])  # tail[r] = sum_{k>r} d_k^2
-    return base + tail[np.asarray(ranks, dtype=int)]
+    tail = np.cumsum(d2[..., ::-1], axis=-1)[..., ::-1]  # tail[r] = sum_{k>r} d_k^2
+    tail = np.concatenate([tail, np.zeros(tail.shape[:-1] + (1,))], axis=-1)
+    return base[..., None] + tail[..., np.asarray(ranks, dtype=int)]
 
 
 def select_ranks(ls: LsFit, criteria: dict[str, Criterion]) -> dict[str, SelectionReport]:
@@ -93,8 +99,10 @@ def select_ranks(ls: LsFit, criteria: dict[str, Criterion]) -> dict[str, Selecti
     every candidate in one array expression. Criteria are scored in order,
     so the first one that fails raises. Saturated candidates (df >= n*q, or
     rss = 0 under BIC) get +inf scores; ties break toward the smaller rank.
+    A stack of fits is scored along its leading axes, one chosen rank per
+    fit; a criterion that every candidate of any one fit saturates raises.
     """
-    n, q = ls.y.shape
+    n, q = ls.y.shape[-2:]
     candidates = list(range(1, ls.r_bar + 1))
     rss = rss_path(ls, candidates)
     paths: dict[str, np.ndarray] = {}
@@ -102,20 +110,20 @@ def select_ranks(ls: LsFit, criteria: dict[str, Criterion]) -> dict[str, Selecti
     for name, crit in criteria.items():
         if crit.df_mode not in paths:
             paths[crit.df_mode] = (
-                np.array(naive_df(ls.gram.r_x, q, candidates))
+                np.broadcast_to(naive_df(ls.gram.r_x, q, candidates), rss.shape)
                 if crit.df_mode == "naive"
                 else exact_df_path(ls.d, ls.gram.r_x, q, candidates)
             )
         df = paths[crit.df_mode]
         scores = _scores(crit.kind, rss, df, n, q, crit.sigma2)
-        if np.all(np.isinf(scores)):
+        if np.isinf(scores).all(axis=-1).any():
             raise SaturationError("every candidate rank saturates the criterion")
         reports[name] = SelectionReport(
             candidates=list(candidates),
             scores=scores.tolist(),
             df_used=df.tolist(),
             residual_ss=rss.tolist(),
-            chosen=candidates[int(np.argmin(scores))],
+            chosen=(scores.argmin(axis=-1) + 1).tolist(),  # candidates[k] = k + 1
         )
     return reports
 

@@ -272,15 +272,16 @@ class TestOneRankPathPerSplit:
         assert got.ranks == ranks
         assert got.failures == failures
 
-    def test_one_df_path_per_split_and_no_fitted_values(self, monkeypatch):
-        from rrdof import estimators, selection
+    @pytest.mark.parametrize("per_stack", [1, 3, None])
+    def test_one_df_path_per_stack_and_no_fitted_values(self, monkeypatch, per_stack):
+        from rrdof import estimators, pipeline, selection
 
         calls = []
         original = selection.exact_df_path
 
-        def counting_path(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
+        def counting_path(d, *args, **kwargs):
+            calls.append(np.shape(d))
+            return original(d, *args, **kwargs)
 
         def no_fit(*args, **kwargs):
             raise AssertionError("the eval path built fitted values")
@@ -288,8 +289,11 @@ class TestOneRankPathPerSplit:
         monkeypatch.setattr(selection, "exact_df_path", counting_path)
         monkeypatch.setattr(estimators, "fit_shrunk", no_fit)
         x, y = synthetic_fixture()
+        if per_stack is not None:
+            monkeypatch.setattr(pipeline, "STACK_BYTES", per_stack * (x.nbytes + y.nbytes))
+        size = pipeline.STACK_BYTES // (x.nbytes + y.nbytes)
         rep = eval_splits(x, y, ALL_CRITERIA, n_splits=7, seed=2)
-        assert len(calls) == 7
+        assert calls == [(min(size, 7 - t), 36) for t in range(0, 7, size)]
         assert len(rep.mspe["ols"]) == 7
 
     def test_no_coefficient_matrix_per_split(self, monkeypatch):
@@ -311,21 +315,31 @@ class TestOneRankPathPerSplit:
         from rrdof.exceptions import DegeneracyError
 
         x, y = synthetic_fixture()
+        monkeypatch.setattr(pipeline, "STACK_BYTES", 4 * (x.nbytes + y.nbytes))
         clean = eval_splits(x, y, ALL_CRITERIA, n_splits=5, seed=3, jobs=jobs)
         split_2 = _train_x(x, 3, 2)
+        stacks = []
 
         def select_failing_on_split_2(ls, criteria, *args, **kwargs):
-            if np.array_equal(ls.x, split_2):
+            slices = ls.x.reshape(-1, *split_2.shape)  # one training design per split
+            stacks.append(len(slices))
+            if any(np.array_equal(s, split_2) for s in slices):
                 raise DegeneracyError("tied singular values on this split")
             return select_ranks(ls, criteria, *args, **kwargs)
 
         monkeypatch.setattr(pipeline, "select_ranks", select_failing_on_split_2)
         got = eval_splits(x, y, ALL_CRITERIA, n_splits=5, seed=3, jobs=jobs)
+        # splits 0-3 fail as one stack, then run one at a time; split 4 is a stack of one
+        assert sorted(stacks) == [1, 1, 1, 1, 1, 4]
         assert got.failures == [{"split": 2, "error": "tied singular values on this split"}]
         for name in clean.mspe:
             assert got.mspe[name] == [v for t, v in enumerate(clean.mspe[name]) if t != 2]
         for name in clean.ranks:
             assert got.ranks[name] == [v for t, v in enumerate(clean.ranks[name]) if t != 2]
+        # the stack-mates of split 2 (splits 0, 1 and 3) report as they did in the stack
+        for name in clean.ranks:
+            assert got.ranks[name][:3] == [clean.ranks[name][t] for t in (0, 1, 3)]
+            assert got.mspe[name][:3] == [clean.mspe[name][t] for t in (0, 1, 3)]
 
     def test_saturating_split_records_the_same_failure(self):
         x, y = saturating_xy()
@@ -337,3 +351,56 @@ class TestOneRankPathPerSplit:
         assert all(f["error"] == "every candidate rank saturates the criterion" for f in failures)
         assert_mspe_close(got.mspe, mspe)
         assert got.ranks == ranks
+
+
+def mixed_rank_xy():
+    """Columns 6.. vanish except column 8 on rows 0-2, so a training half has
+    rank 7 when it holds one of those rows and 6 otherwise."""
+    rng = np.random.default_rng(84)
+    x = rng.standard_normal((20, 12))
+    x[:, 6:] = 0.0
+    x[:3, 8] = 1.0
+    return x, x[:, :6] @ rng.standard_normal((6, 4)) + rng.standard_normal((20, 4))
+
+
+class TestStacksOfSplits:
+    @pytest.mark.parametrize("jobs", [1, 4])
+    @pytest.mark.parametrize("data", ["fixture", "wide", "mixed_rank", "saturating"])
+    def test_reports_do_not_depend_on_the_stack_size(self, monkeypatch, data, jobs):
+        from rrdof import pipeline
+
+        x, y = {"fixture": synthetic_fixture, "wide": wide_xy, "mixed_rank": mixed_rank_xy,
+                "saturating": saturating_xy}[data]()
+        criteria = ALL_CRITERIA if data != "saturating" else {
+            "cp_exact": ALL_CRITERIA["cp_exact"], "gcv_exact": ALL_CRITERIA["gcv_exact"]}
+        split = x.nbytes + y.nbytes
+        payloads = []
+        for budget in (split, 3 * split, pipeline.STACK_BYTES, 12 * split):
+            monkeypatch.setattr(pipeline, "STACK_BYTES", budget)
+            payloads.append(eval_splits(x, y, criteria, n_splits=12, seed=6, jobs=jobs).to_payload())
+        assert all(p == payloads[0] for p in payloads[1:])
+        single = payloads[0]["per_split"]
+        mspe, ranks, failures = reference_eval(x, y, criteria, n_splits=12, seed=6)
+        assert single["ranks"] == ranks and payloads[0]["failures"] == failures
+        assert_mspe_close(single["mspe"], mspe)
+
+    def test_mixed_rank_halves_share_a_stack(self):
+        # so that the test above runs the fallback to single splits
+        from rrdof.linalg import gram_factors
+
+        x, _ = mixed_rank_xy()
+        ranks = [gram_factors(_train_x(x, 6, t)).r_x for t in range(12)]
+        assert any(len(set(ranks[t:t + 4])) == 2 for t in range(0, 12, 4))
+
+    def test_peak_memory_of_the_fixture_run(self):
+        import tracemalloc
+
+        x, y = synthetic_fixture()
+        tracemalloc.start()
+        try:
+            rep = eval_splits(x, y, ALL_CRITERIA, n_splits=100, seed=7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not rep.failures
+        assert peak <= 1.5e6, f"peak {peak / 1e6:.2f} MB"
