@@ -8,7 +8,7 @@ for rules that move continuously with the data.
 
 import numpy as np
 
-from rrdof import adaptive, exact_df_shrunk, fit_ols, fit_shrunk, soft
+from rrdof import adaptive, exact_df_path, fit_ols, fit_shrunk, soft
 from rrdof.selection import lambda_grid
 
 rng = np.random.default_rng(11)
@@ -24,12 +24,13 @@ print(f"least-squares singular values: {np.round(ls.d, 2)}")
 print()
 print("df along the soft-thresholding path (8 log-spaced penalties):")
 print(f"{'lambda':>10} {'kept':>5} {'df':>10} {'rss':>12}")
-for lam in lambda_grid(float(ls.d[0]), size=8):
-    rule = soft(float(lam))
-    s, sp = rule.weights(ls.d)
-    df = exact_df_shrunk(ls.d, r_x, q, s, sp).value
+rules = [soft(float(lam)) for lam in lambda_grid(float(ls.d[0]), size=8)]
+weights = [rule.weights(ls.d) for rule in rules]  # one weight row per penalty
+s, sp = np.array([w[0] for w in weights]), np.array([w[1] for w in weights])
+df, _ = exact_df_path(ls.d, r_x, q, s, sp)  # every row scored by one call of the closed form
+for rule, row, value in zip(rules, s, df):
     rss = float(np.sum((y - fit_shrunk(ls, rule)) ** 2))
-    print(f"{lam:>10.4f} {np.count_nonzero(s):>5} {df:>10.4f} {rss:>12.2f}")
+    print(f"{rule.lam:>10.4f} {np.count_nonzero(row):>5} {value:>10.4f} {rss:>12.2f}")
 
 print()
 print("Adaptive thresholding shrinks large singular values less than soft")

@@ -81,6 +81,7 @@ def cmd_dof(args) -> int:
     needs = "--rank" if method == "naive" else "--rank, --soft, or --adaptive"
     if method in ("exact", "naive", "fd") and (rule is None or method == "naive" and rule.kind != "hard"):
         raise RrdofError(f"--method {method} needs {needs}")
+    rule = rule or hard(ls.r_bar)  # no rule flag: least squares
 
     if method == "naive":
         est = dof_mod.DofEstimate(value=dof_mod.naive_df(r_x, q, rule.rank), method="naive")
@@ -134,15 +135,7 @@ def cmd_select(args) -> int:
     ls = fit_ols(x, y)
     crit = Criterion(kind=args.criterion, df_mode=args.df, sigma2=args.sigma2)
     report = select_rank(ls, crit)
-    payload = {
-        "criterion": args.criterion,
-        "df_mode": args.df,
-        "candidates": report.candidates,
-        "scores": report.scores,
-        "df_used": report.df_used,
-        "residual_ss": report.residual_ss,
-        "chosen": report.chosen,
-    }
+    payload = {"criterion": args.criterion, "df_mode": args.df, **asdict(report)}
     write_report(args.output, "select", payload, seed=_seed_from(args))
     return 0
 

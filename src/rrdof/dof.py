@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import LsFit, ShrinkageRule, _checked_ranks, _weights, validate_weights
+from .estimators import LsFit, ShrinkageRule, _checked_ranks, _weights, hard_rows, validate_weights
 from .exceptions import ContractViolationError, DegeneracyError, DomainError
 from .linalg import SvdFactors, _svd, as_matrix, thin_svd
 
@@ -47,12 +47,15 @@ from .linalg import SvdFactors, _svd, as_matrix, thin_svd
 REL_GAP_TOL = 1e-8
 
 
-def _near_tie(d: np.ndarray) -> bool:
-    """Whether the decreasing spectrum `d` has a relative gap below
-    `REL_GAP_TOL`. A near-tie still computes and sets the degenerate flag:
-    the degenerate set has measure zero but floating point visits its
-    neighborhood."""
-    return bool(d.size > 1 and d[0] > 0 and np.min(-np.diff(d) / d[0]) < REL_GAP_TOL)
+def _near_tie(d: np.ndarray, live) -> np.ndarray:
+    """Whether the leading `live` values of the decreasing spectrum `d` (or of
+    each of a stack) have a relative gap below `REL_GAP_TOL`. A near-tie
+    still computes and sets the degenerate flag: the degenerate set has
+    measure zero but floating point visits its neighborhood."""
+    with np.errstate(divide="ignore", invalid="ignore"):  # d_1 = 0 only when live = 0
+        gaps = -np.diff(d, axis=-1) / d[..., :1]
+    in_live = np.arange(1, d.shape[-1]) < np.asarray(live)[..., None]  # gap k lies between d_k and d_{k+1}
+    return np.any((gaps < REL_GAP_TOL) & in_live, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -120,48 +123,44 @@ def _df_kernel(d, live, r_x: int, q: int, s, s_prime) -> np.ndarray:
     delta = s.copy()
     delta[:, :-1] -= s[:, 1:]
     pair = (delta * np.where(delta != 0, hard_pair[..., None, :], 0.0)).sum(axis=-1)
-    slope = (np.where(s > 0, s_prime, 0.0) @ d[..., :, None])[..., 0]
+    # one (1, r_bar) @ (r_bar, 1) dot per row: a row scores the same alone or among others
+    slope = (np.where(s > 0, s_prime, 0.0)[:, None, :] @ d[..., None, :, None])[..., 0, 0]
     return max(r_x, q) * s.sum(axis=1) + pair + slope
 
 
-def exact_df_path(d, r_x: int, q: int, ranks) -> np.ndarray:
-    """Exact df of the rank-r fit for every r in `ranks` as one float array,
-    from one kernel call; entry a equals ``exact_df_rrr(d, r_x, q,
-    ranks[a]).value`` bit for bit. A stack (..., r_bar) of spectra gives
-    (..., len(ranks)) values, each row equal to its spectrum's own path."""
+def exact_df_path(d, r_x: int, q: int, s, s_prime) -> tuple[np.ndarray, np.ndarray]:
+    """Exact df and degenerate flag of every row of the (m, r_bar) weights
+    `s` (hard ranks: `hard_rows`; a rule: ``rule.weights(d)``) and their
+    derivatives `s_prime`, from one kernel call; rows are checked as by
+    `validate_weights` and for a leading-block support. A row is flagged when
+    it is not constant and the non-vanished spectrum has a near-tie. A stack
+    (..., r_bar) of spectra gives (..., m) values and flags."""
     d, live = _validate_spectrum(d, r_x, q)
-    s = (np.arange(d.shape[-1]) < _checked_ranks(ranks, 1, d.shape[-1])[:, None]).astype(float)
-    return _df_kernel(d, live, r_x, q, s, np.zeros_like(s))
-
-
-def _estimate(d, live, r_x: int, q: int, s, s_prime) -> DofEstimate:
-    """The exact df of one weight vector. Unless the weights are constant
-    (then there is no pair term), a near-tie in the non-vanished spectrum
-    sets the degenerate flag."""
-    value = float(_df_kernel(d, live, r_x, q, s[None], s_prime[None])[0])
-    varying = bool(np.any(np.diff(s) != 0))
-    return DofEstimate(value, "exact", degenerate_flag=varying and _near_tie(d[: int(live)]))
+    s = np.ascontiguousarray(s, dtype=float)  # C order: s.sum sums each row as a one-row call does
+    s_prime = np.asarray(s_prime, dtype=float)
+    if s.ndim != 2 or s.shape[1] != d.shape[-1] or s_prime.shape != s.shape:
+        raise DomainError(f"weights and derivatives must be rows of {d.shape[-1]} "
+                          f"(the spectrum length), got shapes {s.shape} and {s_prime.shape}")
+    validate_weights(s, s_prime)
+    if np.any((s <= 0) & (np.arange(s.shape[1]) < np.count_nonzero(s > 0, axis=1)[:, None])):
+        raise ContractViolationError("weight support must be a leading block")
+    varying = np.any(s[:, 1:] != s[:, :-1], axis=1)  # a constant row has no pair term
+    return _df_kernel(d, live, r_x, q, s, s_prime), varying & _near_tie(d, live)[..., None]
 
 
 def exact_df_rrr(d, r_x: int, q: int, r: int) -> DofEstimate:
     """Exact unbiased df of the rank-r reduced-rank fit: max(r_x, q) * r plus
     C_kl over kept/discarded pairs; exactly r_x * q at full rank."""
-    d, live = _validate_spectrum(d, r_x, q)
-    s = (np.arange(d.size) < _checked_ranks(r, 1, d.size)).astype(float)
-    return _estimate(d, live, r_x, q, s, np.zeros_like(s))
+    return exact_df_shrunk(d, r_x, q, *hard_rows(r, min(r_x, q)))
 
 
 def exact_df_shrunk(d, r_x: int, q: int, s, s_prime) -> DofEstimate:
-    """Exact unbiased df of a shrinkage-class fit with weights s, derivatives s'."""
-    d, live = _validate_spectrum(d, r_x, q)
-    s = np.asarray(s, dtype=float)
-    s_prime = np.asarray(s_prime, dtype=float)
-    if s.shape != d.shape or s_prime.shape != d.shape:
-        raise DomainError("weights and derivatives must match the spectrum length")
-    validate_weights(s, s_prime)
-    if np.any(s[: np.count_nonzero(s > 0)] <= 0):
-        raise ContractViolationError("weight support must be a leading block")
-    return _estimate(d, live, r_x, q, s, s_prime)
+    """Exact unbiased df of a shrinkage-class fit with weights s, derivatives
+    s' on one spectrum: the one-row `exact_df_path`."""
+    if np.ndim(d) > 1:
+        raise DomainError("exact_df_shrunk takes one spectrum; exact_df_path takes a stack")
+    values, flags = exact_df_path(d, r_x, q, [s], [s_prime])
+    return DofEstimate(float(values[0]), "exact", degenerate_flag=bool(flags[0]))
 
 
 def _tall(h: np.ndarray) -> np.ndarray:
@@ -188,7 +187,7 @@ def _tall_svd(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
     d = f.d
     if d[-1] <= 0:
         raise DegeneracyError("matrix must have full column rank")
-    degenerate = _near_tie(d)
+    degenerate = bool(_near_tie(d, d.size))
     tied = np.flatnonzero(d[1:] == d[:-1])
     if tied.size:
         k = int(tied[0]) + 1
@@ -247,8 +246,7 @@ def divergence_analytic(h, rule: ShrinkageRule) -> DofEstimate:
     h = _tall(as_matrix(h))
     r_x, q = h.shape
     d, v, degenerate = _tall_svd(h)
-    s, s_prime = rule.weights(d)
-    validate_weights(s, s_prime)
+    s, s_prime = _weights(rule, d)
     m_trace = float(np.einsum("jk,k,jk->", v, s, v))  # sum of the diagonal of V diag(s) V'
     vvg = (v * v) @ _inverse_gaps(d)  # row j: ((V o V) G)_j, the same for every row i
     total = 0.0
@@ -344,16 +342,16 @@ def _normal_draws(out: np.ndarray, sd: float, seed: int, *path: int) -> np.ndarr
     return out
 
 
-def _h_space_cov(ls: LsFit, rule: ShrinkageRule | None, sd: float, scale: float, m: int,
+def _h_space_cov(ls: LsFit, rule: ShrinkageRule, sd: float, scale: float, m: int,
                  seed: int, stream: int, method: str) -> DofEstimate:
     """Draw D_t = sd * N(0, I) from substream (stream, t) of `seed` for t < m
-    and pass the moments of the fits of ls.y + D_t under `rule` (None: least
-    squares, s = 1) against D_t to `_cov_df`, from one stacked SVD of
-    H + G_t: <F_t, D_t> = s(d_t) . c_t, c_tk = d_k u_k' G_t v_k, G_t = W'D_t."""
+    and pass the moments of the fits of ls.y + D_t under `rule` against D_t
+    to `_cov_df`, from one stacked SVD of H + G_t: <F_t, D_t> = s(d_t) . c_t,
+    c_tk = d_k u_k' G_t v_k, G_t = W'D_t."""
     w = (ls.x @ ls.gram.q_mat) / ls.gram.s
     g = w.T @ _normal_draws(np.empty((m, *ls.y.shape)), sd, seed, stream)
     f = _svd(ls.hf.h + g)
-    s = np.ones_like(f.d) if rule is None else _weights(rule, f.d)
+    s = _weights(rule, f.d)[0]
     fit_mean = np.tensordot(f.left * (s * f.d)[:, None, :], f.right, axes=([0, 2], [0, 2])) / m
     a = np.sum(s * _sv_terms(f, g), axis=-1)
     b = np.sum(s * _sv_terms(f, g.mean(axis=0)), axis=-1)
@@ -361,11 +359,11 @@ def _h_space_cov(ls: LsFit, rule: ShrinkageRule | None, sd: float, scale: float,
     return DofEstimate(value=float(value), method=method, std_error=float(se))
 
 
-def mc_df(ls: LsFit, rule: ShrinkageRule | None, sigma2: float, reps: int, seed: int) -> DofEstimate:
+def mc_df(ls: LsFit, rule: ShrinkageRule, sigma2: float, reps: int, seed: int) -> DofEstimate:
     """Monte-Carlo estimate of sum_ij cov(mu_hat_ij, y_ij) / sigma2 for the
-    fit of `rule` (None: least squares) on the design of `ls` around the mean
-    ls.y_hat, with moments against the noise E_t (substream (0, t)): cov(F, Y)
-    = cov(F, E) for the known mean, without cancelling sums."""
+    fit of `rule` (least squares: hard(r_bar)) on the design of `ls` around
+    the mean ls.y_hat, with moments against the noise E_t (substream (0, t)):
+    cov(F, Y) = cov(F, E) for the known mean, without cancelling sums."""
     if reps < 3:
         raise DomainError("reps must be at least 3")
     if not 0 < sigma2 < np.inf:
@@ -373,10 +371,10 @@ def mc_df(ls: LsFit, rule: ShrinkageRule | None, sigma2: float, reps: int, seed:
     return _h_space_cov(ls, rule, float(np.sqrt(sigma2)), sigma2, reps, seed, 0, "monte_carlo")
 
 
-def perturbation_df(ls: LsFit, rule: ShrinkageRule | None, n_pert: int, tau: float, seed: int) -> DofEstimate:
+def perturbation_df(ls: LsFit, rule: ShrinkageRule, n_pert: int, tau: float, seed: int) -> DofEstimate:
     """Data-perturbation estimate sum_ij cov(mu_hat_ij(Y + D), D_ij) / tau^2
-    for the fit of `rule` (None: least squares) on the data of `ls`, over
-    Gaussian perturbations D with entrywise standard deviation tau
+    for the fit of `rule` (least squares: hard(r_bar)) on the data of `ls`,
+    over Gaussian perturbations D with entrywise standard deviation tau
     (substream (1, t)), taken in H space through `_cov_df`."""
     if n_pert < 3:
         raise DomainError("n_pert must be at least 3")

@@ -37,10 +37,7 @@ class ShrinkageRule:
         """
         d = np.asarray(d, dtype=float)
         if self.kind == "hard":
-            if self.rank > d.shape[-1]:
-                raise DomainError(f"rank {self.rank} outside [0, {d.shape[-1]}]")
-            s = np.where(np.arange(d.shape[-1]) < self.rank, 1.0, np.zeros_like(d))
-            return s, np.zeros_like(d)
+            return hard_rows(np.full(d.shape[:-1], self.rank), d.shape[-1])
         with np.errstate(divide="ignore", invalid="ignore"):
             if self.kind == "soft":
                 s = np.where(d > 0, 1.0 - self.lam / np.where(d > 0, d, 1.0), 0.0)
@@ -64,12 +61,20 @@ def _checked_ranks(r, lo: int, hi: float = np.inf) -> np.ndarray:
     DomainError naming the first that is not an integer in [lo, hi]."""
     given = np.asarray(r)
     v = given.astype(float)
-    whole = np.isfinite(v) & (v == np.round(v))
+    whole = np.isfinite(v) & (v == np.floor(v))
     bad = ~whole | (v < lo) | (v > hi)
-    if np.any(bad):
+    if bad.any():
         why = f"outside [{lo}, {hi}]" if whole[bad][0] else "is not an integer"
         raise DomainError(f"rank {given[bad][0]} {why}")
     return v.astype(int)
+
+
+def hard_rows(ranks, r_bar: int) -> tuple[np.ndarray, np.ndarray]:
+    """Weights 1[k < r] of rank truncation at every rank r of `ranks`, with
+    their zero derivatives, as a rule's `weights` gives them: arrays of shape
+    (*shape of ranks, r_bar). The only place the hard row is built."""
+    s = (np.arange(r_bar) < _checked_ranks(ranks, 0, r_bar)[..., None]).astype(float)
+    return s, np.zeros_like(s)
 
 
 def hard(r: int) -> ShrinkageRule:
@@ -90,18 +95,21 @@ def adaptive(lam: float, gamma: float = 2.0) -> ShrinkageRule:
         raise DomainError("lambda must be nonnegative")
     if not gamma >= 0:
         raise DomainError("gamma must be nonnegative")
+    if gamma == np.inf:  # s' would be inf * 0
+        raise DomainError("gamma must be finite")
     return ShrinkageRule(kind="adaptive", lam=float(lam), gamma=float(gamma))
 
 
 def validate_weights(s: np.ndarray, s_prime: np.ndarray | None = None) -> None:
-    """Raise if weights leave [0, 1] or are not nonincreasing."""
+    """Raise if weights or derivatives are not finite, or weights leave
+    [0, 1] or are not nonincreasing along the last axis."""
     s = np.asarray(s, dtype=float)
+    if not (np.isfinite(s).all() and (s_prime is None or np.isfinite(s_prime).all())):
+        raise ContractViolationError("shrinkage weights and derivatives must be finite")
     if np.any(s < -1e-12) or np.any(s > 1 + 1e-12):
         raise ContractViolationError("shrinkage weights must lie in [0, 1]")
     if np.any(np.diff(s) > 1e-12):
         raise ContractViolationError("shrinkage weights must be nonincreasing")
-    if s_prime is not None and np.asarray(s_prime).shape != s.shape:
-        raise ContractViolationError("weights and derivatives differ in length")
 
 
 @dataclass(frozen=True)
@@ -142,21 +150,21 @@ def fit_ols(x, y, gram: GramFactors | None = None) -> LsFit:
     return LsFit(x=x, y=y, gram=gf, hf=hf, y_hat=y_hat, r_bar=min(gf.r_x, y.shape[-1]))
 
 
-def _weights(rule: ShrinkageRule, d: np.ndarray) -> np.ndarray:
+def _weights(rule: ShrinkageRule, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     s, s_prime = rule.weights(d)
     validate_weights(s, s_prime)
-    return s
+    return s, s_prime
 
 
 def fit_shrunk(ls: LsFit, rule: ShrinkageRule) -> np.ndarray:
     """Fitted values of `rule` applied to the singular values of the
     least-squares fit: Y_hat V diag(s) V'."""
     v = ls.hf.svd.right
-    return (ls.y_hat @ (v * _weights(rule, ls.d))) @ v.T
+    return (ls.y_hat @ (v * _weights(rule, ls.d)[0])) @ v.T
 
 
 def coef_matrix(ls: LsFit, rule: ShrinkageRule) -> np.ndarray:
     """Coefficient matrix B with X @ B = fit_shrunk(ls, rule), lying in the
     row space of X: B = Q S^-1 U diag(s * d) V'."""
-    core = (ls.hf.svd.left * (_weights(rule, ls.d) * ls.d)[None, :]) @ ls.hf.svd.right.T
+    core = (ls.hf.svd.left * (_weights(rule, ls.d)[0] * ls.d)[None, :]) @ ls.hf.svd.right.T
     return (ls.gram.q_mat / ls.gram.s[None, :]) @ core

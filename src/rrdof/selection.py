@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dof import exact_df_path, naive_df
-from .estimators import LsFit
+from .estimators import LsFit, hard_rows
 from .exceptions import DomainError, SaturationError
 
 #: lambda-path convention for shrinkage rules: 50 log-spaced values from d_1
@@ -24,8 +24,8 @@ LAMBDA_GRID_DECADES = 3.0
 
 def lambda_grid(d1: float, size: int = LAMBDA_GRID_SIZE) -> np.ndarray:
     """Logarithmically spaced candidate penalties from d1 down to d1*1e-3."""
-    if d1 <= 0:
-        raise DomainError("leading singular value must be positive")
+    if not 0 < d1 < math.inf:
+        raise DomainError("leading singular value must be positive and finite")
     return d1 * np.logspace(0.0, -LAMBDA_GRID_DECADES, size)
 
 
@@ -112,7 +112,7 @@ def select_ranks(ls: LsFit, criteria: dict[str, Criterion]) -> dict[str, Selecti
             paths[crit.df_mode] = (
                 np.broadcast_to(naive_df(ls.gram.r_x, q, candidates), rss.shape)
                 if crit.df_mode == "naive"
-                else exact_df_path(ls.d, ls.gram.r_x, q, candidates)
+                else exact_df_path(ls.d, ls.gram.r_x, q, *hard_rows(candidates, ls.r_bar))[0]
             )
         df = paths[crit.df_mode]
         scores = _scores(crit.kind, rss, df, n, q, crit.sigma2)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dof import DofEstimate, _cov_df, _normal_draws, _rank_moments, _substream, exact_df_path, naive_df
-from .estimators import coef_matrix, fit_ols, hard
+from .estimators import coef_matrix, fit_ols, hard, hard_rows
 from .exceptions import DomainError
 from .linalg import _svd, gram_factors, thin_svd
 from .selection import Criterion, select_ranks
@@ -154,7 +154,7 @@ def run_dof_study(cfg: SimConfig, n_pert: int = 50) -> DofStudyResult:
         noise = _errors(cfg, t)
         ls = fit_ols(x, xb + noise, gram=gram)
         h, f = ls.hf.h, ls.hf.svd
-        exact_vals[t] = exact_df_path(f.d, r_x, cfg.q, ranks)
+        exact_vals[t] = exact_df_path(f.d, r_x, cfg.q, *hard_rows(ranks, r_bar))[0]
         e_draws[t] = w.T @ noise
         mc_ab[:, t] = _rank_moments(f, np.stack([e_draws[t], e_bar]))
         fit_sum += np.einsum("ik,jk->kij", f.left * f.d, f.right)

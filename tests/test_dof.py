@@ -17,7 +17,7 @@ from rrdof.dof import (
     perturbation_df,
     sv_derivatives,
 )
-from rrdof.estimators import adaptive, coef_matrix, fit_ols, fit_shrunk, hard, soft
+from rrdof.estimators import adaptive, coef_matrix, fit_ols, fit_shrunk, hard, hard_rows, soft
 from rrdof.exceptions import ContractViolationError, DegeneracyError, DomainError
 from rrdof.linalg import thin_svd
 from rrdof.selection import Criterion, select_rank
@@ -125,29 +125,58 @@ class TestExactDfRrr:
 class TestExactDfPath:
     def test_equals_per_rank(self):
         d = [10.0, 6.0, 3.01, 3.0, 0.5]
-        path = exact_df_path(d, 7, 5, [3, 1, 5, 3])
-        assert path.tolist() == [exact_df_rrr(d, 7, 5, r).value for r in (3, 1, 5, 3)]
-        assert exact_df_path(d, 7, 5, []).tolist() == []
+        values, flags = exact_df_path(d, 7, 5, *hard_rows([3, 1, 5, 3], 5))
+        assert values.tolist() == [exact_df_rrr(d, 7, 5, r).value for r in (3, 1, 5, 3)]
+        assert flags.tolist() == [exact_df_rrr(d, 7, 5, r).degenerate_flag for r in (3, 1, 5, 3)]
+        assert [a.tolist() for a in exact_df_path(d, 7, 5, *hard_rows([], 5))] == [[], []]
 
     def test_rejects_out_of_range_rank(self):
         # the ranks are checked as one array; the message names the first bad one
-        for ranks, bad in (([1, 0], 0), ([1, 6], 6), ([2, 6, 0], 6), (np.array([3, 7]), 7)):
-            with pytest.raises(DomainError, match=rf"^rank {bad} outside \[1, 5\]$"):
-                exact_df_path([3.0, 2.0, 1.0, 0.5, 0.1], 7, 5, ranks)
+        for ranks, bad in (([1, -1], -1), ([1, 6], 6), ([2, 6, -1], 6), (np.array([3, 7]), 7)):
+            with pytest.raises(DomainError, match=rf"^rank {bad} outside \[0, 5\]$"):
+                hard_rows(ranks, 5)
         # a non-integer rank is named, not truncated; integral floats pass
-        d = [3.0, 2.0, 1.0, 0.5, 0.1]
         for ranks, bad in (([1.9], 1.9), ([2, 2.5], 2.5), ([3.5, 7], 3.5), ([2, np.nan], "nan")):
             with pytest.raises(DomainError, match=rf"^rank {bad} is not an integer$"):
-                exact_df_path(d, 7, 5, ranks)
+                hard_rows(ranks, 5)
+        d = [3.0, 2.0, 1.0, 0.5, 0.1]
         with pytest.raises(DomainError, match=r"^rank 2.5 is not an integer$"):
             exact_df_rrr(d, 7, 5, 2.5)
-        assert exact_df_path(d, 7, 5, [2.0, np.int64(3)]).tolist() == exact_df_path(d, 7, 5, [2, 3]).tolist()
+        for got, want in zip(hard_rows([2.0, np.int64(3)], 5), hard_rows([2, 3], 5)):
+            assert got.tolist() == want.tolist()
+        # the rows are the hard rule's weights; rank 0 is the zero fit
+        s, s_prime = hard_rows([0, 2, 5], 5)
+        assert s.tolist() == [[0.0] * 5, [1.0, 1.0, 0.0, 0.0, 0.0], [1.0] * 5]
+        assert s_prime.tolist() == [[0.0] * 5] * 3
+        assert [a.shape for a in hard_rows(2, 5)] == [(5,), (5,)]
+        assert exact_df_path(d, 7, 5, s, s_prime)[0][0] == 0.0
 
     def test_gap_policy_applies_below_full_rank(self):
         d = [2.0, 1.0 + 1e-12, 1.0]
-        flags = [exact_df_rrr(d, 4, 3, r).degenerate_flag for r in (1, 2, 3)]
-        assert flags == [True, True, False]
-        assert exact_df_path(d, 4, 3, [3])[0] == 12.0
+        values, flags = exact_df_path(d, 4, 3, *hard_rows([1, 2, 3], 3))
+        assert flags.tolist() == [True, True, False]
+        assert flags.tolist() == [exact_df_rrr(d, 4, 3, r).degenerate_flag for r in (1, 2, 3)]
+        assert values[2] == 12.0
+
+    def test_rejects_malformed_rows(self):
+        d = [3.0, 2.0, 1.0]
+        good, zero = np.array([[1.0, 0.5, 0.0]]), np.zeros((1, 3))
+        for s, s_prime, error in (
+            (good[0], zero[0], DomainError),  # one row, not an (m, r_bar) matrix
+            (good[None], zero[None], DomainError),
+            (good[:, :2], zero[:, :2], DomainError),  # not the spectrum length
+            (good, np.zeros((2, 3)), DomainError),  # derivatives of another shape
+            ([[1.0, 0.5, 0.0], [0.5, 0.8, 0.0]], np.zeros((2, 3)), ContractViolationError),  # increasing
+            ([[1.2, 0.5, 0.0]], zero, ContractViolationError),  # above 1
+            ([[0.5, 0.0, -0.5]], zero, ContractViolationError),  # below 0
+            ([[1.0, np.nan, 0.0]], zero, ContractViolationError),
+            ([[np.inf, 0.5, 0.0]], zero, ContractViolationError),
+            (good, [[0.0, np.inf, 0.0]], ContractViolationError),
+            (good, [[0.0, np.nan, 0.0]], ContractViolationError),
+            ([[0.5, 0.0, 5e-13]], zero, ContractViolationError),  # support not a leading block
+        ):
+            with pytest.raises(error):
+                exact_df_path(d, 4, 3, s, s_prime)
 
 
 class TestExactDfShrunk:
@@ -172,6 +201,17 @@ class TestExactDfShrunk:
     def test_rejects_non_monotone_weights(self):
         with pytest.raises(ContractViolationError):
             exact_df_shrunk([2.0, 1.0], 3, 2, [0.4, 0.9], [0.0, 0.0])
+
+    def test_rejects_non_finite_weights_and_derivatives(self):
+        # NaN passes every comparison, so these once gave a NaN or inf df
+        d = [3.0, 2.0, 1.0]
+        for s, s_prime in (([1.0, 0.5, np.nan], [0.0] * 3), ([1.0, 0.5, 0.2], [0.0, 0.0, np.inf])):
+            with pytest.raises(ContractViolationError, match="must be finite"):
+                exact_df_shrunk(d, 4, 3, s, s_prime)
+
+    def test_rejects_a_stack_of_spectra(self):
+        with pytest.raises(DomainError, match="one spectrum"):
+            exact_df_shrunk([[2.0, 1.0], [3.0, 1.0]], 3, 2, [1.0, 0.0], [0.0, 0.0])
 
 
 @pytest.mark.parametrize("apply", [
@@ -376,7 +416,8 @@ class TestStochasticEstimators:
         rng = np.random.default_rng(39)
         x = rng.standard_normal((12, 4))
         mean = rng.standard_normal((12, 3))
-        est = mc_df(fit_ols(x, mean), None, 1.0, reps=1500, seed=6)
+        ls = fit_ols(x, mean)
+        est = mc_df(ls, hard(ls.r_bar), 1.0, reps=1500, seed=6)  # least squares
         assert abs(est.value - 12) <= 3 * est.std_error
 
     def test_mc_rrr_matches_exact(self):
@@ -409,7 +450,8 @@ class TestStochasticEstimators:
         rng = np.random.default_rng(41)
         x = rng.standard_normal((12, 4))
         y = rng.standard_normal((12, 3))
-        est = perturbation_df(fit_ols(x, y), None, n_pert=1500, tau=0.1, seed=10)
+        ls = fit_ols(x, y)
+        est = perturbation_df(ls, hard(ls.r_bar), n_pert=1500, tau=0.1, seed=10)  # least squares
         assert abs(est.value - 12) <= 3 * est.std_error
 
     def test_perturbation_rrr_agrees_with_exact(self):
@@ -471,7 +513,8 @@ class TestStochasticEstimators:
         rng = np.random.default_rng(n * p * q)
         x = rng.standard_normal((n, p))
         y = x @ rng.standard_normal((p, q)) + rng.standard_normal((n, q))
-        est = perturbation_df(fit_ols(x, y), rule, n_pert=30, tau=0.3, seed=3)
+        ls = fit_ols(x, y)
+        est = perturbation_df(ls, hard(ls.r_bar) if rule is None else rule, n_pert=30, tau=0.3, seed=3)
         d = np.stack([0.3 * _substream(3, 1, t).standard_normal(y.shape) for t in range(30)])
         fits = [fit_ols(x, y + dt) for dt in d]
         f = np.stack([ls.y_hat if rule is None else fit_shrunk(ls, rule) for ls in fits]).reshape(30, -1)
@@ -483,24 +526,24 @@ class TestStochasticEstimators:
     def test_reps_validation(self):
         ls = fit_ols(np.eye(3)[:, :2], np.zeros((3, 2)))
         with pytest.raises(DomainError):
-            mc_df(ls, None, 1.0, reps=1, seed=0)
+            mc_df(ls, hard(2), 1.0, reps=1, seed=0)
         with pytest.raises(DomainError):
-            perturbation_df(ls, None, n_pert=1, tau=0.1, seed=0)
+            perturbation_df(ls, hard(2), n_pert=1, tau=0.1, seed=0)
         # the jackknife divides by m - 2, so two draws raise instead of warning
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DomainError):
-                mc_df(ls, None, 1.0, reps=2, seed=0)
+                mc_df(ls, hard(2), 1.0, reps=2, seed=0)
             with pytest.raises(DomainError):
-                perturbation_df(ls, None, n_pert=2, tau=0.1, seed=0)
+                perturbation_df(ls, hard(2), n_pert=2, tau=0.1, seed=0)
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
     def test_scale_validation(self, bad):
         ls = fit_ols(np.eye(3)[:, :2], np.zeros((3, 2)))
         with pytest.raises(DomainError, match="^sigma2 must be positive and finite$"):
-            mc_df(ls, None, bad, reps=3, seed=0)
+            mc_df(ls, hard(2), bad, reps=3, seed=0)
         with pytest.raises(DomainError, match="^tau must be positive and finite$"):
-            perturbation_df(ls, None, n_pert=3, tau=bad, seed=0)
+            perturbation_df(ls, hard(2), n_pert=3, tau=bad, seed=0)
 
     def test_seed_reproducibility(self):
         rng = np.random.default_rng(43)

@@ -121,6 +121,11 @@ class TestShrinkageRules:
             with pytest.raises(DomainError, match=f"^{name} must be nonnegative$"):
                 make(bad)
 
+    def test_infinite_gamma_is_rejected(self):
+        # it once gave weight derivatives of NaN, and so a NaN df
+        with pytest.raises(DomainError, match="^gamma must be finite$"):
+            adaptive(2.0, gamma=float("inf"))
+
     def test_validate_rejects_non_monotone(self):
         with pytest.raises(ContractViolationError):
             validate_weights(np.array([0.5, 0.8]))
@@ -128,6 +133,11 @@ class TestShrinkageRules:
     def test_validate_rejects_out_of_range(self):
         with pytest.raises(ContractViolationError):
             validate_weights(np.array([1.2, 0.1]))
+
+    def test_validate_rejects_non_finite(self):
+        for s, s_prime in (([1.0, np.nan], None), ([1.0, 0.5], [0.0, np.inf]), ([1.0, 0.5], [np.nan, 0.0])):
+            with pytest.raises(ContractViolationError, match="must be finite"):
+                validate_weights(np.array(s), s_prime)
 
 
 class TestFitRrr:

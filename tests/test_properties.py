@@ -19,11 +19,11 @@ from rrdof.dof import (
     naive_df,
     sv_derivatives,
 )
-from rrdof.estimators import adaptive, coef_matrix, fit_ols, fit_shrunk, hard, soft, validate_weights
+from rrdof.estimators import adaptive, coef_matrix, fit_ols, fit_shrunk, hard, hard_rows, soft, validate_weights
 from rrdof.exceptions import SaturationError
 from rrdof.linalg import thin_svd
 from rrdof.pipeline import _mspe_path
-from rrdof.selection import Criterion, _scores, select_rank, select_ranks
+from rrdof.selection import Criterion, _scores, lambda_grid, select_rank, select_ranks
 from test_selection import assert_scores_match
 
 
@@ -138,12 +138,44 @@ def test_kernel_matches_double_loop(d, extra, wide, kind, frac, gamma):
 def test_path_equals_per_rank_bit_for_bit(d, extra, wide, data):
     r_x, q = shapes(d.size, extra, wide)
     ranks = data.draw(st.lists(st.integers(1, d.size), max_size=2 * d.size))
-    path = exact_df_path(d, r_x, q, ranks).tolist()
+    path = exact_df_path(d, r_x, q, *hard_rows(ranks, d.size))[0].tolist()
     assert path == [exact_df_rrr(d, r_x, q, r).value for r in ranks]
     # hard weights through the double loop agree to rounding (the kernel sums
     # each rank's pairs by a cumulative sum, the loop in another order)
     hard_ref = [reference_exact_df_shrunk(d, r_x, q, *hard(r).weights(d)) for r in ranks]
     assert path == pytest.approx(hard_ref, rel=1e-13, abs=0)
+
+
+@settings(deadline=None, max_examples=150)
+@given(r_bar=st.integers(1, 8), extra=st.integers(0, 5), wide=st.booleans(), size=st.integers(0, 3),
+       gamma=st.floats(min_value=0.5, max_value=4.0), data=st.data())
+def test_weight_rows_equal_one_row_calls(r_bar, extra, wide, size, gamma, data):
+    # Rows of hard ranks and of soft and adaptive lambda grids, scored in one
+    # call, equal their one-row calls (==) in value and flag: on one spectrum
+    # (size 0) or a stack of them, each ending in a vanished tail of its own
+    # length.
+    r_x, q = shapes(r_bar, extra, wide)
+
+    def spectrum():
+        live = data.draw(st.integers(1, r_bar))
+        tail = data.draw(st.lists(st.sampled_from([0.0, 1e-15, 1e-13]),
+                                  min_size=r_bar - live, max_size=r_bar - live))
+        return np.concatenate([data.draw(spectra(live, live)), sorted(tail, reverse=True)])
+
+    d = spectrum() if size == 0 else np.stack([spectrum() for _ in range(size)])
+    first = d if size == 0 else d[0]
+    grid = lambda_grid(float(first[0]), size=data.draw(st.integers(1, 6)))
+    rules = [soft(lam) for lam in grid] + [adaptive(lam, gamma) for lam in grid]
+    rows = list(zip(*hard_rows(data.draw(st.lists(st.integers(0, r_bar), max_size=r_bar + 1)), r_bar)))
+    rows += [rule.weights(first) for rule in rules]
+    s, s_prime = (np.array([row[k] for row in rows]) for k in (0, 1))
+    values, flags = exact_df_path(d, r_x, q, s, s_prime)
+    assert values.shape == flags.shape == d.shape[:-1] + (len(rows),)
+    for j, one_d in enumerate(d[None] if size == 0 else d):
+        for i in range(len(rows)):
+            one = exact_df_shrunk(one_d, r_x, q, s[i], s_prime[i])
+            at = (i,) if size == 0 else (j, i)
+            assert values[at] == one.value and flags[at] == one.degenerate_flag
 
 
 @settings(deadline=None, max_examples=150)
@@ -153,7 +185,7 @@ def test_hard_rank_df_within_ulps_of_fsum(d, extra, wide):
     # exactly rounded sum of the same C entries it is off by a few ulps.
     r_x, q = shapes(d.size, extra, wide)
     d2 = d**2
-    path = exact_df_path(d, r_x, q, range(1, d.size + 1))
+    path = exact_df_path(d, r_x, q, *hard_rows(range(1, d.size + 1), d.size))[0]
     for r, value in enumerate(path.tolist(), start=1):
         pairs = [(d2[k] + d2[l]) / (d2[k] - d2[l]) for k in range(r) for l in range(r, d.size)]
         ref = math.fsum([max(r_x, q) * r, *pairs])

@@ -96,6 +96,12 @@ class TestLambdaGrid:
         with pytest.raises(DomainError):
             lambda_grid(0.0)
 
+    @pytest.mark.parametrize("d1", [float("nan"), float("inf")])
+    def test_rejects_non_finite(self, d1):
+        # both once gave a grid of NaN or inf
+        with pytest.raises(DomainError, match="^leading singular value must be positive and finite$"):
+            lambda_grid(d1)
+
 
 class TestRssPath:
     def test_matches_direct_computation(self):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from rrdof import simbench
-from rrdof.dof import DofEstimate, _cov_df, _rank_moments, _substream, exact_df_path, exact_df_rrr, naive_df
+from rrdof.dof import DofEstimate, _cov_df, _rank_moments, _substream, exact_df_rrr, exact_df_shrunk, naive_df
 from rrdof.estimators import fit_ols, fit_shrunk, hard
 from rrdof.exceptions import DomainError
 from rrdof.linalg import SvdFactors, _svd, gram_factors, thin_svd
@@ -278,7 +278,7 @@ def _per_draw_dof_study(cfg, n_pert):
         noise = simbench._errors(cfg, t)
         ls = fit_ols(x, xb + noise, gram=gram)
         f = ls.hf.svd
-        exact[t] = exact_df_path(f.d, r_x, cfg.q, ranks)
+        exact[t] = [exact_df_shrunk(f.d, r_x, cfg.q, *hard(r).weights(f.d)).value for r in ranks]
         e_draws[t] = w.T @ noise
         mc_ab[:, t] = _rank_moments(f, np.stack([e_draws[t], e_bar]))
         fit_sum += np.einsum("ik,jk->kij", f.left * f.d, f.right)

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rrdof.dof import exact_df_path
-from rrdof.estimators import fit_ols
+from rrdof.estimators import fit_ols, hard_rows
 from rrdof.exceptions import SaturationError, ShapeError
 from rrdof.linalg import gram_factors, thin_svd
 from rrdof.pipeline import _mspe_path
@@ -65,7 +65,8 @@ def test_stack_equals_each_slice_bit_for_bit(seed, kind, size):
     ls = fit_ols(x, y)
     ranks = list(range(1, ls.r_bar + 1))
     rss = rss_path(ls, ranks)
-    df = exact_df_path(ls.d, ls.gram.r_x, y.shape[-1], ranks)
+    rows = hard_rows(ranks, ls.r_bar)
+    df, flags = exact_df_path(ls.d, ls.gram.r_x, y.shape[-1], *rows)
     mspe = _mspe_path(ls, x_te, y_te)
     chosen, singles = chosen_ranks(ls), []
     for i in range(size):
@@ -76,7 +77,9 @@ def test_stack_equals_each_slice_bit_for_bit(seed, kind, size):
                           (ls.gram.q_mat[i], one.gram.q_mat), (ls.gram.s[i], one.gram.s)]:
             assert_same(got, want)
         assert_same(rss[i], rss_path(one, ranks))
-        assert_same(df[i], exact_df_path(one.d, one.gram.r_x, y.shape[-1], ranks))
+        one_df, one_flags = exact_df_path(one.d, one.gram.r_x, y.shape[-1], *rows)
+        assert_same(df[i], one_df)
+        assert_same(flags[i], one_flags)
         assert_same(mspe[i], _mspe_path(one, x_te[i], y_te[i]))
         singles.append(chosen_ranks(one))
     # a stack saturates exactly when one of its fits does (an interpolating
@@ -103,10 +106,12 @@ def test_df_path_of_stacked_spectra_with_vanished_tails(seed, r_bar, extra, wide
     d = np.sort(rng.uniform(0.1, 20.0, size=(size, r_bar)), axis=-1)[:, ::-1].copy()
     for i in range(size):  # a vanished tail of a different length per slice
         d[i, r_bar - int(rng.integers(0, r_bar)):] = rng.uniform(0.0, 1e-13)
-    ranks = list(range(1, r_bar + 1))
-    got = exact_df_path(d, r_x, q, ranks)
+    rows = hard_rows(range(1, r_bar + 1), r_bar)
+    got, flags = exact_df_path(d, r_x, q, *rows)
     for i in range(size):
-        assert_same(got[i], exact_df_path(d[i], r_x, q, ranks))
+        one, one_flags = exact_df_path(d[i], r_x, q, *rows)
+        assert_same(got[i], one)
+        assert_same(flags[i], one_flags)
 
 
 def test_stacked_designs_that_differ_in_rank_raise():
