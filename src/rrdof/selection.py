@@ -26,6 +26,8 @@ def lambda_grid(d1: float, size: int = LAMBDA_GRID_SIZE) -> np.ndarray:
     """Logarithmically spaced candidate penalties from d1 down to d1*1e-3."""
     if not 0 < d1 < math.inf:
         raise DomainError("leading singular value must be positive and finite")
+    if not isinstance(size, (int, np.integer)) or size < 1:
+        raise DomainError(f"grid size must be an integer >= 1, got {size!r}")
     return d1 * np.logspace(0.0, -LAMBDA_GRID_DECADES, size)
 
 

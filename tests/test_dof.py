@@ -322,6 +322,38 @@ class TestDivergences:
         for rule in (hard(2), soft(0.4), adaptive(0.4)):
             assert divergence_fd(h, rule).value == reference_divergence_fd(h, rule)
 
+    @pytest.mark.parametrize("one_copy", [False, True], ids=["budget", "one-copy"])
+    @pytest.mark.parametrize("shape", [(14, 13), (13, 14)], ids=["tall", "wide"])
+    def test_fd_stacks_equal_the_per_copy_loop(self, shape, one_copy, monkeypatch):
+        # 2 * 14 * 13 = 364 copies: four stacks of 90 and one of 4 under the
+        # budget; one copy per stack is the loop over single copies.
+        from rrdof import dof
+
+        h = np.random.default_rng(48).standard_normal(shape)
+        if one_copy:
+            monkeypatch.setattr(dof, "FD_STACK_BYTES", h.nbytes)
+        for rule in (hard(5), soft(0.6), adaptive(0.6)):
+            assert dof.divergence_fd(h, rule).value == reference_divergence_fd(h, rule)
+
+    @pytest.mark.parametrize("shape", [(14, 13), (13, 14), (39, 36)])
+    def test_fd_factors_one_stack_per_budget(self, shape, monkeypatch):
+        from rrdof import dof
+
+        stacks = []
+        original = dof._svd
+
+        def counting(m):
+            stacks.append(m.shape)
+            return original(m)
+
+        monkeypatch.setattr(dof, "_svd", counting)
+        h = np.random.default_rng(49).standard_normal(shape)
+        dof.divergence_fd(h, soft(0.6))
+        per_stack = dof.FD_STACK_BYTES // h.nbytes
+        assert len(stacks) == -(-2 * h.size // per_stack)  # ceil(2 r_x q / k)
+        assert {m[0] for m in stacks[:-1]} <= {per_stack}
+        assert sum(m[0] for m in stacks) == 2 * h.size
+
     def test_analytic_factors_h_once(self, monkeypatch):
         from rrdof import dof
 

@@ -102,6 +102,15 @@ class TestLambdaGrid:
         with pytest.raises(DomainError, match="^leading singular value must be positive and finite$"):
             lambda_grid(d1)
 
+    @pytest.mark.parametrize("size", [0, -1, 2.5])
+    def test_rejects_bad_size(self, size):
+        # 0 once gave an empty grid, -1 numpy's ValueError and 2.5 a TypeError
+        with pytest.raises(DomainError, match=r"^grid size must be an integer >= 1, got "):
+            lambda_grid(4.0, size=size)
+
+    def test_size_one(self):
+        assert lambda_grid(4.0, size=1).tolist() == [4.0]
+
 
 class TestRssPath:
     def test_matches_direct_computation(self):
