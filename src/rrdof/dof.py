@@ -268,7 +268,7 @@ def _apply_rule(h: np.ndarray, rule: ShrinkageRule) -> np.ndarray:
     """Overwrite each matrix of the stack `h` with its shrunk fit, as of that
     matrix alone, and return `h`."""
     f = _svd(h)  # U diag(s d) V' is exactly unchanged when a pair (u_k, v_k) is negated
-    s, _ = rule.weights(f.d)
+    s, _ = _weights(rule, f.d)
     np.multiply(f.left, (s * f.d)[..., None, :], out=f.left)  # in place: the factors are fresh
     return np.matmul(f.left, f.right.swapaxes(-1, -2), out=h)
 
@@ -308,9 +308,12 @@ def _substream(seed: int, *path: int) -> np.random.Generator:
     study may draw before it fits. Every seeded draw in rrdof uses it:
 
         simbench  (0,) X and B; (1, t) errors of replication t;
-                  (2, t, k) perturbation k of replication t
+                  (2, t) the perturbations of replication t
         pipeline  (3, t) eval split t; (4,) synthetic_fixture
-        mc_df / perturbation_df  (0, t) / (1, t) of their own seed
+        mc_df / perturbation_df  (0,) / (1,) of their own seed
+
+    A batch of draws comes from one generator in order, so draw t is the
+    t-th block and a shorter run draws a prefix of a longer one's draws.
     """
     return np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(p) for p in path)))
 
@@ -345,22 +348,15 @@ def _rank_moments(f: SvdFactors, g: np.ndarray) -> np.ndarray:
     return np.cumsum(_sv_terms(f, g), axis=-1)
 
 
-def _normal_draws(out: np.ndarray, sd: float, seed: int, *path: int) -> np.ndarray:
-    """`out`, with out[k] = sd * N(0, I) from substream (*path, k) of `seed`."""
-    for k, draw in enumerate(out):
-        _substream(seed, *path, k).standard_normal(out=draw)
-    out *= sd
-    return out
-
-
 def _h_space_cov(ls: LsFit, rule: ShrinkageRule, sd: float, scale: float, m: int,
                  seed: int, stream: int, method: str) -> DofEstimate:
-    """Draw D_t = sd * N(0, I) from substream (stream, t) of `seed` for t < m
-    and pass the moments of the fits of ls.y + D_t under `rule` against D_t
-    to `_cov_df`, from one stacked SVD of H + G_t: <F_t, D_t> = s(d_t) . c_t,
-    c_tk = d_k u_k' G_t v_k, G_t = W'D_t."""
+    """Draw D_t = sd * N(0, I) for t < m, in order from substream (stream,)
+    of `seed`, and pass the moments of the fits of ls.y + D_t under `rule`
+    against D_t to `_cov_df`, from one stacked SVD of H + G_t:
+    <F_t, D_t> = s(d_t) . c_t, c_tk = d_k u_k' G_t v_k, G_t = W'D_t."""
     w = (ls.x @ ls.gram.q_mat) / ls.gram.s
-    g = w.T @ _normal_draws(np.empty((m, *ls.y.shape)), sd, seed, stream)
+    draws = _substream(seed, stream).standard_normal((m, *ls.y.shape))
+    g = w.T @ np.multiply(draws, sd, out=draws)
     f = _svd(ls.hf.h + g)
     s = _weights(rule, f.d)[0]
     fit_mean = np.tensordot(f.left * (s * f.d)[:, None, :], f.right, axes=([0, 2], [0, 2])) / m
@@ -373,7 +369,7 @@ def _h_space_cov(ls: LsFit, rule: ShrinkageRule, sd: float, scale: float, m: int
 def mc_df(ls: LsFit, rule: ShrinkageRule, sigma2: float, reps: int, seed: int) -> DofEstimate:
     """Monte-Carlo estimate of sum_ij cov(mu_hat_ij, y_ij) / sigma2 for the
     fit of `rule` (least squares: hard(r_bar)) on the design of `ls` around
-    the mean ls.y_hat, with moments against the noise E_t (substream (0, t)):
+    the mean ls.y_hat, with moments against the noise E_t (substream (0,)):
     cov(F, Y) = cov(F, E) for the known mean, without cancelling sums."""
     if reps < 3:
         raise DomainError("reps must be at least 3")
@@ -386,7 +382,7 @@ def perturbation_df(ls: LsFit, rule: ShrinkageRule, n_pert: int, tau: float, see
     """Data-perturbation estimate sum_ij cov(mu_hat_ij(Y + D), D_ij) / tau^2
     for the fit of `rule` (least squares: hard(r_bar)) on the data of `ls`,
     over Gaussian perturbations D with entrywise standard deviation tau
-    (substream (1, t)), taken in H space through `_cov_df`."""
+    (substream (1,)), taken in H space through `_cov_df`."""
     if n_pert < 3:
         raise DomainError("n_pert must be at least 3")
     if not 0 < tau < np.inf:

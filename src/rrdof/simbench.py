@@ -14,10 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dof import DofEstimate, _cov_df, _normal_draws, _rank_moments, _substream, exact_df_path, naive_df
+from .dof import DofEstimate, _cov_df, _rank_moments, _substream, exact_df_path, naive_df
 from .estimators import coef_matrix, fit_ols, hard, hard_rows
 from .exceptions import DomainError
-from .linalg import _svd, gram_factors, thin_svd
+from .linalg import _svd, build_h, gram_factors, thin_svd
 from .selection import Criterion, select_ranks
 
 
@@ -122,15 +122,16 @@ def run_dof_study(cfg: SimConfig, n_pert: int = 50) -> DofStudyResult:
     """Replicate the df comparison: exact vs naive vs perturbation vs
     Monte-Carlo truth, per candidate rank.
 
-    The exact df comes from each replication's ``fit_ols(x, y, gram=gram)``.
-    The covariances are taken in H space (see `dof`), with no n x q fit;
-    draws come first, so each mean draw is known before its fits.
-    Monte-Carlo truth takes its moments against the noise E_t (cov(F, Y) =
-    cov(F, E) for the known XB): per-rank sums of the fits and each W'E_t,
-    one r_x x q matrix per replication. Perturbation k of replication t
-    (size 0.1 sigma, substream (2, t, k)) fills slot k of one reused buffer,
-    and one stacked SVD of H_t + W'Delta by the sign-free `_svd` gives every
-    rank's moments against each draw and the mean draw.
+    The exact df comes from the spectrum of each replication's H,
+    ``build_h(x, y, gram)``. The covariances are taken in H space (see
+    `dof`), so no n x q fit is formed; draws come first, so each mean draw is
+    known before its fits. Monte-Carlo truth takes its moments against the
+    noise E_t (cov(F, Y) = cov(F, E) for the known XB): per-rank sums of the
+    fits and each W'E_t, one r_x x q matrix per replication. The n_pert
+    perturbations of replication t (size 0.1 sigma) fill one reused buffer
+    in order from one generator, substream (2, t), and one stacked SVD of
+    H_t + W'Delta by the sign-free `_svd` gives every rank's moments against
+    each draw and the mean draw.
     """
     if cfg.reps < 3 or n_pert < 3:
         raise DomainError("reps and n_pert must be at least 3")
@@ -152,13 +153,14 @@ def run_dof_study(cfg: SimConfig, n_pert: int = 50) -> DofStudyResult:
     draws = np.empty((n_pert, cfg.n, cfg.q))  # the perturbations of one replication, refilled in place
     for t in range(m):
         noise = _errors(cfg, t)
-        ls = fit_ols(x, xb + noise, gram=gram)
-        h, f = ls.hf.h, ls.hf.svd
+        hf = build_h(x, xb + noise, gram)
+        h, f = hf.h, hf.svd
         exact_vals[t] = exact_df_path(f.d, r_x, cfg.q, *hard_rows(ranks, r_bar))[0]
         e_draws[t] = w.T @ noise
         mc_ab[:, t] = _rank_moments(f, np.stack([e_draws[t], e_bar]))
         fit_sum += np.einsum("ik,jk->kij", f.left * f.d, f.right)
-        g = w.T @ _normal_draws(draws, tau, cfg.seed, 2, t)
+        _substream(cfg.seed, 2, t).standard_normal(out=draws)
+        g = w.T @ np.multiply(draws, tau, out=draws)
         f_g = _svd(h + g)  # every perturbation of replication t in one stacked SVD
         pert_vals[t] = _cov_df(_rank_moments(f_g, g), _rank_moments(f_g, g.mean(axis=0)), None, tau**2)[0]
         del f_g  # not alive beside the next replication's stack

@@ -151,7 +151,7 @@ class TestDof:
             center, sd, stream = ls.y_hat, np.sqrt(1.5), 0
         else:
             center, sd, stream = y, 0.1 * _sigma_hat(ls), 1
-        draws = np.stack([sd * _substream(4, stream, t).standard_normal(y.shape) for t in range(12)])
+        draws = sd * _substream(4, stream).standard_normal((12, *y.shape))  # one generator, in order
         # the reference factors X again for every draw
         fitted = np.stack([refit(fit_ols(x, center + d)) for d in draws]).reshape(12, -1)
         draws = draws.reshape(12, -1)

@@ -17,7 +17,7 @@ from rrdof.dof import (
     perturbation_df,
     sv_derivatives,
 )
-from rrdof.estimators import adaptive, coef_matrix, fit_ols, fit_shrunk, hard, hard_rows, soft
+from rrdof.estimators import ShrinkageRule, adaptive, coef_matrix, fit_ols, fit_shrunk, hard, hard_rows, soft
 from rrdof.exceptions import ContractViolationError, DegeneracyError, DomainError
 from rrdof.linalg import thin_svd
 from rrdof.selection import Criterion, select_rank
@@ -297,6 +297,19 @@ class TestDivergences:
         h = random_h(rng, 4, 3)
         assert divergence_fd(h, soft(100.0)).value == 0.0
 
+    @pytest.mark.parametrize("oracle", ["exact", "analytic", "fd"])
+    def test_every_oracle_checks_the_weights(self, oracle):
+        # soft() rejects a negative lambda; built directly, the rule gives
+        # weights above 1, which no oracle may turn into a value
+        h = random_h(np.random.default_rng(48), 6, 4)
+        rule = ShrinkageRule("soft", lam=-1.0)
+        d = thin_svd(h).d
+        run = {"exact": lambda: exact_df_shrunk(d, 6, 4, *rule.weights(d)),
+               "analytic": lambda: divergence_analytic(h, rule),
+               "fd": lambda: divergence_fd(h, rule)}[oracle]
+        with pytest.raises(ContractViolationError, match=r"must lie in \[0, 1\]"):
+            run()
+
     @pytest.mark.parametrize("make_rule", [lambda d1: hard(1), lambda d1: soft(0.4 * d1), lambda d1: adaptive(0.4 * d1)])
     def test_triple_agreement(self, make_rule):
         rng = np.random.default_rng(37)
@@ -503,7 +516,7 @@ class TestStochasticEstimators:
         # centred covariance of n x q refits the value is within 5e-15
         # relative (moments against the draws were off by about 2e-13). The
         # perturbation estimate shares the H-space front end; rebuilding its
-        # draws from substream (1, t) pins their layout.
+        # draws in order from substream (1,) pins their layout.
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((60, 4))
         mean = 50.0 + x @ rng.standard_normal((4, 5))
@@ -513,8 +526,7 @@ class TestStochasticEstimators:
             return fit_shrunk(fit_ols(x, y), hard(2))
 
         def reference(stream, sd, scale):
-            e = np.stack([sd * _substream(seed, stream, t).standard_normal(mean.shape)
-                          for t in range(reps)])
+            e = sd * _substream(seed, stream).standard_normal((reps, *mean.shape))
             f = np.stack([fitter(mean + et) for et in e]).astype(np.longdouble)
             e = e.astype(np.longdouble)
 
@@ -547,13 +559,34 @@ class TestStochasticEstimators:
         y = x @ rng.standard_normal((p, q)) + rng.standard_normal((n, q))
         ls = fit_ols(x, y)
         est = perturbation_df(ls, hard(ls.r_bar) if rule is None else rule, n_pert=30, tau=0.3, seed=3)
-        d = np.stack([0.3 * _substream(3, 1, t).standard_normal(y.shape) for t in range(30)])
+        d = 0.3 * _substream(3, 1).standard_normal((30, *y.shape))
         fits = [fit_ols(x, y + dt) for dt in d]
         f = np.stack([ls.y_hat if rule is None else fit_shrunk(ls, rule) for ls in fits]).reshape(30, -1)
         d = d.reshape(30, -1)
         value, se = _cov_df(np.einsum("ti,ti->t", f, d), f @ d.mean(axis=0), d @ f.mean(axis=0), 0.3**2)
         assert est.value == pytest.approx(value, rel=1e-12)
         assert est.std_error == pytest.approx(se, rel=1e-12)
+
+    def test_each_batch_opens_one_generator(self, monkeypatch):
+        # every draw of a batch comes in order from one substream: (0,) for
+        # mc_df and (1,) for perturbation_df, never one per draw
+        from rrdof import dof
+
+        paths = []
+        original = dof._substream
+
+        def recording(seed, *path):
+            paths.append((seed, path))
+            return original(seed, *path)
+
+        monkeypatch.setattr(dof, "_substream", recording)
+        rng = np.random.default_rng(49)
+        ls = fit_ols(rng.standard_normal((10, 3)), rng.standard_normal((10, 4)))
+        mc_df(ls, hard(2), 1.0, reps=7, seed=5)
+        assert paths == [(5, (0,))]
+        paths.clear()
+        perturbation_df(ls, soft(0.5), n_pert=7, tau=0.1, seed=6)
+        assert paths == [(6, (1,))]
 
     def test_reps_validation(self):
         ls = fit_ols(np.eye(3)[:, :2], np.zeros((3, 2)))

@@ -215,13 +215,12 @@ def _reference_dof_study(cfg, n_pert):
             exact[t, a] = exact_df_rrr(ls.d, r_x, cfg.q, r).value
             fitted[a, t] = fit_shrunk(ls, hard(r)).ravel()
         p_fitted = np.empty((len(ranks), n_pert, cfg.n * cfg.q))
-        deltas = np.empty((n_pert, cfg.n * cfg.q))
-        for k in range(n_pert):
-            delta = tau * _substream(cfg.seed, 2, t, k).standard_normal(y.shape)
-            deltas[k] = delta.ravel()
+        deltas = tau * _substream(cfg.seed, 2, t).standard_normal((n_pert, *y.shape))
+        for k, delta in enumerate(deltas):
             ls_k = fit_ols(x, y + delta)
             for a, r in enumerate(ranks):
                 p_fitted[a, k] = fit_shrunk(ls_k, hard(r)).ravel()
+        deltas = deltas.reshape(n_pert, -1)
         pert[t] = [_reference_cov_df(p_fitted[a], deltas, tau**2)[0] for a in range(len(ranks))]
     mc = [DofEstimate(value=v, method="monte_carlo", std_error=se)
           for v, se in (_reference_cov_df(fitted[a], draws, cfg.sigma2) for a in range(len(ranks)))]
@@ -282,8 +281,7 @@ def _per_draw_dof_study(cfg, n_pert):
         e_draws[t] = w.T @ noise
         mc_ab[:, t] = _rank_moments(f, np.stack([e_draws[t], e_bar]))
         fit_sum += np.einsum("ik,jk->kij", f.left * f.d, f.right)
-        g = w.T @ np.stack([tau * _substream(cfg.seed, 2, t, k).standard_normal((cfg.n, cfg.q))
-                            for k in range(n_pert)])
+        g = w.T @ (tau * _substream(cfg.seed, 2, t).standard_normal((n_pert, cfg.n, cfg.q)))
         g_bar = g.mean(axis=0)
         ab = np.array([_rank_moments(_svd(ls.hf.h + gk), np.stack([gk, g_bar])) for gk in g])
         pert[t] = _cov_df(ab[:, 0], ab[:, 1], None, tau**2)[0]
@@ -338,6 +336,24 @@ def test_perturbation_fields_need_no_svd_sign_convention(cfg, monkeypatch):
     assert len(flips) == cfg.reps and any(flips)  # the stand-in ran, and changed signs
     assert got.perturb_mean == ref.perturb_mean
     assert got.perturb_se == ref.perturb_se
+
+
+def test_dof_study_opens_one_perturbation_generator_per_replication(monkeypatch):
+    # the n_pert perturbations of replication t come in order from substream
+    # (2, t); the design (0,) and the errors (1, t) keep their streams
+    cfg = SimConfig(n=12, p=5, q=4, r0=2, reps=4, seed=9)
+    paths = []
+    original = simbench._substream
+
+    def recording(seed, *path):
+        assert seed == cfg.seed
+        paths.append(path)
+        return original(seed, *path)
+
+    monkeypatch.setattr(simbench, "_substream", recording)
+    run_dof_study(cfg, n_pert=5)
+    assert [p for p in paths if p[0] == 2] == [(2, t) for t in range(cfg.reps)]
+    assert set(paths) == {(0,)} | {(k, t) for k in (1, 2) for t in range(cfg.reps)}
 
 
 def test_dof_study_memory_does_not_grow_with_reps():
