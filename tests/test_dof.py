@@ -1,4 +1,5 @@
 import re
+import threading
 import warnings
 
 import numpy as np
@@ -339,14 +340,17 @@ class TestDivergences:
     @pytest.mark.parametrize("shape", [(14, 13), (13, 14)], ids=["tall", "wide"])
     def test_fd_stacks_equal_the_per_copy_loop(self, shape, one_copy, monkeypatch):
         # 2 * 14 * 13 = 364 copies: four stacks of 90 and one of 4 under the
-        # budget; one copy per stack is the loop over single copies.
+        # budget; one copy per stack is the loop over single copies. Two
+        # usable CPUs fit the stacks on two threads, even on a one-CPU runner.
         from rrdof import dof
 
         h = np.random.default_rng(48).standard_normal(shape)
         if one_copy:
             monkeypatch.setattr(dof, "FD_STACK_BYTES", h.nbytes)
-        for rule in (hard(5), soft(0.6), adaptive(0.6)):
-            assert dof.divergence_fd(h, rule).value == reference_divergence_fd(h, rule)
+        for cpus in (1, 2):
+            monkeypatch.setattr(dof, "_usable_cpus", lambda: cpus)
+            for rule in (hard(5), soft(0.6), adaptive(0.6)):
+                assert dof.divergence_fd(h, rule).value == reference_divergence_fd(h, rule)
 
     @pytest.mark.parametrize("shape", [(14, 13), (13, 14), (39, 36)])
     def test_fd_factors_one_stack_per_budget(self, shape, monkeypatch):
@@ -356,16 +360,101 @@ class TestDivergences:
         original = dof._svd
 
         def counting(m):
-            stacks.append(m.shape)
+            stacks.append(m.shape[0])
             return original(m)
 
         monkeypatch.setattr(dof, "_svd", counting)
         h = np.random.default_rng(49).standard_normal(shape)
-        dof.divergence_fd(h, soft(0.6))
         per_stack = dof.FD_STACK_BYTES // h.nbytes
-        assert len(stacks) == -(-2 * h.size // per_stack)  # ceil(2 r_x q / k)
-        assert {m[0] for m in stacks[:-1]} <= {per_stack}
-        assert sum(m[0] for m in stacks) == 2 * h.size
+        full, rest = divmod(2 * h.size, per_stack)
+        for cpus in (1, 2):
+            monkeypatch.setattr(dof, "_usable_cpus", lambda: cpus)
+            stacks.clear()
+            dof.divergence_fd(h, soft(0.6))
+            # two threads record their stacks in either order
+            assert sorted(stacks) == ([rest] if rest else []) + [per_stack] * full
+
+    @staticmethod
+    def _stack_spy(monkeypatch, on_stack):
+        """Patch `_apply_rule` to call on_stack(copies) first, with two
+        usable CPUs; the calling thread's first stack waits (up to 10 s)
+        until the helper thread has begun one, so both threads fit stacks."""
+        from rrdof import dof
+
+        original, helper_began = dof._apply_rule, threading.Event()
+
+        def spy(copies, rule):
+            if threading.current_thread() is threading.main_thread():
+                helper_began.wait(10)
+            helper_began.set()
+            on_stack(copies)
+            return original(copies, rule)
+
+        monkeypatch.setattr(dof, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(dof, "_apply_rule", spy)
+
+    @pytest.mark.parametrize("cpus, budget", [(1, None), (2, 1 << 30)], ids=["one-cpu", "one-stack"])
+    def test_fd_starts_no_helper_on_one_cpu_or_one_stack(self, cpus, budget, monkeypatch):
+        from rrdof import dof
+
+        threads = set()
+        original = dof._apply_rule
+
+        def recording(copies, rule):
+            threads.add(threading.current_thread())
+            return original(copies, rule)
+
+        monkeypatch.setattr(dof, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(dof, "_apply_rule", recording)
+        if budget:
+            monkeypatch.setattr(dof, "FD_STACK_BYTES", budget)
+        h = np.random.default_rng(50).standard_normal((14, 13))
+        assert dof.divergence_fd(h, soft(0.6)).value == reference_divergence_fd(h, soft(0.6))
+        assert threads == {threading.main_thread()}
+
+    @pytest.mark.parametrize("raiser", ["helper", "caller"])
+    def test_fd_error_in_either_thread_reaches_the_caller(self, raiser, monkeypatch):
+        # The raising thread fails on its first stack other than the first
+        # (the stack whose copy 0 leaves h[0, 0] as it is); the other thread
+        # waits until it has, so the error leaves stacks of `fits` unfilled.
+        from rrdof import dof
+
+        class Boom(Exception):
+            pass
+
+        h = np.random.default_rng(51).standard_normal((14, 13))
+        raised = threading.Event()
+
+        def on_stack(copies):
+            is_caller = threading.current_thread() is threading.main_thread()
+            if is_caller != (raiser == "caller"):
+                raised.wait(10)
+            elif copies[0, 0, 0] == h[0, 0]:
+                raised.set()
+                raise Boom(raiser)
+
+        self._stack_spy(monkeypatch, on_stack)
+        before = threading.active_count()
+        with pytest.raises(Boom, match=raiser):
+            dof.divergence_fd(h, soft(0.6))
+        assert raised.is_set()
+        assert threading.active_count() == before
+
+    def test_fd_helper_runs_under_the_callers_errstate(self, monkeypatch):
+        # Two CPUs and five stacks: the caller and exactly one helper fit
+        # them, and numpy's error state is the caller's in both.
+        from rrdof import dof
+
+        seen = []
+        self._stack_spy(monkeypatch, lambda copies: seen.append((threading.current_thread(), np.geterr())))
+        before = threading.active_count()
+        h = np.random.default_rng(52).standard_normal((14, 13))
+        with np.errstate(all="raise"):
+            assert dof.divergence_fd(h, soft(0.6)).value == reference_divergence_fd(h, soft(0.6))
+        threads = {thread for thread, _ in seen}
+        assert threading.main_thread() in threads and len(threads) == 2
+        assert all(set(modes.values()) == {"raise"} for _, modes in seen)
+        assert threading.active_count() == before  # the helper has been joined
 
     def test_analytic_factors_h_once(self, monkeypatch):
         from rrdof import dof
