@@ -34,8 +34,6 @@ so the analytic divergence takes one SVD and two q x q products per row.
 
 from __future__ import annotations
 
-import contextvars
-import os
 import threading
 from dataclasses import dataclass
 
@@ -284,34 +282,24 @@ FD_STEP = 1e-6
 FD_STACK_BYTES = 1 << 17
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity set where the platform has
-    one, else every CPU of the machine."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def divergence_fd(h, rule: ShrinkageRule) -> DofEstimate:
     """Central finite-difference estimate of the divergence of the shrunk
     matrix; H is validated once, not per perturbed copy. The copies with
     entry (i, j) moved by +-FD_STEP are fitted in stacks of up to
-    `FD_STACK_BYTES`, each fit in full and read at (i, j). With more than one
-    usable CPU and more than one stack, the calling thread and one helper
-    thread (under the caller's context, so `np.errstate` holds in both) take
-    stacks from one shared iterator; numpy's stacked SVD and products release
-    the GIL. The first error of either thread is raised after both stop. The
+    `FD_STACK_BYTES`, each fit in full and read at (i, j). The calling thread
+    fits the even stacks and one helper thread, under the caller's
+    `np.errstate`, the odd ones; numpy's stacked SVD and products release the
+    GIL. The first error of either thread is raised after both stop. The
     quotients are summed in (i, j) order after both threads finish: the value
-    of a loop over single copies, bit for bit, on any number of CPUs."""
+    of a loop over single copies, bit for bit."""
     h = _tall(as_matrix(h))
     fits = np.empty(2 * h.size)
     per_stack = max(1, FD_STACK_BYTES // h.nbytes)
-    starts = iter(range(0, fits.size, per_stack))  # next() on it is atomic under the GIL
     errors = []
 
-    def drain():
+    def fit_stacks(first):
         try:
-            for lo in starts:
+            for lo in range(first, fits.size, 2 * per_stack):
                 if errors:
                     return
                 ids = np.arange(lo, min(lo + per_stack, fits.size))  # copy 2e moves entry e up, 2e + 1 down
@@ -322,13 +310,14 @@ def divergence_fd(h, rule: ShrinkageRule) -> DofEstimate:
         except BaseException as exc:  # re-raised by the caller once both threads stop
             errors.append(exc)
 
-    helper = None
-    if _usable_cpus() > 1 and per_stack < fits.size:
-        helper = threading.Thread(target=contextvars.copy_context().run, args=(drain,))
-        helper.start()
-    drain()
-    if helper is not None:
-        helper.join()
+    def helper_stacks(errstate):
+        with np.errstate(**errstate):  # a new thread may start from numpy's default error state
+            fit_stacks(per_stack)
+
+    helper = threading.Thread(target=helper_stacks, args=(np.geterr(),))
+    helper.start()
+    fit_stacks(0)
+    helper.join()
     if errors:
         raise errors[0]  # never sum `fits`: a stack left unfilled holds garbage
     total = 0.0
