@@ -34,14 +34,13 @@ so the analytic divergence takes one SVD and two q x q products per row.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .estimators import LsFit, ShrinkageRule, _checked_ranks, _weights, hard_rows, validate_weights
 from .exceptions import ContractViolationError, DegeneracyError, DomainError
-from .linalg import SvdFactors, _svd, as_matrix, thin_svd
+from .linalg import SvdFactors, _svd, _two_threads, as_matrix, thin_svd
 
 
 #: Relative gaps (d_k - d_{k+1}) / d_1 below this count as near-equal.
@@ -286,40 +285,24 @@ def divergence_fd(h, rule: ShrinkageRule) -> DofEstimate:
     """Central finite-difference estimate of the divergence of the shrunk
     matrix; H is validated once, not per perturbed copy. The copies with
     entry (i, j) moved by +-FD_STEP are fitted in stacks of up to
-    `FD_STACK_BYTES`, each fit in full and read at (i, j). The calling thread
-    fits the even stacks and one helper thread, under the caller's
-    `np.errstate`, the odd ones; numpy's stacked SVD and products release the
-    GIL. The first error of either thread is raised after both stop. The
+    `FD_STACK_BYTES`, each fit in full and read at (i, j); the calling thread
+    fits the first half of the stacks and one helper thread the second half
+    (`linalg._two_threads`, which raises the first error of either). The
     quotients are summed in (i, j) order after both threads finish: the value
     of a loop over single copies, bit for bit."""
     h = _tall(as_matrix(h))
     fits = np.empty(2 * h.size)
     per_stack = max(1, FD_STACK_BYTES // h.nbytes)
-    errors = []
 
-    def fit_stacks(first):
-        try:
-            for lo in range(first, fits.size, 2 * per_stack):
-                if errors:
-                    return
-                ids = np.arange(lo, min(lo + per_stack, fits.size))  # copy 2e moves entry e up, 2e + 1 down
-                entry = (ids - lo, *np.divmod(ids // 2, h.shape[1]))
-                copies = np.repeat(h[None], ids.size, axis=0)
-                copies[entry] = h[entry[1:]] + np.where(ids % 2, -FD_STEP, FD_STEP)
-                fits[ids] = _apply_rule(copies, rule)[entry]
-        except BaseException as exc:  # re-raised by the caller once both threads stop
-            errors.append(exc)
+    def fit_stack(lo, hi):
+        ids = np.arange(lo, hi)  # copy 2e moves entry e up, 2e + 1 down
+        entry = (ids - lo, *np.divmod(ids // 2, h.shape[1]))
+        copies = np.repeat(h[None], ids.size, axis=0)
+        copies[entry] = h[entry[1:]] + np.where(ids % 2, -FD_STEP, FD_STEP)
+        fits[lo:hi] = _apply_rule(copies, rule)[entry]
 
-    def helper_stacks(errstate):
-        with np.errstate(**errstate):  # a new thread may start from numpy's default error state
-            fit_stacks(per_stack)
-
-    helper = threading.Thread(target=helper_stacks, args=(np.geterr(),))
-    helper.start()
-    fit_stacks(0)
-    helper.join()
-    if errors:
-        raise errors[0]  # never sum `fits`: a stack left unfilled holds garbage
+    # an error leaves stacks of `fits` unfilled, and never reaches the sum
+    _two_threads(fit_stack, [(lo, min(lo + per_stack, fits.size)) for lo in range(0, fits.size, per_stack)])
     total = 0.0
     for quotient in ((fits[0::2] - fits[1::2]) / (2.0 * FD_STEP)).tolist():
         total += quotient  # one at a time, not pairwise as np.sum: the per-copy loop's bits

@@ -8,6 +8,7 @@ singular vectors with the least-squares fit X (X'X)^+ X' Y.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,6 +94,42 @@ def _svd(m: np.ndarray) -> SvdFactors:
     except np.linalg.LinAlgError as exc:  # pragma: no cover - backend dependent
         raise NumericalError(f"SVD did not converge: {exc}") from exc
     return SvdFactors(left=u, d=d, right=vt.swapaxes(-1, -2))
+
+
+def _two_threads(work, chunks) -> None:
+    """Run ``work(lo, hi)`` for every (lo, hi) of the list `chunks`: the
+    calling thread the first half (the larger one), in order, and one helper
+    thread the rest, under the caller's `np.errstate`, passed to it
+    explicitly (a new thread may start from numpy's default error state).
+    numpy's stacked SVD and products release the GIL, so the two run at once.
+    Each thread stops at its next chunk once either has failed; the first
+    error is raised after the helper has been joined, so no chunk is being
+    written when the caller sees it. With one chunk no thread is started."""
+    errors = []
+
+    def run(part):
+        try:
+            for lo, hi in part:
+                if errors:
+                    return
+                work(lo, hi)
+        except BaseException as exc:  # re-raised by the caller once both threads stop
+            errors.append(exc)
+
+    def helper(part, errstate):
+        with np.errstate(**errstate):
+            run(part)
+
+    half = (len(chunks) + 1) // 2
+    if half == len(chunks):  # a single chunk
+        run(chunks)
+    else:
+        thread = threading.Thread(target=helper, args=(chunks[half:], np.geterr()))
+        thread.start()
+        run(chunks[:half])
+        thread.join()
+    if errors:
+        raise errors[0]
 
 
 def thin_svd(m) -> SvdFactors:

@@ -17,7 +17,7 @@ import numpy as np
 from .dof import DofEstimate, _cov_df, _rank_moments, _substream, exact_df_path, naive_df
 from .estimators import coef_matrix, fit_ols, hard, hard_rows
 from .exceptions import DomainError
-from .linalg import _svd, build_h, gram_factors, thin_svd
+from .linalg import _svd, _two_threads, build_h, gram_factors, thin_svd
 from .selection import Criterion, select_ranks
 
 
@@ -129,9 +129,12 @@ def run_dof_study(cfg: SimConfig, n_pert: int = 50) -> DofStudyResult:
     noise E_t (cov(F, Y) = cov(F, E) for the known XB): per-rank sums of the
     fits and each W'E_t, one r_x x q matrix per replication. The n_pert
     perturbations of replication t (size 0.1 sigma) fill one reused buffer
-    in order from one generator, substream (2, t), and one stacked SVD of
-    H_t + W'Delta by the sign-free `_svd` gives every rank's moments against
-    each draw and the mean draw.
+    in order from one generator, substream (2, t). Their first and second
+    halves go to the calling thread and one helper thread
+    (`linalg._two_threads`): one stacked SVD of H_t + W'Delta per half, by
+    the sign-free `_svd`, gives every rank's moments against each draw and
+    the mean draw. Each slice is factored as it would be alone, so the
+    values do not depend on the split.
     """
     if cfg.reps < 3 or n_pert < 3:
         raise DomainError("reps and n_pert must be at least 3")
@@ -151,6 +154,8 @@ def run_dof_study(cfg: SimConfig, n_pert: int = 50) -> DofStudyResult:
     e_draws = np.empty((m, r_x, cfg.q))  # W'E_t: the noise of each replication in H space
     fit_sum = np.zeros((r_bar, r_x, cfg.q))  # component k of the fits, summed over replications
     draws = np.empty((n_pert, cfg.n, cfg.q))  # the perturbations of one replication, refilled in place
+    pert_ab = np.empty((2, n_pert, r_bar))  # their moments against each draw and the mean draw
+    halves = [(0, (n_pert + 1) // 2), ((n_pert + 1) // 2, n_pert)]
     for t in range(m):
         noise = _errors(cfg, t)
         hf = build_h(x, xb + noise, gram)
@@ -161,9 +166,15 @@ def run_dof_study(cfg: SimConfig, n_pert: int = 50) -> DofStudyResult:
         fit_sum += np.einsum("ik,jk->kij", f.left * f.d, f.right)
         _substream(cfg.seed, 2, t).standard_normal(out=draws)
         g = w.T @ np.multiply(draws, tau, out=draws)
-        f_g = _svd(h + g)  # every perturbation of replication t in one stacked SVD
-        pert_vals[t] = _cov_df(_rank_moments(f_g, g), _rank_moments(f_g, g.mean(axis=0)), None, tau**2)[0]
-        del f_g  # not alive beside the next replication's stack
+        g_bar = g.mean(axis=0)
+
+        def moments(lo, hi):
+            f_g = _svd(h + g[lo:hi])  # every perturbation of the chunk in one stacked SVD
+            pert_ab[0, lo:hi] = _rank_moments(f_g, g[lo:hi])
+            pert_ab[1, lo:hi] = _rank_moments(f_g, g_bar)
+
+        _two_threads(moments, halves)
+        pert_vals[t] = _cov_df(pert_ab[0], pert_ab[1], None, tau**2)[0]
 
     mc_c = np.cumsum(e_draws.reshape(m, -1) @ fit_sum.reshape(r_bar, -1).T, axis=1) / m  # <mean fit, W'E_t>
     mc = [DofEstimate(value=float(v), method="monte_carlo", std_error=float(se))

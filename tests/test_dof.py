@@ -341,7 +341,7 @@ class TestDivergences:
     def test_fd_stacks_equal_the_per_copy_loop(self, shape, one_copy, monkeypatch):
         # 2 * 14 * 13 = 364 copies: four stacks of 90 and one of 4 under the
         # budget; one copy per stack is the loop over single copies. The two
-        # threads fit alternate stacks.
+        # threads fit the first and the second half of the stacks.
         from rrdof import dof
 
         h = np.random.default_rng(48).standard_normal(shape)
@@ -371,17 +371,12 @@ class TestDivergences:
 
     @staticmethod
     def _stack_spy(monkeypatch, on_stack):
-        """Patch `_apply_rule` to call on_stack(copies) first; the calling
-        thread's first stack waits (up to 10 s) until the helper thread has
-        begun one, so both threads fit stacks."""
+        """Patch `_apply_rule` to call on_stack(copies) first."""
         from rrdof import dof
 
-        original, helper_began = dof._apply_rule, threading.Event()
+        original = dof._apply_rule
 
         def spy(copies, rule):
-            if threading.current_thread() is threading.main_thread():
-                helper_began.wait(10)
-            helper_began.set()
             on_stack(copies)
             return original(copies, rule)
 
@@ -389,47 +384,30 @@ class TestDivergences:
 
     @pytest.mark.parametrize("raiser", ["helper", "caller"])
     def test_fd_error_in_either_thread_reaches_the_caller(self, raiser, monkeypatch):
-        # The raising thread fails on its first stack other than the first
-        # (the stack whose copy 0 leaves h[0, 0] as it is); the other thread
-        # waits until it has, so the error leaves stacks of `fits` unfilled.
-        from rrdof import dof
-
+        # Five stacks: the caller fits the first three and the helper the
+        # last two; either one failing fails the call (`_two_threads` has
+        # the thread-level checks).
         class Boom(Exception):
             pass
 
-        h = np.random.default_rng(51).standard_normal((14, 13))
-        raised = threading.Event()
-
         def on_stack(copies):
-            is_caller = threading.current_thread() is threading.main_thread()
-            if is_caller != (raiser == "caller"):
-                raised.wait(10)
-            elif copies[0, 0, 0] == h[0, 0]:
-                raised.set()
+            if (threading.current_thread() is threading.main_thread()) == (raiser == "caller"):
                 raise Boom(raiser)
 
         self._stack_spy(monkeypatch, on_stack)
-        before = threading.active_count()
         with pytest.raises(Boom, match=raiser):
-            dof.divergence_fd(h, soft(0.6))
-        assert raised.is_set()
-        assert threading.active_count() == before
+            divergence_fd(np.random.default_rng(51).standard_normal((14, 13)), soft(0.6))
 
     def test_fd_helper_runs_under_the_callers_errstate(self, monkeypatch):
-        # Five stacks: the caller and exactly one helper fit them, and
-        # numpy's error state is the caller's in both.
-        from rrdof import dof
-
+        # Five stacks: the caller and one helper fit them, and numpy's error
+        # state is the caller's in both.
         seen = []
         self._stack_spy(monkeypatch, lambda copies: seen.append((threading.current_thread(), np.geterr())))
-        before = threading.active_count()
         h = np.random.default_rng(52).standard_normal((14, 13))
         with np.errstate(all="raise"):
-            assert dof.divergence_fd(h, soft(0.6)).value == reference_divergence_fd(h, soft(0.6))
-        threads = {thread for thread, _ in seen}
-        assert threading.main_thread() in threads and len(threads) == 2
+            assert divergence_fd(h, soft(0.6)).value == reference_divergence_fd(h, soft(0.6))
+        assert len({thread for thread, _ in seen}) == 2
         assert all(set(modes.values()) == {"raise"} for _, modes in seen)
-        assert threading.active_count() == before  # the helper has been joined
 
     def test_analytic_factors_h_once(self, monkeypatch):
         from rrdof import dof

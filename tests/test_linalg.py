@@ -1,9 +1,13 @@
+import threading
+import time
+
 import numpy as np
 import pytest
 
 from rrdof.exceptions import DegenerateDesignError, ShapeError
 from rrdof.linalg import (
     _fix_signs,
+    _two_threads,
     build_h,
     gram_factors,
     thin_svd,
@@ -160,3 +164,66 @@ def test_projection_idempotent():
     p = (xq / gf.s[None, :] ** 2) @ xq.T  # the hat matrix X (X'X)^+ X' from the Gram factors
     assert np.linalg.norm(p @ p - p) < 1e-8
     assert abs(np.trace(p) - gf.r_x) < 1e-6
+
+
+def _on_caller():
+    return threading.current_thread() is threading.main_thread()
+
+
+@pytest.mark.parametrize("n_chunks", [1, 2, 5])
+def test_two_threads_runs_each_half_on_one_thread(n_chunks):
+    # the caller takes the first (larger) half in order, the helper the rest
+    chunks = [(k, k + 1) for k in range(n_chunks)]
+    seen = []
+    _two_threads(lambda lo, hi: seen.append((_on_caller(), (lo, hi))), chunks)
+    half = (n_chunks + 1) // 2
+    assert [c for on_caller, c in seen if on_caller] == chunks[:half]
+    assert [c for on_caller, c in seen if not on_caller] == chunks[half:]
+
+
+def test_two_threads_starts_no_thread_for_one_chunk(monkeypatch):
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading, "Thread", no_thread)
+    seen = []
+    _two_threads(lambda lo, hi: seen.append((lo, hi)), [(0, 3)])
+    assert seen == [(0, 3)]
+
+
+@pytest.mark.parametrize("raiser", ["helper", "caller"])
+def test_two_threads_error_in_either_thread_reaches_the_caller(raiser):
+    # The raising thread fails on its first chunk once the other thread has
+    # begun its own. The other thread finishes that chunk only after the
+    # failure and then starts no other; the caller raises the error once the
+    # helper has been joined.
+    class Boom(Exception):
+        pass
+
+    began, raised, ran = threading.Event(), threading.Event(), []
+
+    def work(lo, hi):
+        ran.append(lo)
+        if _on_caller() == (raiser == "caller"):
+            assert began.wait(10)
+            raised.set()
+            raise Boom(raiser)
+        began.set()
+        assert raised.wait(10)
+        time.sleep(0.05)  # lets the raising thread record its error
+
+    before = threading.active_count()
+    with pytest.raises(Boom, match=raiser):
+        _two_threads(work, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    assert sorted(ran) == [0, 2]
+    assert threading.active_count() == before
+
+
+def test_two_threads_runs_both_threads_under_the_callers_errstate():
+    # a new thread may start from numpy's default error state
+    seen = []
+    with np.errstate(divide="ignore", over="raise", under="warn", invalid="raise"):
+        caller = np.geterr()
+        _two_threads(lambda lo, hi: seen.append((_on_caller(), np.geterr())), [(0, 1), (1, 2)])
+    assert sorted(on_caller for on_caller, _ in seen) == [False, True]
+    assert all(modes == caller for _, modes in seen)

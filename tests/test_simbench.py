@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -303,14 +304,45 @@ def _per_draw_dof_study(cfg, n_pert):
     SimConfig(n=20, p=5, q=5, r0=2, reps=3, seed=4),  # H is 5 x 5
 ], ids=["wide", "tall", "square"])
 def test_dof_study_equals_per_draw_loop_bit_for_bit(cfg):
-    # One stacked SVD over the perturbations of a replication runs the same
-    # LAPACK call on every slice, and the moments reduce over the same axes
-    # in the same order, so every field is unchanged bit for bit.
-    got = run_dof_study(cfg, n_pert=6)
-    ref = _per_draw_dof_study(cfg, n_pert=6)
-    assert np.array_equal(got.exact_values, ref["exact_values"])
-    for name in ("exact_mean", "exact_se", "perturb_mean", "perturb_se", "mc"):
-        assert getattr(got, name) == ref[name], name
+    # A stacked SVD over each half of the perturbations of a replication
+    # runs the same LAPACK call on every slice, and the moments reduce over
+    # the same axes in the same order, so every field is unchanged bit for
+    # bit; an odd n_pert gives halves of unequal size.
+    for n_pert in (6, 3, 5):
+        got = run_dof_study(cfg, n_pert=n_pert)
+        ref = _per_draw_dof_study(cfg, n_pert=n_pert)
+        assert np.array_equal(got.exact_values, ref["exact_values"]), n_pert
+        for name in ("exact_mean", "exact_se", "perturb_mean", "perturb_se", "mc"):
+            assert getattr(got, name) == ref[name], (name, n_pert)
+
+
+def _study_fields(res):
+    return (res.exact_values.tolist(), res.exact_mean, res.exact_se, res.perturb_mean, res.perturb_se, res.mc)
+
+
+def test_dof_study_under_raising_errstate_is_unchanged():
+    # both threads run under the caller's error state, and nothing in the
+    # study over- or underflows or divides by zero
+    cfg = SimConfig(n=20, p=5, q=7, r0=2, reps=4, seed=2)
+    with np.errstate(all="raise"):
+        got = run_dof_study(cfg, n_pert=5)
+    assert _study_fields(got) == _study_fields(run_dof_study(cfg, n_pert=5))
+
+
+def test_dof_study_error_on_the_helper_thread_reaches_the_caller(monkeypatch):
+    class Boom(Exception):
+        pass
+
+    def svd_failing_off_the_caller(stack):
+        if threading.current_thread() is not threading.main_thread():
+            raise Boom("helper")
+        return _svd(stack)
+
+    monkeypatch.setattr(simbench, "_svd", svd_failing_off_the_caller)
+    before = threading.active_count()
+    with pytest.raises(Boom, match="helper"):
+        run_dof_study(SimConfig(n=20, p=5, q=7, r0=2, reps=4, seed=2), n_pert=5)
+    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("cfg", [
@@ -333,7 +365,7 @@ def test_perturbation_fields_need_no_svd_sign_convention(cfg, monkeypatch):
 
     monkeypatch.setattr(simbench, "_svd", sign_fixed_svd)
     ref = run_dof_study(cfg, n_pert=4)
-    assert len(flips) == cfg.reps and any(flips)  # the stand-in ran, and changed signs
+    assert len(flips) == 2 * cfg.reps and any(flips)  # the stand-in ran on both halves, and changed signs
     assert got.perturb_mean == ref.perturb_mean
     assert got.perturb_se == ref.perturb_se
 
