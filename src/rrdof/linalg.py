@@ -3,7 +3,9 @@
 Thin SVD with a deterministic sign convention, eigenfactorization of the Gram
 matrix X'X, and construction of the H matrix H = S^{-1} Q' X' Y that carries
 all degrees-of-freedom information: H shares its singular values and right
-singular vectors with the least-squares fit X (X'X)^+ X' Y.
+singular vectors with the least-squares fit X (X'X)^+ X' Y. `_two_threads`
+splits the stacked factorizations of the finite-difference oracle and the
+df study between the calling thread and one helper.
 """
 
 from __future__ import annotations

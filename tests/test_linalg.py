@@ -1,3 +1,4 @@
+import sys
 import threading
 import time
 
@@ -227,3 +228,21 @@ def test_two_threads_runs_both_threads_under_the_callers_errstate():
         _two_threads(lambda lo, hi: seen.append((_on_caller(), np.geterr())), [(0, 1), (1, 2)])
     assert sorted(on_caller for on_caller, _ in seen) == [False, True]
     assert all(modes == caller for _, modes in seen)
+
+
+def test_two_threads_writes_every_slot_once_under_frequent_switches():
+    # the chunks are disjoint: no slot is written twice or skipped however
+    # often the interpreter switches threads
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(50):
+            out = np.zeros(64)
+
+            def work(lo, hi):
+                out[lo:hi] += 1
+
+            _two_threads(work, [(lo, lo + 4) for lo in range(0, 64, 4)])
+            assert np.all(out == 1)
+    finally:
+        sys.setswitchinterval(interval)
