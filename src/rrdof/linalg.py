@@ -4,8 +4,8 @@ Thin SVD with a deterministic sign convention, eigenfactorization of the Gram
 matrix X'X, and construction of the H matrix H = S^{-1} Q' X' Y that carries
 all degrees-of-freedom information: H shares its singular values and right
 singular vectors with the least-squares fit X (X'X)^+ X' Y. `_two_threads`
-splits the stacked factorizations of the finite-difference oracle and the
-df study between the calling thread and one helper.
+splits stacks between the calling thread and one helper; it is the one place
+rrdof starts a thread.
 """
 
 from __future__ import annotations
@@ -104,6 +104,7 @@ def _two_threads(work, chunks) -> None:
     thread the rest, under the caller's `np.errstate`, passed to it
     explicitly (a new thread may start from numpy's default error state).
     numpy's stacked SVD and products release the GIL, so the two run at once.
+    Callers: `divergence_fd`, `run_dof_study` and `eval_splits(jobs=2)`.
     Each thread stops at its next chunk once either has failed; the first
     error is raised after the helper has been joined, so no chunk is being
     written when the caller sees it. With one chunk no thread is started."""

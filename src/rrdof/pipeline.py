@@ -11,13 +11,13 @@ import csv
 import json
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .dof import _substream
 from .estimators import LsFit, fit_ols
 from .exceptions import DomainError, ParseError, RrdofError, SaturationError
+from .linalg import _two_threads
 from .selection import Criterion, select_ranks
 
 #: Version tag carried by every emitted report; field names are part of the
@@ -220,8 +220,9 @@ def eval_splits(
     raises an rrdof error (one split fails, or the training halves differ in
     rank), its splits are run again one at a time: the error of a failing
     split (from the first criterion that fails) is recorded and the run
-    continues. jobs > 1 runs stacks on a thread pool (no faster: they hold
-    the GIL); results merge in split order.
+    continues. jobs=2 runs the first half of the stacks on the calling thread
+    and the second on one helper (`linalg._two_threads`); each stack fills its
+    own slots of one result list, so the report equals the one of jobs=1.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -229,8 +230,8 @@ def eval_splits(
         raise DomainError("x and y must have the same number of rows")
     if n_splits < 1:
         raise DomainError("n_splits must be at least 1")
-    if jobs < 1:
-        raise DomainError("jobs must be at least 1")
+    if jobs not in (1, 2):
+        raise DomainError("jobs must be 1 or 2")
     if not 0.0 < split_fraction < 1.0:
         raise DomainError("split_fraction must be in (0, 1)")
     n = x.shape[0]
@@ -238,16 +239,18 @@ def eval_splits(
     if n_train < 1 or n_train >= n:
         raise DomainError("split_fraction leaves an empty train or test set")
 
-    run = partial(_eval_stack, x, y, criteria, n_train, seed)
     per_stack = max(1, STACK_BYTES // (x.nbytes + y.nbytes))
-    stacks = [range(t, min(t + per_stack, n_splits)) for t in range(0, n_splits, per_stack)]
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
+    stacks = [(t, min(t + per_stack, n_splits)) for t in range(0, n_splits, per_stack)]
+    results = [None] * n_splits
 
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = [res for stack in pool.map(run, stacks) for res in stack]
+    def run(lo, hi):
+        results[lo:hi] = _eval_stack(x, y, criteria, n_train, seed, range(lo, hi))
+
+    if jobs == 2:
+        _two_threads(run, stacks)
     else:
-        results = [res for stack in stacks for res in run(stack)]
+        for lo, hi in stacks:
+            run(lo, hi)
 
     names = list(criteria)
     report = EvalReport(

@@ -295,7 +295,11 @@ class TestEval:
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_jobs_below_one_is_an_error(self, data_paths, capsys, jobs):
         err = rejected(data_paths, capsys, ["eval", "--splits", "2", "--jobs", jobs])
-        assert "jobs must be at least 1" in err
+        assert "jobs must be 1 or 2" in err
+
+    def test_more_than_two_jobs_is_an_error(self, data_paths, capsys):
+        err = rejected(data_paths, capsys, ["eval", "--splits", "2", "--jobs", "3"])
+        assert "jobs must be 1 or 2" in err
 
     def test_eval_report(self, data_paths):
         xp, yp, tmp = data_paths

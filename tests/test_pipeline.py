@@ -1,4 +1,5 @@
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -129,14 +130,18 @@ class TestEvalSplits:
         b = eval_splits(x, y, crit, n_splits=5, seed=4)
         assert a.mspe["ols"] != b.mspe["ols"]
 
-    def test_jobs_match_sequential(self, small_xy):
+    def test_jobs_match_sequential(self, monkeypatch, small_xy):
+        from rrdof import pipeline
+
         x, y = small_xy
         crit = {
             "gcv_exact": Criterion(kind="gcv"),
             "bic_naive": Criterion(kind="bic", df_mode="naive"),
         }
+        # one split per stack, so that the helper thread takes three of them
+        monkeypatch.setattr(pipeline, "STACK_BYTES", x.nbytes + y.nbytes)
         seq = eval_splits(x, y, crit, n_splits=6, seed=9, jobs=1)
-        par = eval_splits(x, y, crit, n_splits=6, seed=9, jobs=4)
+        par = eval_splits(x, y, crit, n_splits=6, seed=9, jobs=2)
         assert seq.mspe == par.mspe and seq.ranks == par.ranks
 
     def test_summary_and_payload(self, small_xy):
@@ -158,9 +163,51 @@ class TestEvalSplits:
             eval_splits(x, y, crit, n_splits=0)
         with pytest.raises(DomainError):
             eval_splits(x, y, crit, n_splits=2, split_fraction=1.5)
-        for jobs in (0, -2):
-            with pytest.raises(DomainError, match="^jobs must be at least 1$"):
+        for jobs in (0, -1, 3):
+            with pytest.raises(DomainError, match="^jobs must be 1 or 2$"):
                 eval_splits(x, y, crit, n_splits=2, jobs=jobs)
+
+
+class TestTwoJobs:
+    """jobs=2 runs the stacks through `linalg._two_threads`, the one place
+    rrdof starts a thread."""
+
+    def test_every_stack_runs_under_the_callers_errstate(self, monkeypatch):
+        from rrdof import pipeline
+
+        seen = []
+        original = pipeline._eval_stack
+
+        def spy(*args):
+            seen.append((threading.current_thread() is threading.main_thread(), np.geterr()["divide"]))
+            return original(*args)
+
+        monkeypatch.setattr(pipeline, "_eval_stack", spy)
+        x, y = synthetic_fixture()
+        with np.errstate(all="raise"):
+            eval_splits(x, y, ALL_CRITERIA, n_splits=12, seed=1, jobs=2)
+        assert [divide for _, divide in seen] == ["raise"] * len(seen)
+        assert {on_caller for on_caller, _ in seen} == {True, False}  # both threads ran stacks
+
+    def test_an_error_on_the_helper_thread_reaches_the_caller_after_the_join(self, monkeypatch):
+        from rrdof import pipeline
+
+        class Boom(Exception):
+            pass
+
+        original = pipeline._eval_stack
+
+        def failing_off_the_caller(*args):
+            if threading.current_thread() is not threading.main_thread():
+                raise Boom("helper")
+            return original(*args)
+
+        monkeypatch.setattr(pipeline, "_eval_stack", failing_off_the_caller)
+        x, y = synthetic_fixture()
+        before = threading.active_count()
+        with pytest.raises(Boom, match="helper"):
+            eval_splits(x, y, ALL_CRITERIA, n_splits=12, seed=1, jobs=2)
+        assert threading.active_count() == before
 
 
 class TestFixture:
@@ -262,7 +309,7 @@ def _train_x(x, seed, t):
 
 
 class TestOneRankPathPerSplit:
-    @pytest.mark.parametrize("jobs", [1, 4])
+    @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("data", ["fixture", "wide"])
     def test_equals_per_criterion_loop(self, data, jobs):
         x, y = synthetic_fixture() if data == "fixture" else wide_xy()
@@ -309,7 +356,7 @@ class TestOneRankPathPerSplit:
         rep = eval_splits(x, y, ALL_CRITERIA, n_splits=7, seed=2)
         assert not rep.failures and len(rep.mspe["ols"]) == 7
 
-    @pytest.mark.parametrize("jobs", [1, 4])
+    @pytest.mark.parametrize("jobs", [1, 2])
     def test_any_rrdof_error_is_recorded_per_split(self, monkeypatch, jobs):
         from rrdof import pipeline
         from rrdof.exceptions import DegeneracyError
@@ -364,7 +411,7 @@ def mixed_rank_xy():
 
 
 class TestStacksOfSplits:
-    @pytest.mark.parametrize("jobs", [1, 4])
+    @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("data", ["fixture", "wide", "mixed_rank", "saturating"])
     def test_reports_do_not_depend_on_the_stack_size(self, monkeypatch, data, jobs):
         from rrdof import pipeline
