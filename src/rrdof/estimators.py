@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ContractViolationError, DomainError
-from .linalg import GramFactors, HFactor, _check_rows, as_matrix, build_h, gram_factors
+from .linalg import GramFactors, HFactor, as_matrix, build_h, gram_factors
 
 
 @dataclass(frozen=True)
@@ -116,8 +116,8 @@ def validate_weights(s: np.ndarray, s_prime: np.ndarray | None = None) -> None:
 class LsFit:
     """Least-squares fit bundle: data, Gram factors, H and its SVD, fitted values.
 
-    A stack of fits (from stacked x and y) holds stacks along the same leading
-    axes; `r_bar` is shared.
+    A stack of fits holds stacks along the leading axes of y, with one
+    `r_bar`; one 2-d design against a stack of responses keeps one x and gram.
     """
 
     x: np.ndarray
@@ -133,38 +133,42 @@ class LsFit:
         return self.hf.svd.d
 
 
-def fit_ols(x, y, gram: GramFactors | None = None) -> LsFit:
+def fit_ols(x, y) -> LsFit:
     """Least-squares fit Y_hat = X (X'X)^+ X' Y; valid for any p, q vs n.
 
     Stacked x (..., n, p) and y (..., n, q) give a stack of fits along their
     leading axes, each slice equal bit for bit to its own fit; the designs of
-    a stack must share one rank (``gram_factors``). Refits of one design can
-    pass ``gram=gram_factors(x)`` to factor X once.
+    a stack must share one rank (``gram_factors``). One 2-d x against a stack
+    y (..., n, q) is factored once for every response, with the same bits.
     """
     x = as_matrix(x, stack=True)
     y = as_matrix(y, stack=True)
-    _check_rows(x, y)
-    gf = gram_factors(x) if gram is None else gram
+    gf = gram_factors(x)
     hf = build_h(x, y, gf)
     y_hat = ((x @ gf.q_mat) / gf.s[..., None, :]) @ hf.h
     return LsFit(x=x, y=y, gram=gf, hf=hf, y_hat=y_hat, r_bar=min(gf.r_x, y.shape[-1]))
 
 
-def _weights(rule: ShrinkageRule, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    s, s_prime = rule.weights(d)
+def _weights(rule, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Checked weights and derivatives of a rule at d, or a given pair of them."""
+    s, s_prime = rule.weights(d) if isinstance(rule, ShrinkageRule) else rule
     validate_weights(s, s_prime)
     return s, s_prime
 
 
-def fit_shrunk(ls: LsFit, rule: ShrinkageRule) -> np.ndarray:
+def fit_shrunk(ls: LsFit, rule) -> np.ndarray:
     """Fitted values of `rule` applied to the singular values of the
-    least-squares fit: Y_hat V diag(s) V'."""
+    least-squares fit: Y_hat V diag(s) V', along the leading axes of a stack
+    of fits. `rule` may also be a pair of weight rows, as `coef_matrix` takes."""
     v = ls.hf.svd.right
-    return (ls.y_hat @ (v * _weights(rule, ls.d)[0])) @ v.T
+    return (ls.y_hat @ (v * _weights(rule, ls.d)[0][..., None, :])) @ v.swapaxes(-1, -2)
 
 
-def coef_matrix(ls: LsFit, rule: ShrinkageRule) -> np.ndarray:
+def coef_matrix(ls: LsFit, rule) -> np.ndarray:
     """Coefficient matrix B with X @ B = fit_shrunk(ls, rule), lying in the
-    row space of X: B = Q S^-1 U diag(s * d) V'."""
-    core = (ls.hf.svd.left * (_weights(rule, ls.d)[0] * ls.d)[None, :]) @ ls.hf.svd.right.T
-    return (ls.gram.q_mat / ls.gram.s[None, :]) @ core
+    row space of X: B = Q S^-1 U diag(s * d) V', along the leading axes of a
+    stack of fits. `rule` may also be a (weights, derivatives) pair of rows,
+    one per fit, such as ``hard_rows(report.chosen, ls.r_bar)``."""
+    v = ls.hf.svd.right
+    core = (ls.hf.svd.left * (_weights(rule, ls.d)[0] * ls.d)[..., None, :]) @ v.swapaxes(-1, -2)
+    return (ls.gram.q_mat / ls.gram.s[..., None, :]) @ core

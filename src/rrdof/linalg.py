@@ -34,10 +34,11 @@ def as_matrix(a, stack: bool = False) -> np.ndarray:
 
 
 def _check_rows(x: np.ndarray, y: np.ndarray) -> None:
-    """Raise ShapeError unless x and y have the same rows and stack axes."""
+    """Raise ShapeError unless x and y have the same rows and a stacked x has
+    y's stack axes: one 2-d design may face a stack of responses."""
     if x.shape[-2] != y.shape[-2]:
         raise ShapeError(f"x has {x.shape[-2]} rows but y has {y.shape[-2]}")
-    if x.shape[:-2] != y.shape[:-2]:
+    if x.ndim > 2 and x.shape[:-2] != y.shape[:-2]:
         raise ShapeError(f"x is a stack of {x.shape[:-2]} but y of {y.shape[:-2]}")
 
 
@@ -173,7 +174,7 @@ def gram_factors(x) -> GramFactors:
 
 def build_h(x, y, gf: GramFactors) -> HFactor:
     """Build H = S^{-1} Q' X' Y together with its thin SVD; of each pair of a
-    stack, along the leading axes of x and y."""
+    stack, along the leading axes of x and y, or of one x against each y."""
     x = as_matrix(x, stack=True)
     y = as_matrix(y, stack=True)
     _check_rows(x, y)

@@ -16,8 +16,8 @@ import numpy as np
 
 from .dof import _substream
 from .estimators import LsFit, fit_ols
-from .exceptions import DomainError, ParseError, RrdofError, SaturationError
-from .linalg import _two_threads
+from .exceptions import DegenerateDesignError, DomainError, ParseError, RrdofError, SaturationError
+from .linalg import _two_threads, as_matrix
 from .selection import Criterion, select_ranks
 
 #: Version tag carried by every emitted report; field names are part of the
@@ -224,8 +224,9 @@ def eval_splits(
     and the second on one helper (`linalg._two_threads`); each stack fills its
     own slots of one result list, so the report equals the one of jobs=1.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = as_matrix(x), as_matrix(y)
+    if not x.any():
+        raise DegenerateDesignError("design matrix has no nonzero column")
     if x.shape[0] != y.shape[0]:
         raise DomainError("x and y must have the same number of rows")
     if n_splits < 1:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dof import DofEstimate, _cov_df, _rank_moments, _substream, exact_df_path, naive_df
-from .estimators import coef_matrix, fit_ols, hard, hard_rows
+from .estimators import coef_matrix, fit_ols, hard_rows
 from .exceptions import DomainError
 from .linalg import _svd, _two_threads, build_h, gram_factors, thin_svd
 from .selection import Criterion, select_ranks
@@ -93,14 +93,15 @@ def gen_instance(cfg: SimConfig, rep_index: int):
     return x, b, x @ b + _errors(cfg, rep_index), evecs
 
 
-def snr(x, b, e) -> float:
-    """Smallest nonzero singular value of XB over largest singular value of E."""
+def snr(x, b, e):
+    """Smallest nonzero singular value of XB over largest singular value of E;
+    of a stack of error matrices (..., n, q), one ratio per matrix."""
     signal = thin_svd(np.asarray(x) @ np.asarray(b)).d
     signal = signal[signal > 1e-10 * signal[0]]
-    noise = thin_svd(np.asarray(e)).d
-    if noise[0] <= 0:
+    noise = thin_svd(np.asarray(e)).d[..., 0]
+    if np.any(noise <= 0):
         raise DomainError("noise matrix is zero; SNR undefined")
-    return float(signal[-1] / noise[0])
+    return signal[-1] / noise
 
 
 @dataclass
@@ -127,7 +128,8 @@ def run_dof_study(cfg: SimConfig, n_pert: int = 50) -> DofStudyResult:
     `dof`), so no n x q fit is formed; draws come first, so each mean draw is
     known before its fits. Monte-Carlo truth takes its moments against the
     noise E_t (cov(F, Y) = cov(F, E) for the known XB): per-rank sums of the
-    fits and each W'E_t, one r_x x q matrix per replication. The n_pert
+    fits and each W'E_t, one r_x x q matrix per replication; the errors E_t
+    of every replication are drawn once, as one stack. The n_pert
     perturbations of replication t (size 0.1 sigma) fill one reused buffer
     in order from one generator, substream (2, t). Their first and second
     halves go to the calling thread and one helper thread
@@ -146,7 +148,8 @@ def run_dof_study(cfg: SimConfig, n_pert: int = 50) -> DofStudyResult:
     r_bar = min(r_x, cfg.q)
     ranks = list(range(1, r_bar + 1))
     tau = 0.1 * float(np.sqrt(cfg.sigma2))
-    e_bar = w.T @ (sum(_errors(cfg, t) for t in range(m)) / m)  # the mean noise, before any fit
+    noise = np.stack([_errors(cfg, t) for t in range(m)])  # E_t of every replication
+    e_bar = w.T @ (noise.sum(axis=0) / m)  # the mean noise, before any fit
 
     exact_vals = np.empty((m, r_bar))
     pert_vals = np.empty((m, r_bar))
@@ -157,11 +160,10 @@ def run_dof_study(cfg: SimConfig, n_pert: int = 50) -> DofStudyResult:
     pert_ab = np.empty((2, n_pert, r_bar))  # their moments against each draw and the mean draw
     halves = [(0, (n_pert + 1) // 2), ((n_pert + 1) // 2, n_pert)]
     for t in range(m):
-        noise = _errors(cfg, t)
-        hf = build_h(x, xb + noise, gram)
+        hf = build_h(x, xb + noise[t], gram)
         h, f = hf.h, hf.svd
         exact_vals[t] = exact_df_path(f.d, r_x, cfg.q, *hard_rows(ranks, r_bar))[0]
-        e_draws[t] = w.T @ noise
+        e_draws[t] = w.T @ noise[t]
         mc_ab[:, t] = _rank_moments(f, np.stack([e_draws[t], e_bar]))
         fit_sum += np.einsum("ik,jk->kij", f.left * f.d, f.right)
         _substream(cfg.seed, 2, t).standard_normal(out=draws)
@@ -228,31 +230,22 @@ def run_pred_study(cfg: SimConfig) -> PredStudyResult:
     """GCV selection with exact vs naive df: estimation error, prediction
     error (both scaled by 100 per entry), selected rank, and per-replication
     percentage relative gain PRG = 100 (Pred_naive - Pred_exact)/Pred_exact.
+    The responses of all replications form one stack against the fixed X: one
+    ``fit_ols`` and one ``select_ranks`` call, and one coefficient product per
+    df mode, each replication's numbers equal to its own fit's bit for bit.
     The summary's standard deviations need at least 2 replications."""
     if cfg.reps < 2:
         raise DomainError("reps must be at least 2")
     x, b, _, _ = gen_instance(cfg, 0)
     xb = x @ b
-    gram = gram_factors(x)
-    res = PredStudyResult(
-        config=cfg, est_exact=[], est_naive=[], pred_exact=[], pred_naive=[],
-        rank_exact=[], rank_naive=[], prg=[], snr=[],
-    )
-    for t in range(cfg.reps):
-        y = xb + _errors(cfg, t)
-        res.snr.append(snr(x, b, y - xb))
-        ls = fit_ols(x, y, gram=gram)
-        metrics = {}
-        for mode, report in select_ranks(ls, _PRED_CRITERIA).items():
-            bhat = coef_matrix(ls, hard(report.chosen))
-            est = 100.0 * float(np.sum((b - bhat) ** 2)) / (cfg.p * cfg.q)
-            pred = 100.0 * float(np.sum((xb - x @ bhat) ** 2)) / (cfg.n * cfg.q)
-            metrics[mode] = (est, pred, report.chosen)
-        res.est_exact.append(metrics["exact"][0])
-        res.est_naive.append(metrics["naive"][0])
-        res.pred_exact.append(metrics["exact"][1])
-        res.pred_naive.append(metrics["naive"][1])
-        res.rank_exact.append(metrics["exact"][2])
-        res.rank_naive.append(metrics["naive"][2])
-        res.prg.append(100.0 * (metrics["naive"][1] - metrics["exact"][1]) / metrics["exact"][1])
-    return res
+    y = xb + np.stack([_errors(cfg, t) for t in range(cfg.reps)])
+    ls = fit_ols(x, y)
+    fields = {}
+    for mode, report in select_ranks(ls, _PRED_CRITERIA).items():
+        bhat = coef_matrix(ls, hard_rows(report.chosen, ls.r_bar))
+        fields[f"est_{mode}"] = 100.0 * np.sum((b - bhat) ** 2, axis=(-2, -1)) / (cfg.p * cfg.q)
+        fields[f"pred_{mode}"] = 100.0 * np.sum((xb - x @ bhat) ** 2, axis=(-2, -1)) / (cfg.n * cfg.q)
+        fields[f"rank_{mode}"] = np.asarray(report.chosen)
+    exact, naive = fields["pred_exact"], fields["pred_naive"]
+    fields.update(prg=100.0 * (naive - exact) / exact, snr=snr(x, b, y - xb))
+    return PredStudyResult(config=cfg, **{name: v.tolist() for name, v in fields.items()})

@@ -9,11 +9,12 @@ from rrdof.estimators import (
     fit_ols,
     fit_shrunk,
     hard,
+    hard_rows,
     soft,
     validate_weights,
 )
 from rrdof.exceptions import ContractViolationError, DomainError, ShapeError
-from rrdof.linalg import gram_factors
+from rrdof.linalg import build_h, gram_factors
 
 
 def projection_matrix(x, gf):
@@ -68,26 +69,34 @@ class TestFitOls:
 
 
 class TestSharedGram:
+    """One 2-d design against a stack of responses is factored once."""
+
     @pytest.mark.parametrize("shape", [(12, 5, 4), (6, 9, 7)])
-    def test_precomputed_gram_is_bit_identical(self, shape):
+    def test_stack_of_responses_equals_each_own_fit(self, shape):
         n, p, q = shape
         rng = np.random.default_rng(26)
         x = rng.standard_normal((n, p))
-        y = rng.standard_normal((n, q))
-        gram = gram_factors(x)
-        a, b = fit_ols(x, y, gram=gram), fit_ols(x, y)
-        assert a.gram is gram
-        assert np.array_equal(a.y_hat, b.y_hat)
-        assert np.array_equal(a.hf.h, b.hf.h)
-        assert np.array_equal(a.d, b.d)
-        assert np.array_equal(a.hf.svd.right, b.hf.svd.right)
+        y = rng.standard_normal((3, n, q))
+        got = fit_ols(x, y)
+        assert got.x.shape == (n, p) and got.gram.q_mat.shape == (p, got.gram.r_x)
+        assert got.y_hat.shape == (3, n, q)
+        for t in range(3):
+            one = fit_ols(x, y[t])
+            assert got.r_bar == one.r_bar
+            assert np.array_equal(got.y_hat[t], one.y_hat)
+            assert np.array_equal(got.hf.h[t], one.hf.h)
+            assert np.array_equal(got.d[t], one.d)
+            assert np.array_equal(got.hf.svd.left[t], one.hf.svd.left)
+            assert np.array_equal(got.hf.svd.right[t], one.hf.svd.right)
 
     def test_gram_of_another_design_shape_rejected(self):
         rng = np.random.default_rng(27)
         x = rng.standard_normal((10, 5))
         other = gram_factors(rng.standard_normal((10, 6)))
-        with pytest.raises(ShapeError):
-            fit_ols(x, rng.standard_normal((10, 3)), gram=other)
+        with pytest.raises(ShapeError, match="gram factors do not match"):
+            build_h(x, rng.standard_normal((10, 3)), other)
+        with pytest.raises(ShapeError, match="gram factors do not match"):
+            build_h(x, rng.standard_normal((2, 10, 3)), other)
 
 
 class TestShrinkageRules:
@@ -220,6 +229,24 @@ class TestFitShrunk:
             with pytest.raises(ContractViolationError):
                 apply(random_fit, Bad(kind="hard"))
 
+    def test_stack_equals_each_slice(self):
+        # a stack of fits is shrunk along its leading axes, as each slice alone
+        rng = np.random.default_rng(30)
+        ls = fit_ols(rng.standard_normal((4, 12, 5)), rng.standard_normal((4, 12, 4)))
+        got = fit_shrunk(ls, hard(2))
+        assert got.shape == (4, 12, 4)
+        for t in range(4):
+            assert np.array_equal(got[t], fit_shrunk(fit_ols(ls.x[t], ls.y[t]), hard(2)))
+
+    def test_weight_rows_per_fit(self):
+        rng = np.random.default_rng(31)
+        x = rng.standard_normal((12, 5))
+        ls = fit_ols(x, rng.standard_normal((3, 12, 4)))
+        ranks = [1, 3, 2]
+        got = fit_shrunk(ls, hard_rows(ranks, ls.r_bar))
+        for t, r in enumerate(ranks):
+            assert np.array_equal(got[t], fit_shrunk(fit_ols(x, ls.y[t]), hard(r)))
+
     def test_column_space_containment(self, random_fit):
         p = projection_matrix(random_fit.x, random_fit.gram)
         for rule in (hard(2), soft(0.5), adaptive(0.5)):
@@ -262,6 +289,24 @@ class TestCoefMatrix:
         # b should be reachable from the row space of x
         proj = x.T @ np.linalg.pinv(x.T)
         assert np.linalg.norm(proj @ b - b) < 1e-8
+
+    @pytest.mark.parametrize("stacked_x", [False, True], ids=["one_design", "stacked_designs"])
+    def test_weight_rows_of_a_stack_equal_each_slice(self, stacked_x):
+        rng = np.random.default_rng(32)
+        x = rng.standard_normal((3, 12, 5) if stacked_x else (12, 5))
+        ls = fit_ols(x, rng.standard_normal((3, 12, 4)))
+        ranks = [2, 0, 4]
+        got = coef_matrix(ls, hard_rows(ranks, ls.r_bar))
+        assert got.shape == (3, 5, 4)
+        for t, r in enumerate(ranks):
+            one = fit_ols(x[t] if stacked_x else x, ls.y[t])
+            assert np.array_equal(got[t], coef_matrix(one, hard(r)))
+        assert np.array_equal(coef_matrix(ls, hard(2))[0], got[0])  # a rule applies to every fit
+
+    def test_weight_rows_are_checked(self, random_fit):
+        s, sp = hard_rows(2, random_fit.r_bar)
+        with pytest.raises(ContractViolationError, match="nonincreasing"):
+            coef_matrix(random_fit, (s[::-1], sp))
 
     def test_rejects_out_of_range_ranks(self, random_fit):
         for r in (-1, random_fit.r_bar + 1):

@@ -4,7 +4,7 @@ import threading
 import numpy as np
 import pytest
 
-from rrdof.exceptions import DomainError, ParseError
+from rrdof.exceptions import DegenerateDesignError, DomainError, ParseError, ShapeError
 from rrdof.pipeline import (
     REPORT_SCHEMA,
     REPORT_SCHEMA_VERSION,
@@ -166,6 +166,23 @@ class TestEvalSplits:
         for jobs in (0, -1, 3):
             with pytest.raises(DomainError, match="^jobs must be 1 or 2$"):
                 eval_splits(x, y, crit, n_splits=2, jobs=jobs)
+
+    def test_inputs_are_checked_before_splitting(self, small_xy):
+        # a bad entry or shape is named at once, not met by each split: a NaN
+        # row would give NaN MSPE on every split that holds it out, and a 1-d
+        # y or a zero design a failure on every split
+        x, y = small_xy
+        crit = {"gcv_exact": Criterion(kind="gcv")}
+        bad = x.copy()
+        bad[3, 1] = np.nan
+        with pytest.raises(ShapeError, match="non-finite"):
+            eval_splits(bad, y, crit, n_splits=6)
+        with pytest.raises(ShapeError, match="non-finite"):
+            eval_splits(x, np.where(y == y[0, 0], np.inf, y), crit, n_splits=6)
+        with pytest.raises(ShapeError, match="2-d"):
+            eval_splits(x, y[:, 0], crit, n_splits=2)
+        with pytest.raises(DegenerateDesignError, match="no nonzero column"):
+            eval_splits(np.zeros_like(x), y, crit, n_splits=2)
 
 
 class TestTwoJobs:

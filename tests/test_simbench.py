@@ -7,10 +7,10 @@ import pytest
 
 from rrdof import simbench
 from rrdof.dof import DofEstimate, _cov_df, _rank_moments, _substream, exact_df_rrr, exact_df_shrunk, naive_df
-from rrdof.estimators import fit_ols, fit_shrunk, hard
+from rrdof.estimators import coef_matrix, fit_ols, fit_shrunk, hard
 from rrdof.exceptions import DomainError
-from rrdof.linalg import SvdFactors, _svd, gram_factors, thin_svd
-from rrdof.selection import Criterion, select_rank
+from rrdof.linalg import SvdFactors, _svd, build_h, gram_factors, thin_svd
+from rrdof.selection import Criterion, select_rank, select_ranks
 from rrdof.simbench import (
     PRESETS,
     SimConfig,
@@ -101,6 +101,16 @@ class TestSnr:
     def test_zero_noise_rejected(self):
         with pytest.raises(DomainError):
             snr(np.eye(3), np.eye(3), np.zeros((3, 3)))
+
+    def test_stack_equals_per_matrix_calls(self):
+        rng = np.random.default_rng(56)
+        x = rng.standard_normal((20, 5))
+        b = rng.standard_normal((5, 4))
+        e = rng.standard_normal((6, 20, 4))
+        assert snr(x, b, e).tolist() == [snr(x, b, m) for m in e]
+        e[3] = 0.0
+        with pytest.raises(DomainError):
+            snr(x, b, e)
 
 
 @pytest.fixture(scope="module")
@@ -276,15 +286,15 @@ def _per_draw_dof_study(cfg, n_pert):
     fit_sum = np.zeros((r_bar, r_x, cfg.q))
     for t in range(m):
         noise = simbench._errors(cfg, t)
-        ls = fit_ols(x, xb + noise, gram=gram)
-        f = ls.hf.svd
+        hf = build_h(x, xb + noise, gram)
+        f = hf.svd
         exact[t] = [exact_df_shrunk(f.d, r_x, cfg.q, *hard(r).weights(f.d)).value for r in ranks]
         e_draws[t] = w.T @ noise
         mc_ab[:, t] = _rank_moments(f, np.stack([e_draws[t], e_bar]))
         fit_sum += np.einsum("ik,jk->kij", f.left * f.d, f.right)
         g = w.T @ (tau * _substream(cfg.seed, 2, t).standard_normal((n_pert, cfg.n, cfg.q)))
         g_bar = g.mean(axis=0)
-        ab = np.array([_rank_moments(_svd(ls.hf.h + gk), np.stack([gk, g_bar])) for gk in g])
+        ab = np.array([_rank_moments(_svd(hf.h + gk), np.stack([gk, g_bar])) for gk in g])
         pert[t] = _cov_df(ab[:, 0], ab[:, 1], None, tau**2)[0]
     mc_c = np.cumsum(e_draws.reshape(m, -1) @ fit_sum.reshape(r_bar, -1).T, axis=1) / m
     mc = _cov_df(mc_ab[0], mc_ab[1], mc_c, cfg.sigma2)
@@ -372,7 +382,9 @@ def test_perturbation_fields_need_no_svd_sign_convention(cfg, monkeypatch):
 
 def test_dof_study_opens_one_perturbation_generator_per_replication(monkeypatch):
     # the n_pert perturbations of replication t come in order from substream
-    # (2, t); the design (0,) and the errors (1, t) keep their streams
+    # (2, t); the design (0,) and the errors (1, t) keep their streams. The
+    # study draws each E_t once; gen_instance(cfg, 0), called for X and B,
+    # draws the errors of replication 0 once more.
     cfg = SimConfig(n=12, p=5, q=4, r0=2, reps=4, seed=9)
     paths = []
     original = simbench._substream
@@ -386,11 +398,13 @@ def test_dof_study_opens_one_perturbation_generator_per_replication(monkeypatch)
     run_dof_study(cfg, n_pert=5)
     assert [p for p in paths if p[0] == 2] == [(2, t) for t in range(cfg.reps)]
     assert set(paths) == {(0,)} | {(k, t) for k in (1, 2) for t in range(cfg.reps)}
+    assert sorted(p for p in paths if p[0] == 1) == [(1, 0)] + [(1, t) for t in range(cfg.reps)]
 
 
 def test_dof_study_memory_does_not_grow_with_reps():
-    # The covariances keep per-rank sums and one r_x x q matrix per
-    # replication (16 kB here), never a ranks x reps x n*q stack of fits.
+    # The covariances keep per-rank sums and two n x q-sized arrays per
+    # replication (E_t and W'E_t, 16 kB each here), never a ranks x reps x
+    # n*q stack of fits.
     def peak(reps):
         tracemalloc.start()
         try:
@@ -439,6 +453,54 @@ def test_pred_study_uses_each_replications_instance():
         y = gen_instance(cfg, t)[2]
         assert got.snr[t] == snr(x, b, y - x @ b)
         assert got.rank_exact[t] == select_rank(fit_ols(x, y), Criterion(kind="gcv")).chosen
+
+
+def _per_replication_pred_study(cfg):
+    # run_pred_study with one fit, one selection and one coefficient matrix
+    # per replication, in a Python loop
+    x, b, _, _ = gen_instance(cfg, 0)
+    xb = x @ b
+    res = {name: [] for name in ("est_exact", "est_naive", "pred_exact", "pred_naive",
+                                 "rank_exact", "rank_naive", "prg", "snr")}
+    for t in range(cfg.reps):
+        y = xb + simbench._errors(cfg, t)
+        res["snr"].append(snr(x, b, y - xb))
+        ls = fit_ols(x, y)
+        for mode, report in select_ranks(ls, simbench._PRED_CRITERIA).items():
+            bhat = coef_matrix(ls, hard(report.chosen))
+            res[f"est_{mode}"].append(100.0 * float(np.sum((b - bhat) ** 2)) / (cfg.p * cfg.q))
+            res[f"pred_{mode}"].append(100.0 * float(np.sum((xb - x @ bhat) ** 2)) / (cfg.n * cfg.q))
+            res[f"rank_{mode}"].append(report.chosen)
+        res["prg"].append(100.0 * (res["pred_naive"][-1] - res["pred_exact"][-1]) / res["pred_exact"][-1])
+    return res
+
+
+@pytest.mark.parametrize("cfg", [
+    SimConfig(n=30, p=6, q=5, r0=3, reps=12, seed=1),  # tall: n > p
+    SimConfig(n=12, p=20, q=8, r0=2, sigma2=4.0, reps=10, seed=3),  # wide: p > n
+], ids=["tall", "wide"])
+def test_pred_study_equals_per_replication_loop(cfg):
+    got = run_pred_study(cfg)
+    for name, want in _per_replication_pred_study(cfg).items():
+        assert getattr(got, name) == want, name
+
+
+def test_pred_study_fits_and_selects_once(monkeypatch):
+    calls = {"fit_ols": 0, "select_ranks": 0}
+
+    def counting(name):
+        original = getattr(simbench, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(simbench, name, counting(name))
+    run_pred_study(SimConfig(n=20, p=5, q=7, r0=2, reps=6, seed=2))
+    assert calls == {"fit_ols": 1, "select_ranks": 1}
 
 
 class TestPredStudy:

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from rrdof.dof import exact_df_path
 from rrdof.estimators import fit_ols, hard_rows
 from rrdof.exceptions import SaturationError, ShapeError
-from rrdof.linalg import gram_factors, thin_svd
+from rrdof.linalg import build_h, gram_factors, thin_svd
 from rrdof.pipeline import _mspe_path
 from rrdof.selection import Criterion, rss_path, select_ranks
 
@@ -133,8 +133,10 @@ def test_stacks_must_match():
         fit_ols(x, rng.standard_normal((3, 9, 2)))
     with pytest.raises(ShapeError, match="stack"):
         fit_ols(x, rng.standard_normal((2, 10, 2)))
+    with pytest.raises(ShapeError, match="stack"):
+        fit_ols(x, rng.standard_normal((10, 2)))  # a stack of designs needs a stack of responses
     with pytest.raises(ShapeError, match="gram factors do not match"):
-        fit_ols(x, rng.standard_normal((3, 10, 2)), gram=gram_factors(x[:2]))
+        build_h(x, rng.standard_normal((3, 10, 2)), gram_factors(x[:2]))
 
 
 def test_thin_svd_of_a_stack_keeps_the_sign_convention():

@@ -65,6 +65,8 @@ def commands(data: list[str]) -> list[tuple[str, list[str], list[str]]]:
                                   "--reps", "4"], ["--output", "--table-out"]))
     runs.append(("simulate_pred", ["simulate", "--preset", "ld", "--study", "pred",
                                    "--reps", "5"], ["--output", "--table-out"]))
+    runs.append(("simulate_pred_hd", ["simulate", "--preset", "hd", "--study", "pred",  # wide: p > n
+                                      "--reps", "5"], ["--output", "--table-out"]))
     crit = ["--criterion", "cp", "gcv", "bic", "--df", "exact", "naive", "--sigma2", "1", "--splits", "20"]
     runs.append(("eval", ["eval", *data, *crit], ["--output"]))
     runs.append(("eval_jobs2", ["eval", *data, *crit, "--jobs", "2"], ["--output"]))
