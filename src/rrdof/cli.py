@@ -30,11 +30,8 @@ def _seed_from(args) -> int:
 
 
 def _load_xy(args):
-    x = ingest_csv(args.x, header=args.header, log_transform=args.log,
-                   standardize=args.standardize)
-    y = ingest_csv(args.y, header=args.header, log_transform=args.log,
-                   standardize=args.standardize)
-    return x, y
+    flags = {"header": args.header, "log_transform": args.log, "standardize": args.standardize}
+    return ingest_csv(args.x, **flags), ingest_csv(args.y, **flags)
 
 
 def _add_data_flags(sp):
@@ -112,7 +109,7 @@ def _sigma_hat(ls) -> float:
             f"the least-squares fit interpolates (n={n} <= r_x={ls.gram.r_x}), so sigma_hat "
             "is roundoff and cannot set the default tau; pass --tau"
         )
-    return float(np.sqrt(np.sum((ls.y - ls.y_hat) ** 2) / dof_resid))
+    return float(np.sqrt(ls.rss / dof_resid))
 
 
 def _checked_rule(args, ls):

@@ -116,8 +116,9 @@ def validate_weights(s: np.ndarray, s_prime: np.ndarray | None = None) -> None:
 class LsFit:
     """Least-squares fit bundle: data, Gram factors, H and its SVD, fitted values.
 
-    A stack of fits holds stacks along the leading axes of y, with one
-    `r_bar`; one 2-d design against a stack of responses keeps one x and gram.
+    A stack of fits holds stacks along the leading axes of y (one rss per
+    fit), with one `r_bar`; one 2-d design against a stack of responses keeps
+    one x and gram.
     """
 
     x: np.ndarray
@@ -125,6 +126,7 @@ class LsFit:
     gram: GramFactors
     hf: HFactor
     y_hat: np.ndarray
+    rss: np.ndarray  # ||Y - Y_hat||^2, the least-squares residual sum of squares
     r_bar: int
 
     @property
@@ -140,13 +142,15 @@ def fit_ols(x, y) -> LsFit:
     leading axes, each slice equal bit for bit to its own fit; the designs of
     a stack must share one rank (``gram_factors``). One 2-d x against a stack
     y (..., n, q) is factored once for every response, with the same bits.
+    The rss is summed here, once per fit, for the rank path and sigma_hat.
     """
     x = as_matrix(x, stack=True)
     y = as_matrix(y, stack=True)
     gf = gram_factors(x)
     hf = build_h(x, y, gf)
     y_hat = ((x @ gf.q_mat) / gf.s[..., None, :]) @ hf.h
-    return LsFit(x=x, y=y, gram=gf, hf=hf, y_hat=y_hat, r_bar=min(gf.r_x, y.shape[-1]))
+    rss = np.sum((y - y_hat) ** 2, axis=(-2, -1))
+    return LsFit(x=x, y=y, gram=gf, hf=hf, y_hat=y_hat, rss=rss, r_bar=min(gf.r_x, y.shape[-1]))
 
 
 def _weights(rule, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

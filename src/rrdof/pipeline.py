@@ -169,26 +169,28 @@ def _mspe_path(ls: LsFit, x_te: np.ndarray, y_te: np.ndarray) -> np.ndarray:
     return 2.0 * (rest + head + tail) / (y_te.shape[-2] * y_te.shape[-1])
 
 
-def _eval_stack(x, y, criteria, n_train, seed, splits: range) -> list:
-    """(mspe, ranks) of each split of the stack `splits`, or its error: a
-    stack that raises an rrdof error runs again one split at a time. Kept at
-    module level: a closure that calls itself is a reference cycle, which
-    would hold x and y after the run until the cyclic collector frees them."""
+def _eval_stack(x, y, criteria, n_train, seed, splits: range, ranks, mspe, failed) -> None:
+    """Write each split's chosen ranks and MSPE into its rows of `ranks` and
+    `mspe` (OLS last), or its error into `failed`; a stack that raises an rrdof
+    error runs again one split at a time. Kept at module level: a closure that
+    calls itself is a reference cycle, holding x and y until gc frees them."""
     try:
         perm = np.array([_substream(seed, 3, t).permutation(x.shape[0]) for t in splits])
         train, test = perm[:, :n_train], perm[:, n_train:]
         ls = fit_ols(x[train], y[train])
-        ranks = {name: rep.chosen for name, rep in select_ranks(ls, criteria).items()}
+        chosen = [rep.chosen for rep in select_ranks(ls, criteria).values()]
         path = _mspe_path(ls, x[test], y[test])  # OLS is the rank-r_bar fit
     except RrdofError as exc:
         if len(splits) == 1:
-            return [exc]
-        return [res for t in splits for res in _eval_stack(x, y, criteria, n_train, seed, range(t, t + 1))]
-    rows = range(len(splits))
-    mspe = {name: path[rows, np.subtract(r, 1)].tolist() for name, r in ranks.items()}
-    mspe["ols"] = path[:, -1].tolist()
-    return [({name: m[i] for name, m in mspe.items()}, {name: r[i] for name, r in ranks.items()})
-            for i in rows]
+            failed[splits[0]] = str(exc)
+            return
+        for t in splits:
+            _eval_stack(x, y, criteria, n_train, seed, range(t, t + 1), ranks, mspe, failed)
+        return
+    cols = np.column_stack(chosen + [np.full(len(splits), ls.r_bar)])
+    rows = slice(splits.start, splits.stop)
+    ranks[rows] = cols[:, :-1]
+    mspe[rows] = np.take_along_axis(path, cols - 1, axis=1)
 
 
 #: Bytes of data (training and held-out rows of X and Y) per stack of eval
@@ -220,9 +222,10 @@ def eval_splits(
     raises an rrdof error (one split fails, or the training halves differ in
     rank), its splits are run again one at a time: the error of a failing
     split (from the first criterion that fails) is recorded and the run
-    continues. jobs=2 runs the first half of the stacks on the calling thread
-    and the second on one helper (`linalg._two_threads`); each stack fills its
-    own slots of one result list, so the report equals the one of jobs=1.
+    continues. Stacks fill their rows of one rank and one MSPE table (a column
+    per criterion, OLS last), read once into the report. jobs=2 runs the
+    second half of the stacks on one helper (`linalg._two_threads`) and gives
+    the report of jobs=1.
     """
     x, y = as_matrix(x), as_matrix(y)
     if not x.any():
@@ -242,10 +245,13 @@ def eval_splits(
 
     per_stack = max(1, STACK_BYTES // (x.nbytes + y.nbytes))
     stacks = [(t, min(t + per_stack, n_splits)) for t in range(0, n_splits, per_stack)]
-    results = [None] * n_splits
+    names = list(criteria)
+    ranks = np.empty((n_splits, len(names)), dtype=int)
+    mspe = np.empty((n_splits, len(names) + 1))
+    failed: dict[int, str] = {}
 
     def run(lo, hi):
-        results[lo:hi] = _eval_stack(x, y, criteria, n_train, seed, range(lo, hi))
+        _eval_stack(x, y, criteria, n_train, seed, range(lo, hi), ranks, mspe, failed)
 
     if jobs == 2:
         _two_threads(run, stacks)
@@ -253,27 +259,17 @@ def eval_splits(
         for lo, hi in stacks:
             run(lo, hi)
 
-    names = list(criteria)
-    report = EvalReport(
+    if len(failed) == n_splits:
+        raise SaturationError("selection failed on every split")
+    ok = np.isin(np.arange(n_splits), list(failed), invert=True)
+    return EvalReport(
         criteria=names,
-        mspe={name: [] for name in names + ["ols"]},
-        ranks={name: [] for name in names},
+        mspe=dict(zip(names + ["ols"], mspe[ok].T.tolist())),
+        ranks=dict(zip(names, ranks[ok].T.tolist())),
         split_fraction=split_fraction,
         n_splits=n_splits,
-        failures=[],
+        failures=[{"split": t, "error": failed[t]} for t in sorted(failed)],
     )
-    for t, res in enumerate(results):
-        if isinstance(res, Exception):
-            report.failures.append({"split": t, "error": str(res)})
-            continue
-        mspe, ranks = res
-        for name in names:
-            report.mspe[name].append(mspe[name])
-            report.ranks[name].append(ranks[name])
-        report.mspe["ols"].append(mspe["ols"])
-    if not report.mspe["ols"]:
-        raise SaturationError("selection failed on every split")
-    return report
 
 
 def synthetic_fixture() -> tuple[np.ndarray, np.ndarray]:

@@ -82,14 +82,13 @@ def rss_path(ls: LsFit, ranks) -> np.ndarray:
     """Residual sum of squares of the rank-r fits for each candidate r; for a
     stack of fits, one row per fit.
 
-    The truncated directions are orthogonal to the residual, so
-    rss(r) = ||Y - Y_hat||^2 + sum of the discarded squared singular values.
+    The truncated directions are orthogonal to the residual, so rss(r) is
+    ls.rss = ||Y - Y_hat||^2 plus the sum of the discarded squared d_k.
     """
-    base = np.sum((ls.y - ls.y_hat) ** 2, axis=(-2, -1))
     d2 = ls.d**2
     tail = np.cumsum(d2[..., ::-1], axis=-1)[..., ::-1]  # tail[r] = sum_{k>r} d_k^2
     tail = np.concatenate([tail, np.zeros(tail.shape[:-1] + (1,))], axis=-1)
-    return base[..., None] + tail[..., np.asarray(ranks, dtype=int)]
+    return ls.rss[..., None] + tail[..., np.asarray(ranks, dtype=int)]
 
 
 def select_ranks(ls: LsFit, criteria: dict[str, Criterion]) -> dict[str, SelectionReport]:

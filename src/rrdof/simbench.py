@@ -72,12 +72,8 @@ def _errors(cfg: SimConfig, rep_index: int) -> np.ndarray:
     return np.sqrt(cfg.sigma2) * _substream(cfg.seed, 1, rep_index).standard_normal((cfg.n, cfg.q))
 
 
-def gen_instance(cfg: SimConfig, rep_index: int):
-    """Return (x, b, y, sigma_eigvecs) for one replication.
-
-    X and B are fixed across replications (drawn from substream 0 of the
-    config seed); the error matrix is redrawn per rep_index (substream 1).
-    """
+def _design(cfg: SimConfig):
+    """(x, b, sigma_eigvecs): X and B, fixed across replications (substream 0)."""
     rng_fixed = _substream(cfg.seed, 0)
     sigma = _ar_cov(cfg.p, cfg.rho)
     evals, evecs = np.linalg.eigh(sigma)
@@ -90,6 +86,13 @@ def gen_instance(cfg: SimConfig, rep_index: int):
     sv = cfg.sv_gap * np.arange(cfg.r0, 0, -1)
     right = _orthonormal_columns(rng_fixed, cfg.q, cfg.r0)
     b = (evecs[:, : cfg.r0] * sv[None, :]) @ right.T
+    return x, b, evecs
+
+
+def gen_instance(cfg: SimConfig, rep_index: int):
+    """Return (x, b, y, sigma_eigvecs) for one replication: the fixed design
+    of `_design` and the errors of rep_index (substream 1)."""
+    x, b, evecs = _design(cfg)
     return x, b, x @ b + _errors(cfg, rep_index), evecs
 
 
@@ -140,7 +143,7 @@ def run_dof_study(cfg: SimConfig, n_pert: int = 50) -> DofStudyResult:
     """
     if cfg.reps < 3 or n_pert < 3:
         raise DomainError("reps and n_pert must be at least 3")
-    x, b, _, _ = gen_instance(cfg, 0)  # X and B only; errors are drawn per replication
+    x, b, _ = _design(cfg)
     xb = x @ b
     gram = gram_factors(x)  # X is fixed: factor it once
     w = (x @ gram.q_mat) / gram.s  # the fit of Y is W H
@@ -236,7 +239,7 @@ def run_pred_study(cfg: SimConfig) -> PredStudyResult:
     The summary's standard deviations need at least 2 replications."""
     if cfg.reps < 2:
         raise DomainError("reps must be at least 2")
-    x, b, _, _ = gen_instance(cfg, 0)
+    x, b, _ = _design(cfg)
     xb = x @ b
     y = xb + np.stack([_errors(cfg, t) for t in range(cfg.reps)])
     ls = fit_ols(x, y)

@@ -15,6 +15,7 @@ from rrdof.estimators import (
 )
 from rrdof.exceptions import ContractViolationError, DomainError, ShapeError
 from rrdof.linalg import build_h, gram_factors
+from rrdof.selection import rss_path
 
 
 def projection_matrix(x, gf):
@@ -97,6 +98,23 @@ class TestSharedGram:
             build_h(x, rng.standard_normal((10, 3)), other)
         with pytest.raises(ShapeError, match="gram factors do not match"):
             build_h(x, rng.standard_normal((2, 10, 3)), other)
+
+
+class TestLsFitRss:
+    """fit_ols sums the least-squares rss once per fit; the rank path reads it."""
+
+    @pytest.mark.parametrize("layout", ["2-d", "stack of designs", "stack of responses"])
+    def test_rss_is_the_residual_sum_of_squares_bit_for_bit(self, layout):
+        rng = np.random.default_rng(28)
+        x = rng.standard_normal((3, 12, 5) if layout == "stack of designs" else (12, 5))
+        y = rng.standard_normal((12, 4) if layout == "2-d" else (3, 12, 4))
+        ls = fit_ols(x, y)
+        assert np.shape(ls.rss) == y.shape[:-2]
+        assert np.array_equal(ls.rss, np.sum((ls.y - ls.y_hat) ** 2, axis=(-2, -1)))
+        assert np.array_equal(rss_path(ls, [ls.r_bar])[..., 0], ls.rss)
+        if layout != "2-d":  # each fit of a stack has its own fit's rss
+            for t in range(3):
+                assert ls.rss[t] == fit_ols(x[t] if x.ndim == 3 else x, y[t]).rss
 
 
 class TestShrinkageRules:

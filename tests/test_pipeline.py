@@ -405,6 +405,51 @@ class TestOneRankPathPerSplit:
             assert got.ranks[name][:3] == [clean.ranks[name][t] for t in (0, 1, 3)]
             assert got.mspe[name][:3] == [clean.mspe[name][t] for t in (0, 1, 3)]
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failures_stay_in_split_order(self, monkeypatch, jobs):
+        # splits 1 and 6 fail in the middle of the stacks 0-3 and 4-7. With
+        # jobs=2 the second stack runs on the helper thread, and split 1 fails
+        # only once the helper has recorded split 6 and moved on to split 7.
+        from rrdof import pipeline
+        from rrdof.exceptions import DegeneracyError
+
+        x, y = synthetic_fixture()
+        monkeypatch.setattr(pipeline, "STACK_BYTES", 4 * (x.nbytes + y.nbytes))
+        clean = eval_splits(x, y, ALL_CRITERIA, n_splits=8, seed=3, jobs=jobs)
+        train = {t: _train_x(x, 3, t) for t in (1, 6, 7)}
+        split_6_recorded = threading.Event()
+
+        def select_failing(ls, criteria):
+            slices = ls.x.reshape(-1, *train[1].shape)  # one training design per split
+            if len(slices) == 1 and np.array_equal(slices[0], train[7]):
+                split_6_recorded.set()
+            if len(slices) == 1 and np.array_equal(slices[0], train[1]) and jobs == 2:
+                assert split_6_recorded.wait(timeout=30)
+            for s in slices:
+                for t in (1, 6):
+                    if np.array_equal(s, train[t]):
+                        raise DegeneracyError(f"split {t} fails")
+            return select_ranks(ls, criteria)
+
+        monkeypatch.setattr(pipeline, "select_ranks", select_failing)
+        got = eval_splits(x, y, ALL_CRITERIA, n_splits=8, seed=3, jobs=jobs)
+        assert got.failures == [{"split": 1, "error": "split 1 fails"},
+                                {"split": 6, "error": "split 6 fails"}]
+        kept = [t for t in range(8) if t not in (1, 6)]
+        for name in clean.mspe:
+            assert got.mspe[name] == [clean.mspe[name][t] for t in kept]
+        for name in clean.ranks:
+            assert got.ranks[name] == [clean.ranks[name][t] for t in kept]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_no_criteria_gives_an_ols_only_report(self, jobs):
+        x, y = synthetic_fixture()
+        got = eval_splits(x, y, {}, n_splits=6, seed=4, jobs=jobs)
+        full = eval_splits(x, y, ALL_CRITERIA, n_splits=6, seed=4, jobs=jobs)
+        assert got.criteria == [] and got.ranks == {} and not got.failures
+        assert got.mspe == {"ols": full.mspe["ols"]}
+        assert got.summary() == {"ols": full.summary()["ols"]}
+
     def test_saturating_split_records_the_same_failure(self):
         x, y = saturating_xy()
         criteria = {"cp_exact": ALL_CRITERIA["cp_exact"], "gcv_exact": ALL_CRITERIA["gcv_exact"]}

@@ -380,12 +380,8 @@ def test_perturbation_fields_need_no_svd_sign_convention(cfg, monkeypatch):
     assert got.perturb_se == ref.perturb_se
 
 
-def test_dof_study_opens_one_perturbation_generator_per_replication(monkeypatch):
-    # the n_pert perturbations of replication t come in order from substream
-    # (2, t); the design (0,) and the errors (1, t) keep their streams. The
-    # study draws each E_t once; gen_instance(cfg, 0), called for X and B,
-    # draws the errors of replication 0 once more.
-    cfg = SimConfig(n=12, p=5, q=4, r0=2, reps=4, seed=9)
+def _recorded_substreams(monkeypatch, cfg):
+    # the substream paths the study opens, in order
     paths = []
     original = simbench._substream
 
@@ -395,10 +391,28 @@ def test_dof_study_opens_one_perturbation_generator_per_replication(monkeypatch)
         return original(seed, *path)
 
     monkeypatch.setattr(simbench, "_substream", recording)
+    return paths
+
+
+def test_dof_study_opens_one_perturbation_generator_per_replication(monkeypatch):
+    # the n_pert perturbations of replication t come in order from substream
+    # (2, t); the design (0,) and the errors (1, t) keep their streams. The
+    # study draws each E_t once, (1, 0) included: X and B come from the
+    # design alone, with no error matrix.
+    cfg = SimConfig(n=12, p=5, q=4, r0=2, reps=4, seed=9)
+    paths = _recorded_substreams(monkeypatch, cfg)
     run_dof_study(cfg, n_pert=5)
     assert [p for p in paths if p[0] == 2] == [(2, t) for t in range(cfg.reps)]
     assert set(paths) == {(0,)} | {(k, t) for k in (1, 2) for t in range(cfg.reps)}
-    assert sorted(p for p in paths if p[0] == 1) == [(1, 0)] + [(1, t) for t in range(cfg.reps)]
+    assert [p for p in paths if p[0] != 2] == [(0,)] + [(1, t) for t in range(cfg.reps)]
+
+
+def test_pred_study_opens_each_error_generator_once(monkeypatch):
+    # the design (0,) once, then the errors (1, t) of each replication once
+    cfg = SimConfig(n=12, p=5, q=4, r0=2, reps=4, seed=9)
+    paths = _recorded_substreams(monkeypatch, cfg)
+    run_pred_study(cfg)
+    assert paths == [(0,)] + [(1, t) for t in range(cfg.reps)]
 
 
 def test_dof_study_memory_does_not_grow_with_reps():
