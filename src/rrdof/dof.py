@@ -107,22 +107,23 @@ def _validate_spectrum(d, r_x: int, q: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _df_kernel(d, live, r_x: int, q: int, s, s_prime) -> np.ndarray:
     """max(r_x, q) sum s + delta . P + (s' o support) . d for every row of the
-    (m, r_bar) weights `s`: C once, every P_r from one reversed cumulative sum
-    along the rows of triu(C) and one down its columns, read above the
-    diagonal. A delta_r = 0 adds exactly 0 even where P_r is infinite; a hard
-    row (delta = e_r) gets P_r itself. A stack (..., r_bar) of spectra `d`
-    with one `live` count each gives (..., m) values."""
+    (m, r_bar) weights `s`, with P built from one column of C at a time, so a
+    stack (..., r_bar) of spectra `d` (one `live` count each) gives (..., m)
+    values without an r_bar x r_bar matrix per spectrum. A delta_r = 0 adds
+    exactly 0 even where P_r is infinite; a hard row gets P_r itself."""
     d2 = d**2
+    tail, hard_pair = np.zeros(d.shape), np.zeros(d.shape)  # tail[k] = sum_{l>=j} C_kl; P_{r_bar} = 0
     with np.errstate(divide="ignore", invalid="ignore"):
-        c = (d2[..., :, None] + d2[..., None, :]) / (d2[..., :, None] - d2[..., None, :])
-    # limit of the pair term against a vanished value
-    np.copyto(c, 1.0, where=np.arange(d.shape[-1]) >= live[..., None, None])
-    tail = np.cumsum(np.triu(c, 1)[..., ::-1], axis=-1)[..., ::-1]  # tail[k, j] = sum_{l>=j} C_kl
-    hard_pair = np.cumsum(tail, axis=-2).diagonal(1, axis1=-2, axis2=-1)  # P_r: sum of tail[k < r, r]
-    hard_pair = np.concatenate([hard_pair, np.zeros(d.shape[:-1] + (1,))], axis=-1)
+        for j in range(d.shape[-1] - 1, 0, -1):
+            c = (d2[..., :j] + d2[..., j, None]) / (d2[..., :j] - d2[..., j, None])  # C_kj, k < j
+            np.copyto(c, 1.0, where=(j >= live)[..., None])  # limit of the pair term against a vanished value
+            tail[..., :j] += c
+            hard_pair[..., j - 1] = np.cumsum(tail[..., :j], axis=-1)[..., -1]  # P_j: sum of tail[k < j]
     delta = s.copy()
     delta[:, :-1] -= s[:, 1:]
-    pair = (delta * np.where(delta != 0, hard_pair[..., None, :], 0.0)).sum(axis=-1)
+    pair = np.empty(d.shape[:-1] + (len(s),))
+    for t in np.ndindex(d.shape[:-1]):  # one spectrum at a time: no (..., m, r_bar) array
+        pair[t] = (delta * np.where(delta != 0, hard_pair[t], 0.0)).sum(axis=-1)
     # one (1, r_bar) @ (r_bar, 1) dot per row: a row scores the same alone or among others
     slope = (np.where(s > 0, s_prime, 0.0)[:, None, :] @ d[..., None, :, None])[..., 0, 0]
     return max(r_x, q) * s.sum(axis=1) + pair + slope

@@ -169,28 +169,18 @@ def _mspe_path(ls: LsFit, x_te: np.ndarray, y_te: np.ndarray) -> np.ndarray:
     return 2.0 * (rest + head + tail) / (y_te.shape[-2] * y_te.shape[-1])
 
 
-def _eval_stack(x, y, criteria, n_train, seed, splits: range, ranks, mspe, failed) -> None:
-    """Write each split's chosen ranks and MSPE into its rows of `ranks` and
-    `mspe` (OLS last), or its error into `failed`; a stack that raises an rrdof
-    error runs again one split at a time. Kept at module level: a closure that
-    calls itself is a reference cycle, holding x and y until gc frees them."""
+def _by_splits(work, splits, failed: dict) -> None:
+    """Call work(splits); on an rrdof error, call it on each split alone and
+    record each split's error in `failed`. At module level: a closure calling
+    itself is a reference cycle, holding its data until gc frees them."""
     try:
-        perm = np.array([_substream(seed, 3, t).permutation(x.shape[0]) for t in splits])
-        train, test = perm[:, :n_train], perm[:, n_train:]
-        ls = fit_ols(x[train], y[train])
-        chosen = [rep.chosen for rep in select_ranks(ls, criteria).values()]
-        path = _mspe_path(ls, x[test], y[test])  # OLS is the rank-r_bar fit
+        work(splits)
     except RrdofError as exc:
         if len(splits) == 1:
             failed[splits[0]] = str(exc)
             return
         for t in splits:
-            _eval_stack(x, y, criteria, n_train, seed, range(t, t + 1), ranks, mspe, failed)
-        return
-    cols = np.column_stack(chosen + [np.full(len(splits), ls.r_bar)])
-    rows = slice(splits.start, splits.stop)
-    ranks[rows] = cols[:, :-1]
-    mspe[rows] = np.take_along_axis(path, cols - 1, axis=1)
+            _by_splits(work, [t], failed)
 
 
 #: Bytes of data (training and held-out rows of X and Y) per stack of eval
@@ -212,21 +202,15 @@ def eval_splits(
 
     Each criterion selects a rank on the training half; MSPE is recorded on
     the held-out half, alongside a full-rank OLS baseline. Split t permutes
-    the rows by substream (3, t). Consecutive splits are fitted, scored and
-    held out as one stack of up to ``STACK_BYTES`` of data, along the leading
-    axes of the same kernels a single fit uses, so every split's numbers
-    equal its own fit's bit for bit. All criteria of a stack are scored by
-    one ``select_ranks`` call on one rss path and one df path per df mode;
-    each chosen rank and the OLS rank r_bar read their MSPE from one held-out
-    tail-sum path (``_mspe_path``), with no coefficient matrix. If a stack
-    raises an rrdof error (one split fails, or the training halves differ in
-    rank), its splits are run again one at a time: the error of a failing
-    split (from the first criterion that fails) is recorded and the run
-    continues. Stacks fill their rows of one rank and one MSPE table (a column
-    per criterion, OLS last), read once into the report. jobs=2 runs the
-    second half of the stacks on one helper (`linalg._two_threads`) and gives
-    the report of jobs=1.
-    """
+    the rows by substream (3, t). Stacks of up to ``STACK_BYTES`` of data
+    write each split's spectrum, rss, design rank r_x and held-out MSPE path
+    (``_mspe_path``) into tables of the run, bit for bit as its own fit would.
+    Then one ``select_ranks`` call per r_x (one per run unless training halves
+    differ in rank) scores every criterion of every split, and the chosen and
+    OLS ranks read their MSPE from the path. A stack or selection call that
+    raises an rrdof error runs again one split at a time, recording each
+    failing split's error. jobs=2 fits the second half of the stacks on one
+    helper (`linalg._two_threads`)."""
     x, y = as_matrix(x), as_matrix(y)
     if not x.any():
         raise DegenerateDesignError("design matrix has no nonzero column")
@@ -238,26 +222,47 @@ def eval_splits(
         raise DomainError("jobs must be 1 or 2")
     if not 0.0 < split_fraction < 1.0:
         raise DomainError("split_fraction must be in (0, 1)")
-    n = x.shape[0]
+    (n, p), q = x.shape, y.shape[1]
     n_train = int(round(n * split_fraction))
     if n_train < 1 or n_train >= n:
         raise DomainError("split_fraction leaves an empty train or test set")
 
     per_stack = max(1, STACK_BYTES // (x.nbytes + y.nbytes))
     stacks = [(t, min(t + per_stack, n_splits)) for t in range(0, n_splits, per_stack)]
-    names = list(criteria)
-    ranks = np.empty((n_splits, len(names)), dtype=int)
-    mspe = np.empty((n_splits, len(names) + 1))
+    d, path = np.empty((2, n_splits, min(n_train, p, q)))  # spectra and held-out paths, r_bar columns used
+    rss, r_x = np.empty(n_splits), np.zeros(n_splits, dtype=int)  # r_x stays 0 where a fit fails
     failed: dict[int, str] = {}
 
+    def eval_stack(splits):  # fit a stack of training halves into their table rows
+        perm = np.array([_substream(seed, 3, t).permutation(n) for t in splits])
+        train, test = perm[:, :n_train], perm[:, n_train:]
+        ls = fit_ols(x[train], y[train])
+        path[splits, : ls.r_bar] = _mspe_path(ls, x[test], y[test])  # OLS is the rank-r_bar fit
+        d[splits, : ls.r_bar], rss[splits], r_x[splits] = ls.d, ls.rss, ls.gram.r_x
+
     def run(lo, hi):
-        _eval_stack(x, y, criteria, n_train, seed, range(lo, hi), ranks, mspe, failed)
+        _by_splits(eval_stack, range(lo, hi), failed)
 
     if jobs == 2:
         _two_threads(run, stacks)
     else:
         for lo, hi in stacks:
             run(lo, hi)
+
+    names = list(criteria)
+    ranks = np.empty((n_splits, len(names)), dtype=int)
+    mspe = np.empty((n_splits, len(names) + 1))
+
+    def select(splits):  # score splits of one design rank from their table rows
+        rank = int(r_x[splits[0]])
+        r_bar = min(rank, q)
+        reports = select_ranks(d[splits, :r_bar], rss[splits], rank, n_train, q, criteria)
+        cols = np.column_stack([rep.chosen for rep in reports.values()] + [np.full(len(splits), r_bar)])
+        ranks[splits] = cols[:, :-1]
+        mspe[splits] = np.take_along_axis(path[splits], cols - 1, axis=1)
+
+    for rank in sorted(set(r_x[r_x > 0].tolist())):  # np.unique adds ~1.4 MB to peak RSS
+        _by_splits(select, np.flatnonzero(r_x == rank).tolist(), failed)
 
     if len(failed) == n_splits:
         raise SaturationError("selection failed on every split")

@@ -78,61 +78,63 @@ class SelectionReport:
     chosen: int | list
 
 
-def rss_path(ls: LsFit, ranks) -> np.ndarray:
-    """Residual sum of squares of the rank-r fits for each candidate r; for a
-    stack of fits, one row per fit.
-
-    The truncated directions are orthogonal to the residual, so rss(r) is
-    ls.rss = ||Y - Y_hat||^2 plus the sum of the discarded squared d_k.
-    """
-    d2 = ls.d**2
+def rss_path(d, rss, ranks) -> np.ndarray:
+    """Residual sum of squares of the rank-r fits for each candidate r: the
+    least-squares rss ||Y - Y_hat||^2 plus the discarded squared d_k (they are
+    orthogonal to the residual). A stack (..., r_bar) of spectra `d` with one
+    rss each gives one row per fit."""
+    d2 = np.asarray(d, dtype=float) ** 2
     tail = np.cumsum(d2[..., ::-1], axis=-1)[..., ::-1]  # tail[r] = sum_{k>r} d_k^2
     tail = np.concatenate([tail, np.zeros(tail.shape[:-1] + (1,))], axis=-1)
-    return ls.rss[..., None] + tail[..., np.asarray(ranks, dtype=int)]
+    return np.asarray(rss, dtype=float)[..., None] + tail[..., np.asarray(ranks, dtype=int)]
 
 
-def select_ranks(ls: LsFit, criteria: dict[str, Criterion]) -> dict[str, SelectionReport]:
-    """One SelectionReport per named criterion, all scored on one rank path.
-
-    The candidates are ranks 1..r_bar (r_bar = min(r_x, q) <= min(n, p, q)).
-    The rss path and each df mode's path are arrays built once (a df path
-    when the first criterion using it is scored), and each criterion scores
-    every candidate in one array expression. Criteria are scored in order,
-    so the first one that fails raises. Saturated candidates (df >= n*q, or
-    rss = 0 under BIC) get +inf scores; ties break toward the smaller rank.
-    A stack of fits is scored along its leading axes, one chosen rank per
-    fit; a criterion that every candidate of any one fit saturates raises.
-    """
-    n, q = ls.y.shape[-2:]
-    candidates = list(range(1, ls.r_bar + 1))
-    rss = rss_path(ls, candidates)
-    paths: dict[str, np.ndarray] = {}
+def select_ranks(d, rss, r_x: int, n: int, q: int,
+                 criteria: dict[str, Criterion]) -> dict[str, SelectionReport]:
+    """One SelectionReport per named criterion, scoring ranks 1..r_bar from the
+    sufficient statistics of a least-squares fit of n x q responses on a
+    rank-r_x design: its spectrum `d` (r_bar = min(r_x, q) values, ``ls.d``)
+    and rss (``ls.rss``). A stack (..., r_bar) of spectra with one rss each
+    gives one chosen rank per fit, each its own call's bit for bit. The rss
+    path and each df mode's path are built once, when first needed, and shared
+    by the reports. Criteria are scored in order, so the first one that fails
+    raises, as does one that saturates every candidate of any one fit.
+    Saturated candidates (df >= n*q, or rss = 0 under BIC) score +inf; ties
+    break toward the smaller rank."""
+    d, r_bar = np.asarray(d, dtype=float), min(r_x, q)
+    if d.shape[-1:] != (r_bar,) or np.shape(rss) != d.shape[:-1]:
+        raise DomainError(f"expected {r_bar} singular values and one rss per fit, "
+                          f"got shapes {d.shape} and {np.shape(rss)}")
+    candidates = list(range(1, r_bar + 1))
+    rss = rss_path(d, rss, candidates)
+    rss_list = rss.tolist()
+    paths: dict[str, tuple[np.ndarray, list]] = {}
     reports = {}
     for name, crit in criteria.items():
         if crit.df_mode not in paths:
-            paths[crit.df_mode] = (
-                np.broadcast_to(naive_df(ls.gram.r_x, q, candidates), rss.shape)
+            df = (
+                np.broadcast_to(naive_df(r_x, q, candidates), rss.shape)
                 if crit.df_mode == "naive"
-                else exact_df_path(ls.d, ls.gram.r_x, q, *hard_rows(candidates, ls.r_bar))[0]
+                else exact_df_path(d, r_x, q, *hard_rows(candidates, r_bar))[0]
             )
-        df = paths[crit.df_mode]
+            paths[crit.df_mode] = df, df.tolist()
+        df, df_list = paths[crit.df_mode]
         scores = _scores(crit.kind, rss, df, n, q, crit.sigma2)
         if np.isinf(scores).all(axis=-1).any():
             raise SaturationError("every candidate rank saturates the criterion")
         reports[name] = SelectionReport(
             candidates=list(candidates),
             scores=scores.tolist(),
-            df_used=df.tolist(),
-            residual_ss=rss.tolist(),
+            df_used=df_list,
+            residual_ss=rss_list,
             chosen=(scores.argmin(axis=-1) + 1).tolist(),  # candidates[k] = k + 1
         )
     return reports
 
 
 def select_rank(ls: LsFit, crit: Criterion) -> SelectionReport:
-    """Score ranks 1..r_bar under one criterion and pick the argmin:
-    ``select_ranks`` with a single criterion. Callers scoring several
-    criteria on one fit should call ``select_ranks`` once, so the rss and df
-    paths are built once.
-    """
-    return select_ranks(ls, {crit.kind: crit})[crit.kind]
+    """Score ranks 1..r_bar of the fit `ls` under one criterion and pick the
+    argmin: ``select_ranks`` on the fit's statistics with one criterion.
+    Callers scoring several criteria should call ``select_ranks`` once."""
+    n, q = ls.y.shape[-2:]
+    return select_ranks(ls.d, ls.rss, ls.gram.r_x, n, q, {crit.kind: crit})[crit.kind]

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import pipeline
 from .dof import DofEstimate, _cov_df, _rank_moments, _substream, exact_df_path, naive_df
 from .estimators import coef_matrix, fit_ols, hard_rows
 from .exceptions import DomainError
@@ -233,22 +234,28 @@ def run_pred_study(cfg: SimConfig) -> PredStudyResult:
     """GCV selection with exact vs naive df: estimation error, prediction
     error (both scaled by 100 per entry), selected rank, and per-replication
     percentage relative gain PRG = 100 (Pred_naive - Pred_exact)/Pred_exact.
-    The responses of all replications form one stack against the fixed X: one
-    ``fit_ols`` and one ``select_ranks`` call, and one coefficient product per
-    df mode, each replication's numbers equal to its own fit's bit for bit.
-    The summary's standard deviations need at least 2 replications."""
+    Replications run in stacks of at most ``pipeline.STACK_BYTES`` of
+    responses and coefficients (at least one), so memory does not grow with
+    reps: per stack one ``fit_ols`` and one ``select_ranks`` call and one
+    coefficient product per df mode, each replication its own fit's bit for
+    bit. The summary's standard deviations need at least 2 replications."""
     if cfg.reps < 2:
         raise DomainError("reps must be at least 2")
     x, b, _ = _design(cfg)
     xb = x @ b
-    y = xb + np.stack([_errors(cfg, t) for t in range(cfg.reps)])
-    ls = fit_ols(x, y)
-    fields = {}
-    for mode, report in select_ranks(ls, _PRED_CRITERIA).items():
-        bhat = coef_matrix(ls, hard_rows(report.chosen, ls.r_bar))
-        fields[f"est_{mode}"] = 100.0 * np.sum((b - bhat) ** 2, axis=(-2, -1)) / (cfg.p * cfg.q)
-        fields[f"pred_{mode}"] = 100.0 * np.sum((xb - x @ bhat) ** 2, axis=(-2, -1)) / (cfg.n * cfg.q)
-        fields[f"rank_{mode}"] = np.asarray(report.chosen)
+    per_stack = max(1, pipeline.STACK_BYTES // (8 * (cfg.n + cfg.p) * cfg.q))
+    stacks = []
+    for lo in range(0, cfg.reps, per_stack):
+        y = xb + np.stack([_errors(cfg, t) for t in range(lo, min(lo + per_stack, cfg.reps))])
+        ls = fit_ols(x, y)
+        fields = {"snr": snr(x, b, y - xb)}
+        for mode, report in select_ranks(ls.d, ls.rss, ls.gram.r_x, cfg.n, cfg.q, _PRED_CRITERIA).items():
+            bhat = coef_matrix(ls, hard_rows(report.chosen, ls.r_bar))
+            fields[f"est_{mode}"] = 100.0 * np.sum((b - bhat) ** 2, axis=(-2, -1)) / (cfg.p * cfg.q)
+            fields[f"pred_{mode}"] = 100.0 * np.sum((xb - x @ bhat) ** 2, axis=(-2, -1)) / (cfg.n * cfg.q)
+            fields[f"rank_{mode}"] = np.asarray(report.chosen)
+        stacks.append(fields)
+    fields = {name: np.concatenate([stack[name] for stack in stacks]) for name in stacks[0]}
     exact, naive = fields["pred_exact"], fields["pred_naive"]
-    fields.update(prg=100.0 * (naive - exact) / exact, snr=snr(x, b, y - xb))
+    fields["prg"] = 100.0 * (naive - exact) / exact
     return PredStudyResult(config=cfg, **{name: v.tolist() for name, v in fields.items()})

@@ -111,7 +111,7 @@ class TestLsFitRss:
         ls = fit_ols(x, y)
         assert np.shape(ls.rss) == y.shape[:-2]
         assert np.array_equal(ls.rss, np.sum((ls.y - ls.y_hat) ** 2, axis=(-2, -1)))
-        assert np.array_equal(rss_path(ls, [ls.r_bar])[..., 0], ls.rss)
+        assert np.array_equal(rss_path(ls.d, ls.rss, [ls.r_bar])[..., 0], ls.rss)
         if layout != "2-d":  # each fit of a stack has its own fit's rss
             for t in range(3):
                 assert ls.rss[t] == fit_ols(x[t] if x.ndim == 3 else x, y[t]).rss

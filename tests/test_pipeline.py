@@ -193,13 +193,13 @@ class TestTwoJobs:
         from rrdof import pipeline
 
         seen = []
-        original = pipeline._eval_stack
+        original = pipeline.fit_ols  # one call per stack, on the thread running it
 
         def spy(*args):
             seen.append((threading.current_thread() is threading.main_thread(), np.geterr()["divide"]))
             return original(*args)
 
-        monkeypatch.setattr(pipeline, "_eval_stack", spy)
+        monkeypatch.setattr(pipeline, "fit_ols", spy)
         x, y = synthetic_fixture()
         with np.errstate(all="raise"):
             eval_splits(x, y, ALL_CRITERIA, n_splits=12, seed=1, jobs=2)
@@ -212,14 +212,14 @@ class TestTwoJobs:
         class Boom(Exception):
             pass
 
-        original = pipeline._eval_stack
+        original = pipeline.fit_ols  # one call per stack, on the thread running it
 
         def failing_off_the_caller(*args):
             if threading.current_thread() is not threading.main_thread():
                 raise Boom("helper")
             return original(*args)
 
-        monkeypatch.setattr(pipeline, "_eval_stack", failing_off_the_caller)
+        monkeypatch.setattr(pipeline, "fit_ols", failing_off_the_caller)
         x, y = synthetic_fixture()
         before = threading.active_count()
         with pytest.raises(Boom, match="helper"):
@@ -318,11 +318,42 @@ def assert_mspe_close(got, want):
 
 
 def _train_x(x, seed, t):
-    # the training rows of split t, drawn as eval_splits draws them
+    # the training rows of split t of x (or of y), drawn as eval_splits draws them
     from rrdof.dof import _substream
 
     perm = _substream(seed, 3, t).permutation(x.shape[0])
     return x[perm[: int(round(x.shape[0] * 0.5))]]
+
+
+def _inject_failures(monkeypatch, target, x, y, seed, n_splits, fails, hook=None):
+    """Patch pipeline.<target>, "fit_ols" or "select_ranks", to raise
+    DegeneracyError(fails[t]) on any call that holds split t, which it knows
+    by its training design (fit_ols) or its training fit's spectrum
+    (select_ranks). Returns the list of the splits of each call, in call
+    order; `hook(splits)` sees them before the call raises or runs."""
+    from rrdof import pipeline
+    from rrdof.estimators import fit_ols
+    from rrdof.exceptions import DegeneracyError
+
+    original = getattr(pipeline, target)
+    keys = [_train_x(x, seed, t) for t in range(n_splits)]
+    if target == "select_ranks":  # _train_x draws the rows of y as those of x
+        keys = [fit_ols(k, _train_x(y, seed, t)).d for t, k in enumerate(keys)]
+    calls = []
+
+    def failing(first, *args):
+        rows = np.reshape(first, (-1, *keys[0].shape))  # one training design or spectrum per split
+        splits = [t for row in rows for t, key in enumerate(keys) if np.array_equal(row, key)]
+        calls.append(splits)
+        if hook is not None:
+            hook(splits)
+        for t in splits:
+            if t in fails:
+                raise DegeneracyError(fails[t])
+        return original(first, *args)
+
+    monkeypatch.setattr(pipeline, target, failing)
+    return calls
 
 
 class TestOneRankPathPerSplit:
@@ -355,9 +386,8 @@ class TestOneRankPathPerSplit:
         x, y = synthetic_fixture()
         if per_stack is not None:
             monkeypatch.setattr(pipeline, "STACK_BYTES", per_stack * (x.nbytes + y.nbytes))
-        size = pipeline.STACK_BYTES // (x.nbytes + y.nbytes)
         rep = eval_splits(x, y, ALL_CRITERIA, n_splits=7, seed=2)
-        assert calls == [(min(size, 7 - t), 36) for t in range(0, 7, size)]
+        assert calls == [(7, 36)]  # the spectra of every stack in one df path
         assert len(rep.mspe["ols"]) == 7
 
     def test_no_coefficient_matrix_per_split(self, monkeypatch):
@@ -373,65 +403,49 @@ class TestOneRankPathPerSplit:
         rep = eval_splits(x, y, ALL_CRITERIA, n_splits=7, seed=2)
         assert not rep.failures and len(rep.mspe["ols"]) == 7
 
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_any_rrdof_error_is_recorded_per_split(self, monkeypatch, jobs):
+    @staticmethod
+    def check_split_2_fails(monkeypatch, target, jobs):
         from rrdof import pipeline
-        from rrdof.exceptions import DegeneracyError
 
         x, y = synthetic_fixture()
         monkeypatch.setattr(pipeline, "STACK_BYTES", 4 * (x.nbytes + y.nbytes))
         clean = eval_splits(x, y, ALL_CRITERIA, n_splits=5, seed=3, jobs=jobs)
-        split_2 = _train_x(x, 3, 2)
-        stacks = []
-
-        def select_failing_on_split_2(ls, criteria, *args, **kwargs):
-            slices = ls.x.reshape(-1, *split_2.shape)  # one training design per split
-            stacks.append(len(slices))
-            if any(np.array_equal(s, split_2) for s in slices):
-                raise DegeneracyError("tied singular values on this split")
-            return select_ranks(ls, criteria, *args, **kwargs)
-
-        monkeypatch.setattr(pipeline, "select_ranks", select_failing_on_split_2)
+        error = "tied singular values on this split"
+        calls = _inject_failures(monkeypatch, target, x, y, 3, 5, {2: error})
         got = eval_splits(x, y, ALL_CRITERIA, n_splits=5, seed=3, jobs=jobs)
-        # splits 0-3 fail as one stack, then run one at a time; split 4 is a stack of one
-        assert sorted(stacks) == [1, 1, 1, 1, 1, 4]
-        assert got.failures == [{"split": 2, "error": "tied singular values on this split"}]
+        assert got.failures == [{"split": 2, "error": error}]
         for name in clean.mspe:
             assert got.mspe[name] == [v for t, v in enumerate(clean.mspe[name]) if t != 2]
         for name in clean.ranks:
             assert got.ranks[name] == [v for t, v in enumerate(clean.ranks[name]) if t != 2]
-        # the stack-mates of split 2 (splits 0, 1 and 3) report as they did in the stack
+        # the call-mates of split 2 (splits 0, 1 and 3) report as they did together
         for name in clean.ranks:
             assert got.ranks[name][:3] == [clean.ranks[name][t] for t in (0, 1, 3)]
             assert got.mspe[name][:3] == [clean.mspe[name][t] for t in (0, 1, 3)]
+        return calls
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_failures_stay_in_split_order(self, monkeypatch, jobs):
-        # splits 1 and 6 fail in the middle of the stacks 0-3 and 4-7. With
-        # jobs=2 the second stack runs on the helper thread, and split 1 fails
-        # only once the helper has recorded split 6 and moved on to split 7.
+    def test_any_rrdof_error_is_recorded_per_split(self, monkeypatch, jobs):
+        # a selection error: the run's five splits are scored in one call,
+        # which fails, then one at a time
+        calls = self.check_split_2_fails(monkeypatch, "select_ranks", jobs)
+        assert calls == [[0, 1, 2, 3, 4], [0], [1], [2], [3], [4]]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_any_rrdof_error_in_a_fit_is_recorded_per_split(self, monkeypatch, jobs):
+        # splits 0-3 fail as one stack, then run one at a time; split 4 is a stack of one
+        calls = self.check_split_2_fails(monkeypatch, "fit_ols", jobs)
+        assert sorted(calls) == [[0], [0, 1, 2, 3], [1], [2], [3], [4]]
+
+    @staticmethod
+    def check_failures_stay_in_split_order(monkeypatch, target, jobs, hook=None):
         from rrdof import pipeline
-        from rrdof.exceptions import DegeneracyError
 
         x, y = synthetic_fixture()
         monkeypatch.setattr(pipeline, "STACK_BYTES", 4 * (x.nbytes + y.nbytes))
         clean = eval_splits(x, y, ALL_CRITERIA, n_splits=8, seed=3, jobs=jobs)
-        train = {t: _train_x(x, 3, t) for t in (1, 6, 7)}
-        split_6_recorded = threading.Event()
-
-        def select_failing(ls, criteria):
-            slices = ls.x.reshape(-1, *train[1].shape)  # one training design per split
-            if len(slices) == 1 and np.array_equal(slices[0], train[7]):
-                split_6_recorded.set()
-            if len(slices) == 1 and np.array_equal(slices[0], train[1]) and jobs == 2:
-                assert split_6_recorded.wait(timeout=30)
-            for s in slices:
-                for t in (1, 6):
-                    if np.array_equal(s, train[t]):
-                        raise DegeneracyError(f"split {t} fails")
-            return select_ranks(ls, criteria)
-
-        monkeypatch.setattr(pipeline, "select_ranks", select_failing)
+        fails = {1: "split 1 fails", 6: "split 6 fails"}
+        _inject_failures(monkeypatch, target, x, y, 3, 8, fails, hook)
         got = eval_splits(x, y, ALL_CRITERIA, n_splits=8, seed=3, jobs=jobs)
         assert got.failures == [{"split": 1, "error": "split 1 fails"},
                                 {"split": 6, "error": "split 6 fails"}]
@@ -440,6 +454,26 @@ class TestOneRankPathPerSplit:
             assert got.mspe[name] == [clean.mspe[name][t] for t in kept]
         for name in clean.ranks:
             assert got.ranks[name] == [clean.ranks[name][t] for t in kept]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failures_stay_in_split_order(self, monkeypatch, jobs):
+        # splits 1 and 6 fail in the one selection call of the run
+        self.check_failures_stay_in_split_order(monkeypatch, "select_ranks", jobs)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_fit_failures_stay_in_split_order(self, monkeypatch, jobs):
+        # splits 1 and 6 fail in the middle of the stacks 0-3 and 4-7. With
+        # jobs=2 the second stack runs on the helper thread, and split 1 fails
+        # only once the helper has recorded split 6 and moved on to split 7.
+        split_6_recorded = threading.Event()
+
+        def hook(splits):
+            if splits == [7]:
+                split_6_recorded.set()
+            if splits == [1] and jobs == 2:
+                assert split_6_recorded.wait(timeout=30)
+
+        self.check_failures_stay_in_split_order(monkeypatch, "fit_ols", jobs, hook)
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_no_criteria_gives_an_ols_only_report(self, jobs):
@@ -470,6 +504,55 @@ def mixed_rank_xy():
     x[:, 6:] = 0.0
     x[:3, 8] = 1.0
     return x, x[:, :6] @ rng.standard_normal((6, 4)) + rng.standard_normal((20, 4))
+
+
+class TestOneSelectionPerRun:
+    @staticmethod
+    def count_selections(monkeypatch):
+        from rrdof import pipeline
+
+        calls = []
+
+        def counting(d, *args):
+            calls.append(np.shape(d))
+            return select_ranks(d, *args)
+
+        monkeypatch.setattr(pipeline, "select_ranks", counting)
+        return calls
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_the_fixture_run_selects_once(self, monkeypatch, jobs):
+        x, y = synthetic_fixture()
+        calls = self.count_selections(monkeypatch)
+        rep = eval_splits(x, y, ALL_CRITERIA, n_splits=100, seed=0, jobs=jobs)
+        assert calls == [(100, 36)]
+        assert not rep.failures and len(rep.mspe["ols"]) == 100
+
+    def test_halves_of_two_ranks_equal_a_per_split_loop(self, monkeypatch):
+        # one selection call per design rank; each split's ranks and MSPE
+        # equal its own fit's, selection and held-out path (bit for bit)
+        from rrdof.dof import _substream
+        from rrdof.estimators import fit_ols
+        from rrdof.linalg import gram_factors
+        from rrdof.pipeline import _mspe_path
+        from rrdof.selection import select_rank
+
+        x, y = mixed_rank_xy()
+        calls = self.count_selections(monkeypatch)
+        got = eval_splits(x, y, ALL_CRITERIA, n_splits=12, seed=6)
+        r_x = [gram_factors(_train_x(x, 6, t)).r_x for t in range(12)]
+        assert set(r_x) == {6, 7} and not got.failures
+        assert sorted(calls) == sorted((r_x.count(r), 4) for r in (6, 7))  # r_bar = q = 4
+        for t in range(12):
+            perm = _substream(6, 3, t).permutation(x.shape[0])
+            train, test = perm[:10], perm[10:]
+            ls = fit_ols(x[train], y[train])
+            path = _mspe_path(ls, x[test], y[test])
+            for name, crit in ALL_CRITERIA.items():
+                r = select_rank(ls, crit).chosen
+                assert got.ranks[name][t] == r
+                assert got.mspe[name][t] == path[r - 1]
+            assert got.mspe["ols"][t] == path[ls.r_bar - 1]
 
 
 class TestStacksOfSplits:

@@ -392,11 +392,46 @@ def test_select_ranks_equals_select_rank_per_criterion(seed, n, p, q, noise, ord
     criteria = {name: SELECTION_CRITERIA[name] for name in order}
     each = {name: _outcome(lambda: select_rank(ls, crit)) for name, crit in criteria.items()}
     failed = [out for out in each.values() if isinstance(out, tuple)]
-    together = _outcome(lambda: select_ranks(ls, criteria))
+    together = _outcome(lambda: select_ranks(ls.d, ls.rss, ls.gram.r_x, n, q, criteria))
     if failed:
         assert together == failed[0]  # the first criterion that fails raises
     else:
         assert together == each
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n=st.integers(min_value=2, max_value=10),
+    p=st.integers(min_value=1, max_value=12),
+    q=st.integers(min_value=1, max_value=8),
+    size=st.integers(min_value=1, max_value=5),
+    noise=st.sampled_from([0.0, 0.1, 1.0]),
+)
+def test_select_ranks_on_a_stack_equals_each_rows_call(seed, n, p, q, size, noise):
+    # One design against a stack of responses, tall or wide; noiseless
+    # responses saturate. Every field of every report equals the one-row
+    # call's, and the stack raises exactly when one of its rows does.
+    from dataclasses import fields
+
+    from rrdof.selection import SelectionReport
+
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, p))
+    y = x @ rng.standard_normal((p, q)) + noise * rng.standard_normal((size, n, q))
+    ls = fit_ols(x, y)
+    stack = _outcome(lambda: select_ranks(ls.d, ls.rss, ls.gram.r_x, n, q, SELECTION_CRITERIA))
+    rows = [_outcome(lambda: select_ranks(ls.d[i], ls.rss[i], ls.gram.r_x, n, q, SELECTION_CRITERIA))
+            for i in range(size)]
+    failed = [row for row in rows if isinstance(row, tuple)]
+    if failed:
+        assert stack == failed[0]
+        return
+    for name, rep in stack.items():
+        assert rep.candidates == rows[0][name].candidates
+        for f in fields(SelectionReport):
+            if f.name != "candidates":
+                assert getattr(rep, f.name) == [getattr(row[name], f.name) for row in rows], f.name
 
 
 @settings(deadline=None, max_examples=80)

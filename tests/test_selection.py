@@ -119,7 +119,7 @@ class TestRssPath:
         y = rng.standard_normal((20, 5))
         ls = fit_ols(x, y)
         ranks = list(range(1, ls.r_bar + 1))
-        path = rss_path(ls, ranks)
+        path = rss_path(ls.d, ls.rss, ranks)
         direct = [float(np.sum((y - fit_shrunk(ls, hard(r))) ** 2)) for r in ranks]
         assert np.allclose(path, direct, rtol=1e-10)
 
@@ -128,9 +128,35 @@ class TestRssPath:
         x = rng.standard_normal((15, 4))
         y = rng.standard_normal((15, 3))
         ls = fit_ols(x, y)
-        assert rss_path(ls, [ls.r_bar])[0] == pytest.approx(
+        assert rss_path(ls.d, ls.rss, [ls.r_bar])[0] == pytest.approx(
             float(np.sum((y - ls.y_hat) ** 2))
         )
+
+
+class TestSufficientStatistics:
+    """select_ranks and rss_path read only the spectrum, the least-squares
+    rss, r_x, n and q of a fit."""
+
+    def test_select_rank_is_select_ranks_on_the_fits_statistics(self):
+        rng = np.random.default_rng(52)
+        for n, p, q in [(30, 6, 5), (8, 12, 6), (20, 4, 9)]:  # tall, wide, q > r_x
+            x = rng.standard_normal((n, p))
+            ls = fit_ols(x, x @ rng.standard_normal((p, q)) + rng.standard_normal((n, q)))
+            for kind in ("cp", "gcv", "bic"):
+                for mode in ("exact", "naive"):
+                    crit = Criterion(kind, mode, 1.0 if kind == "cp" else None)
+                    got = select_ranks(ls.d, ls.rss, ls.gram.r_x, n, q, {"c": crit})["c"]
+                    assert select_rank(ls, crit) == got
+
+    def test_statistics_of_the_wrong_shape_raise(self):
+        rng = np.random.default_rng(53)
+        ls = fit_ols(rng.standard_normal((20, 5)), rng.standard_normal((20, 4)))
+        crit = {"gcv": Criterion("gcv", "naive")}
+        with pytest.raises(DomainError, match="expected 4 singular values"):
+            select_ranks(ls.d[:3], ls.rss, 5, 20, 4, crit)  # r_bar = min(r_x, q) = 4
+        with pytest.raises(DomainError, match="one rss per fit"):
+            select_ranks(np.stack([ls.d, ls.d]), ls.rss, 5, 20, 4, crit)
+        assert select_ranks(ls.d, ls.rss, 5, 20, 4, crit)["gcv"] == select_rank(ls, crit["gcv"])
 
 
 class TestSelectRank:
@@ -170,7 +196,7 @@ class TestSelectRank:
         # the reported chosen rank equals a from-scratch recomputation
         ls = self.make_instance(72)
         rep = select_rank(ls, Criterion(kind="cp", sigma2=1.0))
-        rss = rss_path(ls, rep.candidates)
+        rss = rss_path(ls.d, ls.rss, rep.candidates)
         scores = [
             r_rss / ls.y.size + 2 * d * 1.0 / ls.y.size
             for r_rss, d in zip(rss, rep.df_used)
@@ -235,6 +261,6 @@ class TestSelectRank:
         ls = fit_ols(rng.standard_normal((10, 20)), rng.standard_normal((10, 30)))
         criteria = {f"{k}_{m}": Criterion(k, m, 0.7 if k == "cp" else None)
                     for k in ("gcv", "cp", "bic") for m in ("exact", "naive")}
-        for name, rep in select_ranks(ls, criteria).items():
+        for name, rep in select_ranks(ls.d, ls.rss, ls.gram.r_x, 10, 30, criteria).items():
             kind = name.split("_")[0]
             assert_scores_match(kind, rep.scores, rep.residual_ss, rep.df_used, 10, 30, 0.7)

@@ -480,7 +480,8 @@ def _per_replication_pred_study(cfg):
         y = xb + simbench._errors(cfg, t)
         res["snr"].append(snr(x, b, y - xb))
         ls = fit_ols(x, y)
-        for mode, report in select_ranks(ls, simbench._PRED_CRITERIA).items():
+        reports = select_ranks(ls.d, ls.rss, ls.gram.r_x, cfg.n, cfg.q, simbench._PRED_CRITERIA)
+        for mode, report in reports.items():
             bhat = coef_matrix(ls, hard(report.chosen))
             res[f"est_{mode}"].append(100.0 * float(np.sum((b - bhat) ** 2)) / (cfg.p * cfg.q))
             res[f"pred_{mode}"].append(100.0 * float(np.sum((xb - x @ bhat) ** 2)) / (cfg.n * cfg.q))
@@ -499,7 +500,36 @@ def test_pred_study_equals_per_replication_loop(cfg):
         assert getattr(got, name) == want, name
 
 
+@pytest.mark.parametrize("cfg", [
+    SimConfig(n=30, p=6, q=5, r0=3, reps=12, seed=1),  # tall: n > p
+    SimConfig(n=12, p=20, q=8, r0=2, sigma2=4.0, reps=10, seed=3),  # wide: p > n
+], ids=["tall", "wide"])
+def test_pred_study_does_not_depend_on_the_stack_size(monkeypatch, cfg):
+    from rrdof import pipeline
+
+    default = run_pred_study(cfg)
+    per_rep = 8 * (cfg.n + cfg.p) * cfg.q  # bytes of one replication's responses and coefficients
+    for budget in (1, per_rep, 4 * per_rep + 1):
+        monkeypatch.setattr(pipeline, "STACK_BYTES", budget)
+        assert run_pred_study(cfg) == default
+
+
+def test_pred_study_memory_does_not_grow_with_reps():
+    # the replications run in stacks of at most pipeline.STACK_BYTES
+    def peak(reps):
+        tracemalloc.start()
+        try:
+            run_pred_study(replace(PRESETS["hd"], reps=reps))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(400) <= 1.2 * peak(100)
+
+
 def test_pred_study_fits_and_selects_once(monkeypatch):
+    from rrdof import pipeline
+
     calls = {"fit_ols": 0, "select_ranks": 0}
 
     def counting(name):
@@ -513,8 +543,13 @@ def test_pred_study_fits_and_selects_once(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(simbench, name, counting(name))
-    run_pred_study(SimConfig(n=20, p=5, q=7, r0=2, reps=6, seed=2))
-    assert calls == {"fit_ols": 1, "select_ranks": 1}
+    cfg = SimConfig(n=20, p=5, q=7, r0=2, reps=6, seed=2)
+    run_pred_study(cfg)
+    assert calls == {"fit_ols": 1, "select_ranks": 1}  # 6 replications fit in one stack
+    # once per stack: stacks of 4 and 2 replications
+    monkeypatch.setattr(pipeline, "STACK_BYTES", 4 * 8 * (cfg.n + cfg.p) * cfg.q)
+    run_pred_study(cfg)
+    assert calls == {"fit_ols": 3, "select_ranks": 3}
 
 
 class TestPredStudy:

@@ -64,7 +64,7 @@ def test_stack_equals_each_slice_bit_for_bit(seed, kind, size):
     x, y, x_te, y_te = stacked_problem(seed, kind, size)
     ls = fit_ols(x, y)
     ranks = list(range(1, ls.r_bar + 1))
-    rss = rss_path(ls, ranks)
+    rss = rss_path(ls.d, ls.rss, ranks)
     rows = hard_rows(ranks, ls.r_bar)
     df, flags = exact_df_path(ls.d, ls.gram.r_x, y.shape[-1], *rows)
     mspe = _mspe_path(ls, x_te, y_te)
@@ -76,7 +76,7 @@ def test_stack_equals_each_slice_bit_for_bit(seed, kind, size):
                           (ls.hf.svd.left[i], one.hf.svd.left), (ls.hf.svd.right[i], one.hf.svd.right),
                           (ls.gram.q_mat[i], one.gram.q_mat), (ls.gram.s[i], one.gram.s)]:
             assert_same(got, want)
-        assert_same(rss[i], rss_path(one, ranks))
+        assert_same(rss[i], rss_path(one.d, one.rss, ranks))
         one_df, one_flags = exact_df_path(one.d, one.gram.r_x, y.shape[-1], *rows)
         assert_same(df[i], one_df)
         assert_same(flags[i], one_flags)
@@ -91,10 +91,12 @@ def test_stack_equals_each_slice_bit_for_bit(seed, kind, size):
 
 
 def chosen_ranks(ls):
+    n, q = ls.y.shape[-2:]
     try:
-        return {name: rep.chosen for name, rep in select_ranks(ls, CRITERIA).items()}
+        reports = select_ranks(ls.d, ls.rss, ls.gram.r_x, n, q, CRITERIA)
     except SaturationError:
         return None
+    return {name: rep.chosen for name, rep in reports.items()}
 
 
 @settings(deadline=None, max_examples=60)

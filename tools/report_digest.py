@@ -70,6 +70,8 @@ def commands(data: list[str]) -> list[tuple[str, list[str], list[str]]]:
     crit = ["--criterion", "cp", "gcv", "bic", "--df", "exact", "naive", "--sigma2", "1", "--splits", "20"]
     runs.append(("eval", ["eval", *data, *crit], ["--output"]))
     runs.append(("eval_jobs2", ["eval", *data, *crit, "--jobs", "2"], ["--output"]))
+    # training halves of 12 rows: a wide design, r_x = 12
+    runs.append(("eval_wide", ["eval", *data, *crit, "--split-fraction", "0.1"], ["--output"]))
     return runs
 
 
