@@ -55,12 +55,9 @@ def cmd_fit(args) -> int:
     rule = _checked_rule(args, ls) or hard(ls.r_bar)
     s = rule.weights(ls.d)[0]
     payload = {
-        "n": int(x.shape[0]), "p": int(x.shape[1]), "q": int(y.shape[1]),
-        "r_x": int(ls.gram.r_x), "r_bar": int(ls.r_bar),
-        "rank_fitted": int(np.count_nonzero(s > 0)),
-        "singular_values": [float(v) for v in ls.d],
-        "shrunk_singular_values": [float(v) for v in s * ls.d],
-        "rss": float(np.sum((y - fit_shrunk(ls, rule)) ** 2)),
+        "n": x.shape[0], "p": x.shape[1], "q": y.shape[1], "r_x": ls.gram.r_x, "r_bar": ls.r_bar,
+        "rank_fitted": np.count_nonzero(s > 0), "singular_values": ls.d,
+        "shrunk_singular_values": s * ls.d, "rss": np.sum((y - fit_shrunk(ls, rule)) ** 2),
     }
     write_report(args.output, "fit", payload, seed=_seed_from(args))
     if args.coef_out:

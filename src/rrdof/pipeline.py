@@ -98,11 +98,16 @@ def write_matrix_csv(path, m: np.ndarray) -> None:
             writer.writerow([repr(float(v)) for v in row])
 
 
+def _jsonable(value):
+    """A numpy array or scalar as its ``.tolist()``; json's TypeError for anything else."""
+    return value.tolist() if isinstance(value, (np.ndarray, np.generic)) else json.JSONEncoder().default(value)
+
+
 def write_report(path, kind: str, payload: dict, seed: int | None = None) -> None:
-    """Write a versioned JSON report; keys are sorted for determinism."""
+    """Write a versioned JSON report, keys sorted; numpy values become their ``.tolist()``."""
     doc = {"schema_version": REPORT_SCHEMA_VERSION, "kind": kind, "seed": seed, "payload": payload}
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        json.dump(doc, fh, indent=2, sort_keys=True, default=_jsonable)
         fh.write("\n")
 
 
@@ -118,18 +123,13 @@ class EvalReport:
     failures: list[dict]
 
     def summary(self) -> dict:
-        out = {}
-        for name in self.criteria + ["ols"]:
-            vals = np.asarray(self.mspe[name], dtype=float)
-            entry = {
-                "mean_mspe": float(vals.mean()),
-                "std_mspe": float(vals.std(ddof=1)) if vals.size > 1 else 0.0,
-            }
-            if name != "ols":
-                r = np.asarray(self.ranks[name], dtype=float)
-                entry["mean_rank"] = float(r.mean())
-                entry["std_rank"] = float(r.std(ddof=1)) if r.size > 1 else 0.0
-            out[name] = entry
+        def ms(values, what):  # mean and sample sd; the sd of one split is 0
+            a = np.asarray(values, dtype=float)
+            return {f"mean_{what}": a.mean(), f"std_{what}": a.std(ddof=1) if a.size > 1 else 0.0}
+
+        out = {name: ms(self.mspe[name], "mspe") for name in self.criteria + ["ols"]}
+        for name in self.criteria:
+            out[name] |= ms(self.ranks[name], "rank")
         return out
 
     def to_payload(self) -> dict:

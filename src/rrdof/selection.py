@@ -65,16 +65,16 @@ class Criterion:
 
 @dataclass(frozen=True)
 class SelectionReport:
-    """Scores, df values, and residuals over the candidate ranks.
-
-    For a stack of fits, `scores`, `df_used` and `residual_ss` hold one list
-    per fit and `chosen` one rank per fit.
+    """Scores, df values, and residuals over the candidate ranks, as float
+    arrays: one row per fit for a stack of fits, and `chosen` one rank per fit.
+    One call's reports share its `residual_ss` and each df mode's `df_used`.
+    ``==`` on arrays is ambiguous, so compare reports field by field.
     """
 
     candidates: list[int]
-    scores: list
-    df_used: list
-    residual_ss: list
+    scores: np.ndarray
+    df_used: np.ndarray
+    residual_ss: np.ndarray
     chosen: int | list
 
 
@@ -107,26 +107,24 @@ def select_ranks(d, rss, r_x: int, n: int, q: int,
                           f"got shapes {d.shape} and {np.shape(rss)}")
     candidates = list(range(1, r_bar + 1))
     rss = rss_path(d, rss, candidates)
-    rss_list = rss.tolist()
-    paths: dict[str, tuple[np.ndarray, list]] = {}
+    paths: dict[str, np.ndarray] = {}
     reports = {}
     for name, crit in criteria.items():
         if crit.df_mode not in paths:
-            df = (
+            paths[crit.df_mode] = (
                 np.broadcast_to(naive_df(r_x, q, candidates), rss.shape)
                 if crit.df_mode == "naive"
                 else exact_df_path(d, r_x, q, *hard_rows(candidates, r_bar))[0]
             )
-            paths[crit.df_mode] = df, df.tolist()
-        df, df_list = paths[crit.df_mode]
+        df = paths[crit.df_mode]
         scores = _scores(crit.kind, rss, df, n, q, crit.sigma2)
         if np.isinf(scores).all(axis=-1).any():
             raise SaturationError("every candidate rank saturates the criterion")
         reports[name] = SelectionReport(
             candidates=list(candidates),
-            scores=scores.tolist(),
-            df_used=df_list,
-            residual_ss=rss_list,
+            scores=scores,
+            df_used=df,
+            residual_ss=rss,
             chosen=(scores.argmin(axis=-1) + 1).tolist(),  # candidates[k] = k + 1
         )
     return reports

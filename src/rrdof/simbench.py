@@ -35,8 +35,10 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.r0 > min(self.p, self.q):
-            raise DomainError("r0 cannot exceed min(p, q)")
+        if not 0 <= self.r0 <= min(self.p, self.q):
+            raise DomainError(f"r0 must be in [0, min(p, q)] = [0, {min(self.p, self.q)}], got {self.r0}")
+        if not 0 < self.sv_gap < np.inf:
+            raise DomainError("sv_gap must be positive and finite")
         if not 0 < self.sigma2 < np.inf:
             raise DomainError("sigma2 must be positive and finite")
         if not 0 <= self.rho < 1:
@@ -101,6 +103,8 @@ def snr(x, b, e):
     """Smallest nonzero singular value of XB over largest singular value of E;
     of a stack of error matrices (..., n, q), one ratio per matrix."""
     signal = thin_svd(np.asarray(x) @ np.asarray(b)).d
+    if not signal[:1].any():
+        raise DomainError("signal XB is zero; SNR undefined")
     signal = signal[signal > 1e-10 * signal[0]]
     noise = thin_svd(np.asarray(e)).d[..., 0]
     if np.any(noise <= 0):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -146,7 +147,7 @@ class TestSufficientStatistics:
                 for mode in ("exact", "naive"):
                     crit = Criterion(kind, mode, 1.0 if kind == "cp" else None)
                     got = select_ranks(ls.d, ls.rss, ls.gram.r_x, n, q, {"c": crit})["c"]
-                    assert select_rank(ls, crit) == got
+                    np.testing.assert_equal(asdict(select_rank(ls, crit)), asdict(got))
 
     def test_statistics_of_the_wrong_shape_raise(self):
         rng = np.random.default_rng(53)
@@ -156,7 +157,24 @@ class TestSufficientStatistics:
             select_ranks(ls.d[:3], ls.rss, 5, 20, 4, crit)  # r_bar = min(r_x, q) = 4
         with pytest.raises(DomainError, match="one rss per fit"):
             select_ranks(np.stack([ls.d, ls.d]), ls.rss, 5, 20, 4, crit)
-        assert select_ranks(ls.d, ls.rss, 5, 20, 4, crit)["gcv"] == select_rank(ls, crit["gcv"])
+        np.testing.assert_equal(asdict(select_ranks(ls.d, ls.rss, 5, 20, 4, crit)["gcv"]),
+                                asdict(select_rank(ls, crit["gcv"])))
+
+    def test_reports_hold_the_calls_arrays(self):
+        # the rss path and each df mode's path are built once per call and
+        # shared by its reports, one row per fit of a stack
+        rng = np.random.default_rng(54)
+        x = rng.standard_normal((20, 5))
+        ls = fit_ols(x, x @ rng.standard_normal((5, 4)) + rng.standard_normal((3, 20, 4)))
+        crit = {"gcv": Criterion("gcv"), "bic": Criterion("bic"), "gcv_naive": Criterion("gcv", "naive")}
+        reports = select_ranks(ls.d, ls.rss, ls.gram.r_x, 20, 4, crit)
+        for rep in reports.values():
+            for v in (rep.scores, rep.df_used, rep.residual_ss):
+                assert isinstance(v, np.ndarray) and v.shape == (3, 4)
+            assert rep.candidates == [1, 2, 3, 4] and len(rep.chosen) == 3
+        assert reports["gcv"].residual_ss is reports["bic"].residual_ss is reports["gcv_naive"].residual_ss
+        assert reports["gcv"].df_used is reports["bic"].df_used
+        assert np.array_equal(reports["gcv_naive"].df_used, np.broadcast_to(naive_df(5, 4, [1, 2, 3, 4]), (3, 4)))
 
 
 class TestSelectRank:

@@ -42,6 +42,12 @@ class TestSimConfig:
                 SimConfig(n=10, p=3, q=3, r0=2, sigma2=sigma2)
         with pytest.raises(DomainError):
             SimConfig(n=10, p=3, q=3, r0=2, rho=1.0)
+        for r0 in (-1, 4):  # outside [0, min(p, q)]
+            with pytest.raises(DomainError, match="r0"):
+                SimConfig(n=10, p=3, q=3, r0=r0)
+        for gap in (0.0, -2.0, float("nan"), float("inf")):  # outside (0, inf)
+            with pytest.raises(DomainError, match="sv_gap"):
+                SimConfig(n=10, p=3, q=3, r0=2, sv_gap=gap)
 
 
 class TestGenInstance:
@@ -101,6 +107,13 @@ class TestSnr:
     def test_zero_noise_rejected(self):
         with pytest.raises(DomainError):
             snr(np.eye(3), np.eye(3), np.zeros((3, 3)))
+
+    def test_zero_signal_rejected(self):
+        # B = 0 (r0 = 0), once for one error matrix and once for a stack
+        e = np.random.default_rng(57).standard_normal((2, 3, 3))
+        for noise in (e[0], e):
+            with pytest.raises(DomainError, match="signal XB is zero"):
+                snr(np.eye(3), np.zeros((3, 3)), noise)
 
     def test_stack_equals_per_matrix_calls(self):
         rng = np.random.default_rng(56)
@@ -457,6 +470,15 @@ def test_pred_study_needs_two_replications():
     for reps in (0, 1):
         with pytest.raises(DomainError, match="at least 2"):
             run_pred_study(SimConfig(n=20, p=5, q=7, r0=2, reps=reps, seed=2))
+
+
+def test_null_signal_studies():
+    # r0 = 0: the df study still runs; the prediction study's SNR is undefined
+    cfg = SimConfig(n=20, p=5, q=7, r0=0, reps=3, seed=2)
+    res = run_dof_study(cfg, n_pert=4)
+    assert len(res.exact_mean) == 5 and np.all(np.isfinite(res.exact_mean))
+    with pytest.raises(DomainError, match="signal XB is zero"):
+        run_pred_study(cfg)
 
 
 def test_pred_study_uses_each_replications_instance():
