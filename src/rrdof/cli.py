@@ -15,7 +15,7 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from . import dof as dof_mod
-from .estimators import _checked_ranks, adaptive, coef_matrix, fit_ols, fit_shrunk, hard, soft
+from .estimators import _checked_ints, adaptive, coef_matrix, fit_ols, fit_shrunk, hard, soft
 from .exceptions import RrdofError, SaturationError
 from .pipeline import eval_splits, ingest_csv, write_matrix_csv, write_report
 from .selection import Criterion, select_rank
@@ -23,10 +23,12 @@ from .simbench import PRESETS, run_dof_study, run_pred_study
 
 
 def _seed_from(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("RRDOF_SEED")
-    return int(env) if env else 0
+    """--seed, else RRDOF_SEED, else 0; checked where a draw is made (`dof._substream`)."""
+    env = os.environ.get("RRDOF_SEED") or "0"
+    try:
+        return int(env) if args.seed is None else args.seed
+    except ValueError:
+        raise RrdofError(f"RRDOF_SEED must be an integer, got {env!r}") from None
 
 
 def _load_xy(args):
@@ -80,8 +82,7 @@ def cmd_dof(args) -> int:
     if method == "naive":
         est = dof_mod.DofEstimate(value=dof_mod.naive_df(r_x, q, rule.rank), method="naive")
     elif method == "exact":
-        s, sp = rule.weights(ls.d)
-        est = dof_mod.exact_df_shrunk(ls.d, r_x, q, s, sp)
+        est = dof_mod.exact_df_shrunk(ls.d, r_x, q, *rule.weights(ls.d))
     elif method == "fd":
         est = dof_mod.divergence_fd(ls.hf.h, rule)
     elif method == "mc":
@@ -101,7 +102,7 @@ def cmd_dof(args) -> int:
 def _sigma_hat(ls) -> float:
     n, q = ls.y.shape
     dof_resid = n * q - ls.gram.r_x * q
-    if dof_resid < 1:
+    if dof_resid <= 0:
         raise SaturationError(
             f"the least-squares fit interpolates (n={n} <= r_x={ls.gram.r_x}), so sigma_hat "
             "is roundoff and cannot set the default tau; pass --tau"
@@ -114,9 +115,7 @@ def _checked_rule(args, ls):
     one rank policy for every command and method: a rank above r_bar clamps
     to r_bar and one below 1 is a DomainError."""
     if args.rank is not None:
-        rank = min(args.rank, ls.r_bar)
-        _checked_ranks(rank, 1, ls.r_bar)
-        return hard(rank)
+        return hard(_checked_ints(min(args.rank, ls.r_bar), 1, ls.r_bar))
     if args.soft is not None:
         return soft(args.soft)
     if args.adaptive is not None:

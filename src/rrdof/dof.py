@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import LsFit, ShrinkageRule, _checked_ranks, _weights, hard_rows, validate_weights
+from .estimators import LsFit, ShrinkageRule, _checked_ints, _weights, hard_rows, validate_weights
 from .exceptions import ContractViolationError, DegeneracyError, DomainError
 from .linalg import SvdFactors, _svd, _two_threads, as_matrix, thin_svd
 
@@ -76,7 +76,7 @@ class DofEstimate:
 def naive_df(r_x: int, q: int, r) -> float | list[float]:
     """Free-parameter count (r_x + q - r) * r of a rank-r coefficient matrix;
     a list of counts for a sequence of ranks."""
-    ranks = _checked_ranks(r, 0, min(r_x, q))
+    ranks = _checked_ints(r, 0, min(r_x, q))
     return ((r_x + q - ranks) * ranks).astype(float).tolist()
 
 
@@ -131,7 +131,7 @@ def _df_kernel(d, live, r_x: int, q: int, s, s_prime) -> np.ndarray:
 
 def exact_df_path(d, r_x: int, q: int, s, s_prime) -> tuple[np.ndarray, np.ndarray]:
     """Exact df and degenerate flag of every row of the (m, r_bar) weights
-    `s` (hard ranks: `hard_rows`; a rule: ``rule.weights(d)``) and their
+    `s` (hard ranks: `hard_rows`; a rule: its weights at d) and their
     derivatives `s_prime`, from one kernel call; rows are checked as by
     `validate_weights` and for a leading-block support. A row is flagged when
     it is not constant and the non-vanished spectrum has a near-tie. A stack
@@ -226,15 +226,15 @@ def sv_derivatives(h, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
         dd = v[j] * hv / d,  dv = -(A * v[j] + ((V * v[j]) G) * hv),
         A = V (G * hv[:, None]).
 
-    Exactly tied singular values raise DegeneracyError naming the pair.
+    Exactly tied singular values raise DegeneracyError naming the pair, and
+    an (i, j) that is not an entry of `h` DomainError naming i or j.
     """
     h = as_matrix(h)
+    i = int(_checked_ints(i, 0, h.shape[0] - 1, what="i"))
+    j = int(_checked_ints(j, 0, h.shape[1] - 1, what="j"))
     if h.shape[0] < h.shape[1]:
         h, (i, j) = h.T, (j, i)
-    r_x, q = h.shape
     d, v, _ = _tall_svd(h)
-    if not (0 <= i < r_x and 0 <= j < q):
-        raise DomainError(f"entry ({i}, {j}) outside a {r_x}x{q} matrix")
     hv, dd, a, g = _sv_derivative_row(h, d, v, i)
     return dd[j], -(a * v[j] + ((v * v[j]) @ g) * hv)
 
@@ -243,7 +243,8 @@ def divergence_analytic(h, rule: ShrinkageRule) -> DofEstimate:
     """Divergence of the shrunk matrix, assembled from the derivative kernel
     one row of H at a time from one SVD; independent of the closed-form
     estimators. Exactly tied singular values raise DegeneracyError naming
-    the pair; near-ties compute and set the degenerate flag."""
+    the pair; near-ties compute and set the degenerate flag. `rule` may also
+    be a (weights, derivatives) pair taken at the spectrum of H (`_weights`)."""
     h = _tall(as_matrix(h))
     r_x, q = h.shape
     d, v, degenerate = _tall_svd(h)
@@ -290,7 +291,8 @@ def divergence_fd(h, rule: ShrinkageRule) -> DofEstimate:
     fits the first half of the stacks and one helper thread the second half
     (`linalg._two_threads`, which raises the first error of either). The
     quotients are summed in (i, j) order after both threads finish: the value
-    of a loop over single copies, bit for bit."""
+    of a loop over single copies, bit for bit. Each copy needs the weights at
+    its own spectrum, so a (weights, derivatives) pair is refused (`_weights`)."""
     h = _tall(as_matrix(h))
     fits = np.empty(2 * h.size)
     per_stack = max(1, FD_STACK_BYTES // h.nbytes)
@@ -321,8 +323,10 @@ def _substream(seed: int, *path: int) -> np.random.Generator:
 
     A batch of draws comes from one generator in order, so draw t is the
     t-th block and a shorter run draws a prefix of a longer one's draws.
+    The seed must be a nonnegative integer.
     """
-    return np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(p) for p in path)))
+    seq = np.random.SeedSequence(int(_checked_ints(seed, 0, what="seed")), spawn_key=tuple(int(p) for p in path))
+    return np.random.default_rng(seq)
 
 
 def _cov_df(a: np.ndarray, b: np.ndarray, c: np.ndarray | None, scale: float) -> tuple:
@@ -377,9 +381,9 @@ def mc_df(ls: LsFit, rule: ShrinkageRule, sigma2: float, reps: int, seed: int) -
     """Monte-Carlo estimate of sum_ij cov(mu_hat_ij, y_ij) / sigma2 for the
     fit of `rule` (least squares: hard(r_bar)) on the design of `ls` around
     the mean ls.y_hat, with moments against the noise E_t (substream (0,)):
-    cov(F, Y) = cov(F, E) for the known mean, without cancelling sums."""
-    if reps < 3:
-        raise DomainError("reps must be at least 3")
+    cov(F, Y) = cov(F, E) for the known mean, without cancelling sums. reps >= 3;
+    a weight pair is refused (`_weights`): each draw needs its own spectrum's."""
+    reps = int(_checked_ints(reps, 3, what="reps"))
     if not 0 < sigma2 < np.inf:
         raise DomainError("sigma2 must be positive and finite")
     return _h_space_cov(ls, rule, float(np.sqrt(sigma2)), sigma2, reps, seed, 0, "monte_carlo")
@@ -389,9 +393,9 @@ def perturbation_df(ls: LsFit, rule: ShrinkageRule, n_pert: int, tau: float, see
     """Data-perturbation estimate sum_ij cov(mu_hat_ij(Y + D), D_ij) / tau^2
     for the fit of `rule` (least squares: hard(r_bar)) on the data of `ls`,
     over Gaussian perturbations D with entrywise standard deviation tau
-    (substream (1,)), taken in H space through `_cov_df`."""
-    if n_pert < 3:
-        raise DomainError("n_pert must be at least 3")
+    (substream (1,)), taken in H space through `_cov_df`; n_pert >= 3, and a
+    weight pair is refused, as in `mc_df`."""
+    n_pert = int(_checked_ints(n_pert, 3, what="n_pert"))
     if not 0 < tau < np.inf:
         raise DomainError("tau must be positive and finite")
     return _h_space_cov(ls, rule, tau, tau**2, n_pert, seed, 1, "perturbation")

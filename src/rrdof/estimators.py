@@ -8,7 +8,7 @@ and the soft / adaptive threshold rules are provided.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -38,48 +38,43 @@ class ShrinkageRule:
         d = np.asarray(d, dtype=float)
         if self.kind == "hard":
             return hard_rows(np.full(d.shape[:-1], self.rank), d.shape[-1])
+        if self.kind not in ("soft", "adaptive"):
+            raise DomainError(f"unknown shrinkage kind: {self.kind!r}")
+        base, lam, g = np.where(d > 0, d, 1.0), self.lam, self.gamma
         with np.errstate(divide="ignore", invalid="ignore"):
             if self.kind == "soft":
-                s = np.where(d > 0, 1.0 - self.lam / np.where(d > 0, d, 1.0), 0.0)
-                active = s > 0
-                s = np.where(active, s, 0.0)
-                sp = np.where(active, self.lam / np.where(d > 0, d, 1.0) ** 2, 0.0)
-                return s, sp
-            if self.kind == "adaptive":
-                g = self.gamma
-                base = np.where(d > 0, d, 1.0)
-                s = np.where(d > 0, 1.0 - (self.lam / base) ** (g + 1.0), 0.0)
-                active = s > 0
-                s = np.where(active, s, 0.0)
-                sp = np.where(active, (g + 1.0) * self.lam ** (g + 1.0) * base ** (-g - 2.0), 0.0)
-                return s, sp
-        raise DomainError(f"unknown shrinkage kind: {self.kind!r}")
+                s, sp = 1.0 - lam / base, lam / base**2
+            else:
+                s, sp = 1.0 - (lam / base) ** (g + 1.0), (g + 1.0) * lam ** (g + 1.0) * base ** (-g - 2.0)
+        active = (d > 0) & (s > 0)  # the threshold family's one mask: zero values and the support
+        return np.where(active, s, 0.0), np.where(active, sp, 0.0)
 
 
-def _checked_ranks(r, lo: int, hi: float = np.inf) -> np.ndarray:
-    """The rank or ranks `r` as integers (integral floats pass); raise
-    DomainError naming the first that is not an integer in [lo, hi]."""
-    given = np.asarray(r)
-    v = given.astype(float)
-    whole = np.isfinite(v) & (v == np.floor(v))
-    bad = ~whole | (v < lo) | (v > hi)
+def _checked_ints(v, lo: int, hi: float = np.inf, what: str = "rank") -> np.ndarray:
+    """The one check of every count, rank and seed: `v` as ints (integral floats
+    such as 3.0 pass, so callers use the result; integers, seeds beyond int64
+    too, come back as given), or DomainError naming `what` and the first bad value."""
+    given = np.asarray(v)
+    f = given.astype(float)
+    whole = np.isfinite(f) & (f == np.floor(f))
+    bad = ~whole | (f < lo) | (f > hi)
     if bad.any():
         why = f"outside [{lo}, {hi}]" if whole[bad][0] else "is not an integer"
-        raise DomainError(f"rank {given[bad][0]} {why}")
-    return v.astype(int)
+        raise DomainError(f"{what} {given[bad][0]} {why}")
+    return given if given.dtype.kind in "iuO" else f.astype(int)
 
 
 def hard_rows(ranks, r_bar: int) -> tuple[np.ndarray, np.ndarray]:
     """Weights 1[k < r] of rank truncation at every rank r of `ranks`, with
     their zero derivatives, as a rule's `weights` gives them: arrays of shape
     (*shape of ranks, r_bar). The only place the hard row is built."""
-    s = (np.arange(r_bar) < _checked_ranks(ranks, 0, r_bar)[..., None]).astype(float)
+    s = (np.arange(r_bar) < _checked_ints(ranks, 0, r_bar)[..., None]).astype(float)
     return s, np.zeros_like(s)
 
 
 def hard(r: int) -> ShrinkageRule:
     """Rank truncation: keep the leading r singular values unchanged."""
-    return ShrinkageRule(kind="hard", rank=int(_checked_ranks(r, 0)))
+    return ShrinkageRule(kind="hard", rank=int(_checked_ints(r, 0)))
 
 
 def soft(lam: float) -> ShrinkageRule:
@@ -91,13 +86,12 @@ def soft(lam: float) -> ShrinkageRule:
 
 def adaptive(lam: float, gamma: float = 2.0) -> ShrinkageRule:
     """Power-weighted threshold: shrunk values (d_k - lam^(g+1) d_k^-g)_+."""
-    if not lam >= 0:
-        raise DomainError("lambda must be nonnegative")
+    rule = soft(lam)  # the lambda check
     if not gamma >= 0:
         raise DomainError("gamma must be nonnegative")
     if gamma == np.inf:  # s' would be inf * 0
         raise DomainError("gamma must be finite")
-    return ShrinkageRule(kind="adaptive", lam=float(lam), gamma=float(gamma))
+    return replace(rule, kind="adaptive", gamma=float(gamma))
 
 
 def validate_weights(s: np.ndarray, s_prime: np.ndarray | None = None) -> None:
@@ -154,8 +148,12 @@ def fit_ols(x, y) -> LsFit:
 
 
 def _weights(rule, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Checked weights and derivatives of a rule at d, or a given pair of them."""
+    """The one gate from a rule, or a (weights, derivatives) pair, to checked
+    weights at the spectrum or stack of spectra `d`. A pair must have the
+    shape of d, one row per spectrum it was taken at; else ContractViolationError."""
     s, s_prime = rule.weights(d) if isinstance(rule, ShrinkageRule) else rule
+    if {np.shape(s), np.shape(s_prime)} != {np.shape(d)}:  # a rule's weights always pass
+        raise ContractViolationError(f"weight pair shapes {np.shape(s)}, {np.shape(s_prime)} != spectra {np.shape(d)}")
     validate_weights(s, s_prime)
     return s, s_prime
 
@@ -163,7 +161,7 @@ def _weights(rule, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def fit_shrunk(ls: LsFit, rule) -> np.ndarray:
     """Fitted values of `rule` applied to the singular values of the
     least-squares fit: Y_hat V diag(s) V', along the leading axes of a stack
-    of fits. `rule` may also be a pair of weight rows, as `coef_matrix` takes."""
+    of fits. `rule` may also be a pair taken at ls.d, as `coef_matrix` takes."""
     v = ls.hf.svd.right
     return (ls.y_hat @ (v * _weights(rule, ls.d)[0][..., None, :])) @ v.swapaxes(-1, -2)
 
@@ -171,8 +169,8 @@ def fit_shrunk(ls: LsFit, rule) -> np.ndarray:
 def coef_matrix(ls: LsFit, rule) -> np.ndarray:
     """Coefficient matrix B with X @ B = fit_shrunk(ls, rule), lying in the
     row space of X: B = Q S^-1 U diag(s * d) V', along the leading axes of a
-    stack of fits. `rule` may also be a (weights, derivatives) pair of rows,
-    one per fit, such as ``hard_rows(report.chosen, ls.r_bar)``."""
+    stack of fits. `rule` may also be a (weights, derivatives) pair taken at
+    ls.d (`_weights`), such as ``hard_rows(report.chosen, ls.r_bar)``."""
     v = ls.hf.svd.right
     core = (ls.hf.svd.left * (_weights(rule, ls.d)[0] * ls.d)[..., None, :]) @ v.swapaxes(-1, -2)
     return (ls.gram.q_mat / ls.gram.s[..., None, :]) @ core

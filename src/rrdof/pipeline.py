@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dof import _substream
-from .estimators import LsFit, fit_ols
+from .estimators import LsFit, _checked_ints, fit_ols
 from .exceptions import DegenerateDesignError, DomainError, ParseError, RrdofError, SaturationError
 from .linalg import _two_threads, as_matrix
 from .selection import Criterion, select_ranks
@@ -216,15 +216,15 @@ def eval_splits(
         raise DegenerateDesignError("design matrix has no nonzero column")
     if x.shape[0] != y.shape[0]:
         raise DomainError("x and y must have the same number of rows")
-    if n_splits < 1:
-        raise DomainError("n_splits must be at least 1")
+    n_splits = int(_checked_ints(n_splits, 1, what="n_splits"))
+    seed = int(_checked_ints(seed, 0, what="seed"))  # here too: a split's error would only be recorded
     if jobs not in (1, 2):
         raise DomainError("jobs must be 1 or 2")
     if not 0.0 < split_fraction < 1.0:
         raise DomainError("split_fraction must be in (0, 1)")
     (n, p), q = x.shape, y.shape[1]
     n_train = int(round(n * split_fraction))
-    if n_train < 1 or n_train >= n:
+    if not 0 < n_train < n:
         raise DomainError("split_fraction leaves an empty train or test set")
 
     per_stack = max(1, STACK_BYTES // (x.nbytes + y.nbytes))

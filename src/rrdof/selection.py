@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dof import exact_df_path, naive_df
-from .estimators import LsFit, hard_rows
+from .estimators import LsFit, _checked_ints, hard_rows
 from .exceptions import DomainError, SaturationError
 
 #: lambda-path convention for shrinkage rules: 50 log-spaced values from d_1
@@ -26,9 +26,7 @@ def lambda_grid(d1: float, size: int = LAMBDA_GRID_SIZE) -> np.ndarray:
     """Logarithmically spaced candidate penalties from d1 down to d1*1e-3."""
     if not 0 < d1 < math.inf:
         raise DomainError("leading singular value must be positive and finite")
-    if not isinstance(size, (int, np.integer)) or size < 1:
-        raise DomainError(f"grid size must be an integer >= 1, got {size!r}")
-    return d1 * np.logspace(0.0, -LAMBDA_GRID_DECADES, size)
+    return d1 * np.logspace(0.0, -LAMBDA_GRID_DECADES, int(_checked_ints(size, 1, what="size")))
 
 
 def _scores(kind: str, rss, df, n: int, q: int, sigma2: float | None = None) -> np.ndarray:

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import pipeline
 from .dof import DofEstimate, _cov_df, _rank_moments, _substream, exact_df_path, naive_df
-from .estimators import coef_matrix, fit_ols, hard_rows
+from .estimators import _checked_ints, coef_matrix, fit_ols, hard_rows
 from .exceptions import DomainError
 from .linalg import _svd, _two_threads, build_h, gram_factors, thin_svd
 from .selection import Criterion, select_ranks
@@ -35,13 +35,13 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0 <= self.r0 <= min(self.p, self.q):
-            raise DomainError(f"r0 must be in [0, min(p, q)] = [0, {min(self.p, self.q)}], got {self.r0}")
-        if not 0 < self.sv_gap < np.inf:
-            raise DomainError("sv_gap must be positive and finite")
-        if not 0 < self.sigma2 < np.inf:
-            raise DomainError("sigma2 must be positive and finite")
-        if not 0 <= self.rho < 1:
+        for name in ("n", "p", "q"):
+            object.__setattr__(self, name, int(_checked_ints(getattr(self, name), 1, what=name)))
+        object.__setattr__(self, "r0", int(_checked_ints(self.r0, 0, min(self.p, self.q), what="r0")))
+        for name in ("sv_gap", "sigma2"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise DomainError(f"{name} must be positive and finite")
+        if not 0 <= self.rho < 1.0:
             raise DomainError("rho must be in [0, 1)")
 
 
@@ -146,13 +146,13 @@ def run_dof_study(cfg: SimConfig, n_pert: int = 50) -> DofStudyResult:
     the mean draw. Each slice is factored as it would be alone, so the
     values do not depend on the split.
     """
-    if cfg.reps < 3 or n_pert < 3:
-        raise DomainError("reps and n_pert must be at least 3")
+    m = int(_checked_ints(cfg.reps, 3, what="reps"))
+    n_pert = int(_checked_ints(n_pert, 3, what="n_pert"))
     x, b, _ = _design(cfg)
     xb = x @ b
     gram = gram_factors(x)  # X is fixed: factor it once
     w = (x @ gram.q_mat) / gram.s  # the fit of Y is W H
-    r_x, m = gram.r_x, cfg.reps
+    r_x = gram.r_x
     r_bar = min(r_x, cfg.q)
     ranks = list(range(1, r_bar + 1))
     tau = 0.1 * float(np.sqrt(cfg.sigma2))
@@ -243,14 +243,13 @@ def run_pred_study(cfg: SimConfig) -> PredStudyResult:
     reps: per stack one ``fit_ols`` and one ``select_ranks`` call and one
     coefficient product per df mode, each replication its own fit's bit for
     bit. The summary's standard deviations need at least 2 replications."""
-    if cfg.reps < 2:
-        raise DomainError("reps must be at least 2")
+    reps = int(_checked_ints(cfg.reps, 2, what="reps"))
     x, b, _ = _design(cfg)
     xb = x @ b
     per_stack = max(1, pipeline.STACK_BYTES // (8 * (cfg.n + cfg.p) * cfg.q))
     stacks = []
-    for lo in range(0, cfg.reps, per_stack):
-        y = xb + np.stack([_errors(cfg, t) for t in range(lo, min(lo + per_stack, cfg.reps))])
+    for lo in range(0, reps, per_stack):
+        y = xb + np.stack([_errors(cfg, t) for t in range(lo, min(lo + per_stack, reps))])
         ls = fit_ols(x, y)
         fields = {"snr": snr(x, b, y - xb)}
         for mode, report in select_ranks(ls.d, ls.rss, ls.gram.r_x, cfg.n, cfg.q, _PRED_CRITERIA).items():

@@ -287,7 +287,7 @@ class TestSimulate:
         rc = main(["simulate", "--preset", "ld", "--study", "pred", "--reps", reps,
                    "--output", str(out), "--table-out", str(table)])
         assert rc == 2
-        assert "reps must be at least 2" in capsys.readouterr().err
+        assert f"reps {reps} outside [2, inf]" in capsys.readouterr().err
         assert not out.exists() and not table.exists()
 
 
@@ -335,3 +335,52 @@ def test_nan_parameter_is_an_error(data_paths, capsys, argv, name):
 def test_infinite_parameter_is_an_error(data_paths, capsys, argv, name):
     err = rejected(data_paths, capsys, argv)
     assert name in err and "finite" in err
+
+
+class TestSeed:
+    #: the commands that draw: each checks its seed where the draw is made
+    DRAWING = {
+        "eval": ["eval", "--splits", "2"],
+        "dof-mc": ["dof", "--method", "mc", "--rank", "1", "--sigma2", "1", "--reps", "5"],
+        "dof-perturb": ["dof", "--method", "perturb", "--rank", "1", "--reps", "5"],
+        "simulate": ["simulate", "--preset", "setting1_desk", "--reps", "3"],
+    }
+
+    @staticmethod
+    def run(data_paths, argv, seed_flags=()):
+        xp, yp, tmp = data_paths
+        out = tmp / "r.json"
+        data = [] if argv[0] == "simulate" else ["--x", xp, "--y", yp]
+        return main([*seed_flags, argv[0], *data, *argv[1:], "--output", str(out)]), out
+
+    @pytest.mark.parametrize("via", ["flag", "env"])
+    @pytest.mark.parametrize("argv", DRAWING.values(), ids=DRAWING)
+    def test_negative_seed_is_an_error_where_a_draw_is_made(self, data_paths, capsys, monkeypatch, argv, via):
+        if via == "env":
+            monkeypatch.setenv("RRDOF_SEED", "-1")
+        rc, out = self.run(data_paths, argv, ["--seed", "-1"] if via == "flag" else [])
+        assert rc == 2 and not out.exists()
+        assert capsys.readouterr().err == "error: seed -1 outside [0, inf]\n"
+
+    @pytest.mark.parametrize("argv", [["select", "--criterion", "gcv"], ["dof", "--method", "exact", "--rank", "1"],
+                                      ["fit", "--rank", "1"]], ids=["select", "dof-exact", "fit"])
+    def test_commands_that_draw_nothing_record_a_negative_seed(self, data_paths, monkeypatch, argv):
+        rc, out = self.run(data_paths, argv, ["--seed", "-1"])
+        assert rc == 0 and read_report(out)["seed"] == -1
+        monkeypatch.setenv("RRDOF_SEED", "-2")
+        rc, out = self.run(data_paths, argv)
+        assert rc == 0 and read_report(out)["seed"] == -2
+
+    @pytest.mark.parametrize("value", ["abc", "1.5", "0x10"])
+    @pytest.mark.parametrize("argv", [["select", "--criterion", "gcv"], DRAWING["eval"]], ids=["select", "eval"])
+    def test_malformed_seed_variable_is_an_error(self, data_paths, capsys, monkeypatch, argv, value):
+        # once a ValueError traceback from int()
+        monkeypatch.setenv("RRDOF_SEED", value)
+        rc, out = self.run(data_paths, argv)
+        assert rc == 2 and not out.exists()
+        assert capsys.readouterr().err == f"error: RRDOF_SEED must be an integer, got {value!r}\n"
+
+    def test_seed_flag_wins_over_a_malformed_variable(self, data_paths, monkeypatch):
+        monkeypatch.setenv("RRDOF_SEED", "abc")
+        rc, out = self.run(data_paths, ["select", "--criterion", "gcv"], ["--seed", "4"])
+        assert rc == 0 and read_report(out)["seed"] == 4

@@ -258,6 +258,15 @@ class TestSvDerivatives:
                 assert np.max(np.abs(dd - (fp.d - fm.d) / (2 * eps))) < 1e-6
                 assert np.max(np.abs(dv - (fp.right - fm.right) / (2 * eps))) < 1e-6
 
+    def test_entry_must_be_an_integer_index(self):
+        # a float index once reached numpy as a raw IndexError
+        h = random_h(np.random.default_rng(35), 2, 3)  # wide: (i, j) index h, not its transpose
+        for i, j, msg in ((2, 0, r"^i 2 outside \[0, 1\]$"), (0, -1, r"^j -1 outside \[0, 2\]$"),
+                          (1.5, 0, r"^i 1.5 is not an integer$")):
+            with pytest.raises(DomainError, match=msg):
+                sv_derivatives(h, i, j)
+        assert np.array_equal(sv_derivatives(h, 1.0, 2.0)[0], sv_derivatives(h, 1, 2)[0])
+
     def test_wide_input_transposed(self):
         rng = np.random.default_rng(34)
         h = random_h(rng, 2, 4, min_rel_gap=0.2)

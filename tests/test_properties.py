@@ -56,6 +56,52 @@ def test_adaptive_weights_valid(d, lam, gamma):
     assert np.all(s >= s_soft - 1e-12)
 
 
+def _soft_as_before(lam, d):
+    # the soft expressions from before soft and adaptive shared one mask
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.where(d > 0, 1.0 - lam / np.where(d > 0, d, 1.0), 0.0)
+        active = s > 0
+        s = np.where(active, s, 0.0)
+        return s, np.where(active, lam / np.where(d > 0, d, 1.0) ** 2, 0.0)
+
+
+def _adaptive_as_before(lam, g, d):
+    # the adaptive expressions from before soft and adaptive shared one mask
+    with np.errstate(divide="ignore", invalid="ignore"):
+        base = np.where(d > 0, d, 1.0)
+        s = np.where(d > 0, 1.0 - (lam / base) ** (g + 1.0), 0.0)
+        active = s > 0
+        s = np.where(active, s, 0.0)
+        return s, np.where(active, (g + 1.0) * lam ** (g + 1.0) * base ** (-g - 2.0), 0.0)
+
+
+@st.composite
+def threshold_cases(draw):
+    """Spectra with zeros, alone or in stacks, and a lambda that lies among
+    their values or on one of them, with a gamma >= 0."""
+    shape = draw(st.sampled_from([(5,), (3, 4), (2, 2, 3)]))
+    values = st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=100.0))
+    d = np.array(draw(st.lists(values, min_size=math.prod(shape), max_size=math.prod(shape)))).reshape(shape)
+    lam = draw(st.one_of(st.floats(min_value=0.0, max_value=120.0), st.sampled_from(d.ravel().tolist())))
+    return d, lam, draw(st.floats(min_value=0.0, max_value=4.0))
+
+
+def assert_same_bits(got, want):
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b) and a.tobytes() == b.tobytes()
+
+
+@settings(deadline=None, max_examples=300)
+@given(case=threshold_cases())
+def test_threshold_masking_keeps_its_bits(case):
+    # soft and adaptive share one masking path, each with its own formula:
+    # soft is not adaptive at gamma = 0 (lam * d^-2 and lam / d^2 differ in
+    # the last bit for about a third of random d)
+    d, lam, gamma = case
+    assert_same_bits(soft(lam).weights(d), _soft_as_before(lam, d))
+    assert_same_bits(adaptive(lam, gamma).weights(d), _adaptive_as_before(lam, gamma, d))
+
+
 @given(d=spectra(), r=st.integers(min_value=1, max_value=6))
 def test_exact_df_dominates_naive(d, r):
     r_bar = d.size

@@ -103,14 +103,16 @@ class TestLambdaGrid:
         with pytest.raises(DomainError, match="^leading singular value must be positive and finite$"):
             lambda_grid(d1)
 
-    @pytest.mark.parametrize("size", [0, -1, 2.5])
+    @pytest.mark.parametrize("size", [0, -1, 2.5, float("nan")])
     def test_rejects_bad_size(self, size):
         # 0 once gave an empty grid, -1 numpy's ValueError and 2.5 a TypeError
-        with pytest.raises(DomainError, match=r"^grid size must be an integer >= 1, got "):
+        why = "outside \\[1, inf\\]" if size in (0, -1) else "is not an integer"
+        with pytest.raises(DomainError, match=rf"^size {size} {why}$"):
             lambda_grid(4.0, size=size)
 
     def test_size_one(self):
         assert lambda_grid(4.0, size=1).tolist() == [4.0]
+        assert lambda_grid(4.0, size=3.0).tolist() == lambda_grid(4.0, size=3).tolist()  # an integral float
 
 
 class TestRssPath:

@@ -42,9 +42,15 @@ class TestSimConfig:
                 SimConfig(n=10, p=3, q=3, r0=2, sigma2=sigma2)
         with pytest.raises(DomainError):
             SimConfig(n=10, p=3, q=3, r0=2, rho=1.0)
-        for r0 in (-1, 4):  # outside [0, min(p, q)]
-            with pytest.raises(DomainError, match="r0"):
+        for r0 in (-1, 4, 2.5):  # outside [0, min(p, q)], or not an integer
+            with pytest.raises(DomainError, match="^r0 "):
                 SimConfig(n=10, p=3, q=3, r0=r0)
+        for name in ("n", "p", "q"):  # below 1, negative, or not an integer
+            for bad in (0, -1, 2.5):
+                with pytest.raises(DomainError, match=f"^{name} {bad} "):
+                    SimConfig(**{"n": 10, "p": 3, "q": 3, "r0": 0, name: bad})
+        cfg = SimConfig(n=10.0, p=3.0, q=3, r0=2.0)  # integral floats pass and are stored as ints
+        assert [type(v) for v in (cfg.n, cfg.p, cfg.r0)] == [int] * 3
         for gap in (0.0, -2.0, float("nan"), float("inf")):  # outside (0, inf)
             with pytest.raises(DomainError, match="sv_gap"):
                 SimConfig(n=10, p=3, q=3, r0=2, sv_gap=gap)
@@ -468,7 +474,7 @@ def test_dof_study_needs_three_replications():
 def test_pred_study_needs_two_replications():
     # the summary's sample standard deviations divide by reps - 1
     for reps in (0, 1):
-        with pytest.raises(DomainError, match="at least 2"):
+        with pytest.raises(DomainError, match=rf"^reps {reps} outside \[2, inf\]$"):
             run_pred_study(SimConfig(n=20, p=5, q=7, r0=2, reps=reps, seed=2))
 
 
