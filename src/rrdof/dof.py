@@ -16,12 +16,13 @@ kernels and three independent oracles (an analytic divergence assembled from
 those kernels, a central finite-difference divergence, and Monte-Carlo /
 data-perturbation covariance estimators).
 
-The covariance estimators share one engine, `_cov_df`, closed in the moments
-a_t = <F_t, D_t>, b_t = <F_t, mean D> and c_t = <mean F, D_t> of fits F_t and
-draws D_t. With W = X Q S^-1 (orthonormal columns) the fit of Y + D under a
+The covariance estimators close in the moments a_t = <F_t, D_t>,
+b_t = <F_t, mean D> and c_t = <mean F, D_t> of fits F_t and draws D_t
+(`_cov_df`). With W = X Q S^-1 (orthonormal columns) the fit of Y + D under a
 rule is W f(H + G), G = W'D, so <F, D> = sum_k s_k d_k u_k' G v_k on the SVD
-of H + G: one stacked SVD over the draws, no n x q fit; every hard rank at
-once by cumulative sums (`_rank_moments`).
+of H + G, with no n x q fit. One engine serves the oracles and the df study:
+`_h_space_draws` fills G and `_h_space_moments` factors H + G_t in bounded
+stacks, under a rule or at every hard rank at once (`_rank_moments`).
 
 The derivatives of the SVD H = U D V' (H tall) with respect to h_ij come in
 factored form for a whole row i at once: with hv = h_i' V,
@@ -278,24 +279,33 @@ def _apply_rule(h: np.ndarray, rule: ShrinkageRule) -> np.ndarray:
 #: Step of the central differences in `divergence_fd`.
 FD_STEP = 1e-6
 
-#: Bytes of perturbed copies of H that `divergence_fd` factors in one stack:
-#: 11 copies of a 39x36 H. Larger stacks save no more time and hold more memory.
-FD_STACK_BYTES = 1 << 17
+#: Bytes of one stack of copies of H (`divergence_fd`), draws or H + G_t (the
+#: H-space engine): 11 copies of a 39x36 H. Larger stacks only hold more memory.
+SHARED_STACK_BYTES = 1 << 17
+
+
+def _refuse_pair(rule) -> None:
+    """Refuse a pair before any copy or draw: each needs the weights at its own
+    spectrum, and a pair tiled to their count passes `_weights`' shape gate."""
+    if not isinstance(rule, ShrinkageRule):
+        raise ContractViolationError("a perturbing oracle takes a rule, not a (weights, derivatives) pair: "
+                                     "each perturbed copy or draw needs the weights at its own spectrum")
 
 
 def divergence_fd(h, rule: ShrinkageRule) -> DofEstimate:
     """Central finite-difference estimate of the divergence of the shrunk
     matrix; H is validated once, not per perturbed copy. The copies with
     entry (i, j) moved by +-FD_STEP are fitted in stacks of up to
-    `FD_STACK_BYTES`, each fit in full and read at (i, j); the calling thread
-    fits the first half of the stacks and one helper thread the second half
-    (`linalg._two_threads`, which raises the first error of either). The
+    `SHARED_STACK_BYTES`, each fit in full and read at (i, j); the calling
+    thread fits the first half of the stacks and one helper thread the second
+    half (`linalg._two_threads`, which raises the first error of either). The
     quotients are summed in (i, j) order after both threads finish: the value
     of a loop over single copies, bit for bit. Each copy needs the weights at
-    its own spectrum, so a (weights, derivatives) pair is refused (`_weights`)."""
+    its own spectrum, so a (weights, derivatives) pair is refused (`_refuse_pair`)."""
+    _refuse_pair(rule)
     h = _tall(as_matrix(h))
     fits = np.empty(2 * h.size)
-    per_stack = max(1, FD_STACK_BYTES // h.nbytes)
+    per_stack = max(1, SHARED_STACK_BYTES // h.nbytes)
 
     def fit_stack(lo, hi):
         ids = np.arange(lo, hi)  # copy 2e moves entry e up, 2e + 1 down
@@ -323,9 +333,10 @@ def _substream(seed: int, *path: int) -> np.random.Generator:
 
     A batch of draws comes from one generator in order, so draw t is the
     t-th block and a shorter run draws a prefix of a longer one's draws.
-    The seed must be a nonnegative integer.
+    The seed must be a nonnegative integer; a Python int skips the check.
     """
-    seq = np.random.SeedSequence(int(_checked_ints(seed, 0, what="seed")), spawn_key=tuple(int(p) for p in path))
+    seed = seed if type(seed) is int and seed >= 0 else int(_checked_ints(seed, 0, what="seed"))
+    seq = np.random.SeedSequence(seed, spawn_key=tuple(int(p) for p in path))
     return np.random.default_rng(seq)
 
 
@@ -359,21 +370,53 @@ def _rank_moments(f: SvdFactors, g: np.ndarray) -> np.ndarray:
     return np.cumsum(_sv_terms(f, g), axis=-1)
 
 
+def _h_space_draws(w: np.ndarray, rng: np.random.Generator, m: int, sd: float, shape) -> np.ndarray:
+    """The stack of G_t = W'(sd Z_t) for m standard normal (n, q) draws Z_t from
+    `rng`, in order, drawn in chunks of at most `SHARED_STACK_BYTES`."""
+    g = np.empty((m, w.shape[1], shape[1]))
+    per_chunk = max(1, SHARED_STACK_BYTES // (8 * shape[0] * shape[1]))
+    for lo in range(0, m, per_chunk):
+        draws = rng.standard_normal((min(per_chunk, m - lo), *shape))
+        g[lo:lo + len(draws)] = w.T @ np.multiply(draws, sd, out=draws)
+    return g
+
+
+def _h_space_moments(h: np.ndarray, g: np.ndarray, rule: ShrinkageRule | None = None) -> tuple:
+    """a_t = <F_t, G_t>, b_t = <F_t, mean G> and sum_t F_t for the fits F_t =
+    f(H + G_t) of the stack g: every hard rank's (m, r_bar) moments and a zero
+    sum with `rule` None, else the rule's (m,) at each draw's spectrum. `_svd`
+    factors stacks of at most `SHARED_STACK_BYTES` on `_two_threads`, and their
+    fit sums are added in stack order after the join: no bit depends on threads."""
+    m = len(g)
+    g_bar = g.mean(axis=0)
+    count = -(-m // max(1, SHARED_STACK_BYTES // h.nbytes))
+    count += count % 2 if count > 1 else 0  # an even count of near-equal stacks: as many draws on each thread
+    stacks = [(m * i // count, m * (i + 1) // count) for i in range(count)]
+    ab = np.empty((2, m, min(h.shape)) if rule is None else (2, m))
+    fit_sums = np.zeros((0 if rule is None else count, *h.shape))
+
+    def moments(lo, hi):
+        f = _svd(h + g[lo:hi])
+        if rule is None:
+            ab[:, lo:hi] = _rank_moments(f, g[lo:hi]), _rank_moments(f, g_bar)
+            return
+        s = _weights(rule, f.d)[0]
+        ab[:, lo:hi] = np.sum(s * _sv_terms(f, g[lo:hi]), axis=-1), np.sum(s * _sv_terms(f, g_bar), axis=-1)
+        fits = np.multiply(f.left, (s * f.d)[..., None, :], out=f.left) @ f.right.swapaxes(-1, -2)
+        fit_sums[stacks.index((lo, hi))] = fits.sum(axis=0)  # in draw order
+
+    _two_threads(moments, stacks)
+    return ab[0], ab[1], fit_sums.sum(axis=0)
+
+
 def _h_space_cov(ls: LsFit, rule: ShrinkageRule, sd: float, scale: float, m: int,
                  seed: int, stream: int, method: str) -> DofEstimate:
-    """Draw D_t = sd * N(0, I) for t < m, in order from substream (stream,)
-    of `seed`, and pass the moments of the fits of ls.y + D_t under `rule`
-    against D_t to `_cov_df`, from one stacked SVD of H + G_t:
-    <F_t, D_t> = s(d_t) . c_t, c_tk = d_k u_k' G_t v_k, G_t = W'D_t."""
-    w = (ls.x @ ls.gram.q_mat) / ls.gram.s
-    draws = _substream(seed, stream).standard_normal((m, *ls.y.shape))
-    g = w.T @ np.multiply(draws, sd, out=draws)
-    f = _svd(ls.hf.h + g)
-    s = _weights(rule, f.d)[0]
-    fit_mean = np.tensordot(f.left * (s * f.d)[:, None, :], f.right, axes=([0, 2], [0, 2])) / m
-    a = np.sum(s * _sv_terms(f, g), axis=-1)
-    b = np.sum(s * _sv_terms(f, g.mean(axis=0)), axis=-1)
-    value, se = _cov_df(a, b, g.reshape(m, -1) @ fit_mean.ravel(), scale)
+    """`_cov_df` of the fits of ls.y + D_t under `rule` against m draws D_t =
+    sd * N(0, I), in order from substream (stream,) of `seed`; a pair first raises."""
+    _refuse_pair(rule)
+    g = _h_space_draws((ls.x @ ls.gram.q_mat) / ls.gram.s, _substream(seed, stream), m, sd, ls.y.shape)
+    a, b, fit_sum = _h_space_moments(ls.hf.h, g, rule)
+    value, se = _cov_df(a, b, g.reshape(m, -1) @ (fit_sum / m).ravel(), scale)
     return DofEstimate(value=float(value), method=method, std_error=float(se))
 
 
@@ -382,7 +425,7 @@ def mc_df(ls: LsFit, rule: ShrinkageRule, sigma2: float, reps: int, seed: int) -
     fit of `rule` (least squares: hard(r_bar)) on the design of `ls` around
     the mean ls.y_hat, with moments against the noise E_t (substream (0,)):
     cov(F, Y) = cov(F, E) for the known mean, without cancelling sums. reps >= 3;
-    a weight pair is refused (`_weights`): each draw needs its own spectrum's."""
+    a weight pair is refused (`_refuse_pair`): each draw needs its own spectrum's."""
     reps = int(_checked_ints(reps, 3, what="reps"))
     if not 0 < sigma2 < np.inf:
         raise DomainError("sigma2 must be positive and finite")

@@ -105,7 +105,8 @@ def _two_threads(work, chunks) -> None:
     thread the rest, under the caller's `np.errstate`, passed to it
     explicitly (a new thread may start from numpy's default error state).
     numpy's stacked SVD and products release the GIL, so the two run at once.
-    Callers: `divergence_fd`, `run_dof_study` and `eval_splits(jobs=2)`.
+    Callers: `divergence_fd`, `dof._h_space_moments` (the covariance oracles
+    and `run_dof_study`) and `eval_splits(jobs=2)`.
     Each thread stops at its next chunk once either has failed; the first
     error is raised after the helper has been joined, so no chunk is being
     written when the caller sees it. With one chunk no thread is started."""

@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import pipeline
-from .dof import DofEstimate, _cov_df, _rank_moments, _substream, exact_df_path, naive_df
+from .dof import DofEstimate, _cov_df, _h_space_draws, _h_space_moments, _rank_moments, _substream, exact_df_path, naive_df
 from .estimators import _checked_ints, coef_matrix, fit_ols, hard_rows
 from .exceptions import DomainError
-from .linalg import _svd, _two_threads, build_h, gram_factors, thin_svd
+from .linalg import build_h, gram_factors, thin_svd
 from .selection import Criterion, select_ranks
 
 
@@ -133,18 +133,12 @@ def run_dof_study(cfg: SimConfig, n_pert: int = 50) -> DofStudyResult:
 
     The exact df comes from the spectrum of each replication's H,
     ``build_h(x, y, gram)``. The covariances are taken in H space (see
-    `dof`), so no n x q fit is formed; draws come first, so each mean draw is
-    known before its fits. Monte-Carlo truth takes its moments against the
-    noise E_t (cov(F, Y) = cov(F, E) for the known XB): per-rank sums of the
-    fits and each W'E_t, one r_x x q matrix per replication; the errors E_t
-    of every replication are drawn once, as one stack. The n_pert
-    perturbations of replication t (size 0.1 sigma) fill one reused buffer
-    in order from one generator, substream (2, t). Their first and second
-    halves go to the calling thread and one helper thread
-    (`linalg._two_threads`): one stacked SVD of H_t + W'Delta per half, by
-    the sign-free `_svd`, gives every rank's moments against each draw and
-    the mean draw. Each slice is factored as it would be alone, so the
-    values do not depend on the split.
+    `dof`), with the draws before the fits. Monte-Carlo truth takes its
+    moments against the noise E_t (cov(F, Y) = cov(F, E) for the known XB):
+    per-rank sums of the fits and each W'E_t, one r_x x q matrix per
+    replication, from one stack of every E_t. The n_pert perturbations of
+    replication t (size 0.1 sigma) come in order from substream (2, t) into
+    the H-space engine of `dof`, at every rank.
     """
     m = int(_checked_ints(cfg.reps, 3, what="reps"))
     n_pert = int(_checked_ints(n_pert, 3, what="n_pert"))
@@ -164,27 +158,15 @@ def run_dof_study(cfg: SimConfig, n_pert: int = 50) -> DofStudyResult:
     mc_ab = np.empty((2, m, r_bar))
     e_draws = np.empty((m, r_x, cfg.q))  # W'E_t: the noise of each replication in H space
     fit_sum = np.zeros((r_bar, r_x, cfg.q))  # component k of the fits, summed over replications
-    draws = np.empty((n_pert, cfg.n, cfg.q))  # the perturbations of one replication, refilled in place
-    pert_ab = np.empty((2, n_pert, r_bar))  # their moments against each draw and the mean draw
-    halves = [(0, (n_pert + 1) // 2), ((n_pert + 1) // 2, n_pert)]
     for t in range(m):
         hf = build_h(x, xb + noise[t], gram)
-        h, f = hf.h, hf.svd
+        f = hf.svd
         exact_vals[t] = exact_df_path(f.d, r_x, cfg.q, *hard_rows(ranks, r_bar))[0]
         e_draws[t] = w.T @ noise[t]
         mc_ab[:, t] = _rank_moments(f, np.stack([e_draws[t], e_bar]))
         fit_sum += np.einsum("ik,jk->kij", f.left * f.d, f.right)
-        _substream(cfg.seed, 2, t).standard_normal(out=draws)
-        g = w.T @ np.multiply(draws, tau, out=draws)
-        g_bar = g.mean(axis=0)
-
-        def moments(lo, hi):
-            f_g = _svd(h + g[lo:hi])  # every perturbation of the chunk in one stacked SVD
-            pert_ab[0, lo:hi] = _rank_moments(f_g, g[lo:hi])
-            pert_ab[1, lo:hi] = _rank_moments(f_g, g_bar)
-
-        _two_threads(moments, halves)
-        pert_vals[t] = _cov_df(pert_ab[0], pert_ab[1], None, tau**2)[0]
+        g = _h_space_draws(w, _substream(cfg.seed, 2, t), n_pert, tau, (cfg.n, cfg.q))
+        pert_vals[t] = _cov_df(*_h_space_moments(hf.h, g)[:2], None, tau**2)[0]
 
     mc_c = np.cumsum(e_draws.reshape(m, -1) @ fit_sum.reshape(r_bar, -1).T, axis=1) / m  # <mean fit, W'E_t>
     mc = [DofEstimate(value=float(v), method="monte_carlo", std_error=float(se))

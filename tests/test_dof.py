@@ -1,5 +1,6 @@
 import re
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -21,6 +22,7 @@ from rrdof.dof import (
 from rrdof.estimators import ShrinkageRule, adaptive, coef_matrix, fit_ols, fit_shrunk, hard, hard_rows, soft
 from rrdof.exceptions import ContractViolationError, DegeneracyError, DomainError
 from rrdof.linalg import thin_svd
+from rrdof.pipeline import fixture_paths, ingest_csv
 from rrdof.selection import Criterion, select_rank
 
 
@@ -355,7 +357,7 @@ class TestDivergences:
 
         h = np.random.default_rng(48).standard_normal(shape)
         if one_copy:
-            monkeypatch.setattr(dof, "FD_STACK_BYTES", h.nbytes)
+            monkeypatch.setattr(dof, "SHARED_STACK_BYTES", h.nbytes)
         for rule in (hard(5), soft(0.6), adaptive(0.6)):
             assert dof.divergence_fd(h, rule).value == reference_divergence_fd(h, rule)
 
@@ -372,7 +374,7 @@ class TestDivergences:
 
         monkeypatch.setattr(dof, "_svd", counting)
         h = np.random.default_rng(49).standard_normal(shape)
-        per_stack = dof.FD_STACK_BYTES // h.nbytes
+        per_stack = dof.SHARED_STACK_BYTES // h.nbytes
         full, rest = divmod(2 * h.size, per_stack)
         dof.divergence_fd(h, soft(0.6))
         # two threads record their stacks in either order
@@ -660,6 +662,24 @@ class TestStochasticEstimators:
             mc_df(ls, hard(2), bad, reps=3, seed=0)
         with pytest.raises(DomainError, match="^tau must be positive and finite$"):
             perturbation_df(ls, hard(2), n_pert=3, tau=bad, seed=0)
+
+    @pytest.mark.parametrize("oracle", [
+        lambda ls: mc_df(ls, hard(3), 1.0, reps=400, seed=0),
+        lambda ls: perturbation_df(ls, hard(3), n_pert=400, tau=0.1, seed=0),
+    ], ids=["mc_df", "perturbation_df"])
+    def test_peak_memory_at_400_draws(self, oracle):
+        # The draws are taken and factored in stacks of at most
+        # SHARED_STACK_BYTES; only G = W'D is kept whole, 11 KB a draw on the
+        # fixture. Holding every draw and its SVD factors at once peaks at
+        # 36 MB here.
+        ls = fit_ols(*(ingest_csv(path) for path in fixture_paths()))
+        tracemalloc.start()
+        try:
+            oracle(ls)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
     def test_seed_reproducibility(self):
         rng = np.random.default_rng(43)

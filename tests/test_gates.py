@@ -5,6 +5,7 @@ or a (weights, derivatives) pair to checked weights."""
 import numpy as np
 import pytest
 
+from rrdof import dof
 from rrdof.dof import _substream, divergence_analytic, divergence_fd, mc_df, perturbation_df
 from rrdof.estimators import adaptive, coef_matrix, fit_ols, fit_shrunk, hard, soft
 from rrdof.exceptions import ContractViolationError, DomainError
@@ -35,18 +36,27 @@ def ls(data):
 
 class TestWeightGate:
     @pytest.mark.parametrize("make", RULES.values(), ids=RULES)
-    @pytest.mark.parametrize("oracle", [
-        lambda ls, rule: divergence_fd(ls.hf.h, rule),
-        lambda ls, rule: mc_df(ls, rule, 1.0, reps=5, seed=1),
-        lambda ls, rule: perturbation_df(ls, rule, n_pert=5, tau=0.1, seed=1),
+    @pytest.mark.parametrize("oracle, copies, first_call", [
+        (lambda ls, rule: divergence_fd(ls.hf.h, rule), 2 * 6 * 4, "_svd"),
+        (lambda ls, rule: mc_df(ls, rule, 1.0, reps=5, seed=1), 5, "_substream"),
+        (lambda ls, rule: perturbation_df(ls, rule, n_pert=5, tau=0.1, seed=1), 5, "_substream"),
     ], ids=["divergence_fd", "mc_df", "perturbation_df"])
-    def test_perturbing_oracles_refuse_a_pair(self, ls, make, oracle):
+    def test_perturbing_oracles_refuse_a_pair(self, ls, make, oracle, copies, first_call, monkeypatch):
         # the pair holds the weights at ls.d; every perturbed copy or draw
-        # has its own spectrum, so reusing them would give a wrong value
+        # has its own spectrum, so reusing them would give a wrong value, also
+        # when the pair is tiled to one row per copy or draw and so has the
+        # shape of their spectra. The refusal comes before the first copy's
+        # SVD or the first draw's generator.
         rule = make(ls.d)
         oracle(ls, rule)  # the rule itself is accepted
-        with pytest.raises(ContractViolationError, match=r"^weight pair shapes \(4,\), \(4,\) != spectra \(\d+, 4\)$"):
-            oracle(ls, rule.weights(ls.d))
+        calls = []
+        monkeypatch.setattr(dof, first_call, lambda *args: calls.append(args))
+        s, s_prime = rule.weights(ls.d)
+        for pair in [(s, s_prime), (np.tile(s, (copies, 1)), np.tile(s_prime, (copies, 1)))]:
+            with pytest.raises(ContractViolationError,
+                               match=r"^a perturbing oracle takes a rule, not a \(weights, derivatives\) pair: "):
+                oracle(ls, pair)
+        assert calls == []
 
     @pytest.mark.parametrize("make", RULES.values(), ids=RULES)
     def test_a_pair_at_its_own_spectrum_gives_the_rules_bits(self, ls, make):
@@ -111,6 +121,19 @@ class TestIntegerGate:
         as_float = eval_splits(*data, crit, n_splits=3.0, seed=4.0)
         assert as_float.n_splits == 3 and type(as_float.n_splits) is int
         assert as_float == eval_splits(*data, crit, n_splits=3, seed=4)
+
+    def test_a_python_int_seed_skips_the_check_with_the_same_bits(self, data, monkeypatch):
+        # a nonnegative Python int needs no check; a numpy int, an integral
+        # float and a bool are checked, and give the same draws as the int
+        calls = []
+        original = dof._checked_ints
+        monkeypatch.setattr(dof, "_checked_ints", lambda *args, **kw: calls.append(args) or original(*args, **kw))
+        draws = [_substream(seed, 3, 1).standard_normal(4) for seed in (1, np.int64(1), 1.0, True)]
+        assert len(calls) == 3
+        assert all(np.array_equal(d, draws[0]) for d in draws)
+        calls.clear()
+        eval_splits(*data, {"gcv": Criterion("gcv")}, n_splits=4, seed=2)  # eval checks its seed once, itself
+        assert calls == []
 
     def test_a_seed_beyond_int64_is_kept_whole(self):
         # numpy's own advice for a fresh seed is a 128-bit integer

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rrdof import simbench
+from rrdof import dof, simbench
 from rrdof.dof import DofEstimate, _cov_df, _rank_moments, _substream, exact_df_rrr, exact_df_shrunk, naive_df
 from rrdof.estimators import coef_matrix, fit_ols, fit_shrunk, hard
 from rrdof.exceptions import DomainError
@@ -332,12 +332,16 @@ def _per_draw_dof_study(cfg, n_pert):
     SimConfig(n=20, p=5, q=7, r0=2, reps=5, seed=2),  # tall: q > r_x, H is 5 x 7
     SimConfig(n=20, p=5, q=5, r0=2, reps=3, seed=4),  # H is 5 x 5
 ], ids=["wide", "tall", "square"])
-def test_dof_study_equals_per_draw_loop_bit_for_bit(cfg):
-    # A stacked SVD over each half of the perturbations of a replication
+def test_dof_study_equals_per_draw_loop_bit_for_bit(cfg, monkeypatch):
+    # A stacked SVD over each stack of the perturbations of a replication
     # runs the same LAPACK call on every slice, and the moments reduce over
     # the same axes in the same order, so every field is unchanged bit for
-    # bit; an odd n_pert gives halves of unequal size.
-    for n_pert in (6, 3, 5):
+    # bit, at the budget (one stack here) and in stacks of at most two draws
+    # (an even count of them, of unequal size for an odd n_pert) on both
+    # threads.
+    for n_pert, per_stack in [(6, None), (3, None), (5, None), (6, 2), (5, 2)]:
+        if per_stack:
+            monkeypatch.setattr(dof, "SHARED_STACK_BYTES", per_stack * 8 * min(cfg.n, cfg.p) * cfg.q)
         got = run_dof_study(cfg, n_pert=n_pert)
         ref = _per_draw_dof_study(cfg, n_pert=n_pert)
         assert np.array_equal(got.exact_values, ref["exact_values"]), n_pert
@@ -359,19 +363,28 @@ def test_dof_study_under_raising_errstate_is_unchanged():
 
 
 def test_dof_study_error_on_the_helper_thread_reaches_the_caller(monkeypatch):
+    # Four stacks of at most two of the five perturbations: the calling
+    # thread factors the first two, the helper the last two, and it fails at
+    # its first in the first replication; no stack starts after that.
     class Boom(Exception):
         pass
 
+    on_main = []
+
     def svd_failing_off_the_caller(stack):
-        if threading.current_thread() is not threading.main_thread():
+        on_main.append(threading.current_thread() is threading.main_thread())
+        if not on_main[-1]:
             raise Boom("helper")
         return _svd(stack)
 
-    monkeypatch.setattr(simbench, "_svd", svd_failing_off_the_caller)
+    cfg = SimConfig(n=20, p=5, q=7, r0=2, reps=4, seed=2)
+    monkeypatch.setattr(dof, "SHARED_STACK_BYTES", 2 * 8 * 5 * 7)
+    monkeypatch.setattr(dof, "_svd", svd_failing_off_the_caller)
     before = threading.active_count()
     with pytest.raises(Boom, match="helper"):
-        run_dof_study(SimConfig(n=20, p=5, q=7, r0=2, reps=4, seed=2), n_pert=5)
+        run_dof_study(cfg, n_pert=5)
     assert threading.active_count() == before
+    assert on_main.count(False) == 1 and on_main.count(True) <= 2
 
 
 @pytest.mark.parametrize("cfg", [
@@ -383,6 +396,9 @@ def test_perturbation_fields_need_no_svd_sign_convention(cfg, monkeypatch):
     # The perturbation moments sum d_k u_k' G v_k, which is exactly unchanged
     # when a pair (u_k, v_k) is negated: the study with the backend's signs
     # equals the same study with sign-fixed SVDs of every slice bit for bit.
+    # At most three of the four perturbations per stack: two stacks per
+    # replication.
+    monkeypatch.setattr(dof, "SHARED_STACK_BYTES", 3 * 8 * min(cfg.n, cfg.p) * cfg.q)
     got = run_dof_study(cfg, n_pert=4)
     flips = []
 
@@ -392,9 +408,9 @@ def test_perturbation_fields_need_no_svd_sign_convention(cfg, monkeypatch):
         flips.append(np.any(np.stack([f.right.T for f in fixed]) != backend))
         return SvdFactors(*(np.stack([getattr(f, name) for f in fixed]) for name in ("left", "d", "right")))
 
-    monkeypatch.setattr(simbench, "_svd", sign_fixed_svd)
+    monkeypatch.setattr(dof, "_svd", sign_fixed_svd)
     ref = run_dof_study(cfg, n_pert=4)
-    assert len(flips) == 2 * cfg.reps and any(flips)  # the stand-in ran on both halves, and changed signs
+    assert len(flips) == 2 * cfg.reps and any(flips)  # the stand-in ran on every stack, and changed signs
     assert got.perturb_mean == ref.perturb_mean
     assert got.perturb_se == ref.perturb_se
 
@@ -450,17 +466,17 @@ def test_dof_study_memory_does_not_grow_with_reps():
 
 
 def test_dof_study_peak_memory_with_stacked_perturbations():
-    # One replication's 50 perturbations are stacked (draws, W'draws, SVD
-    # factors and one moment product at a time, about 0.8 MB each on
-    # setting2); stacking (draw, mean draw) pairs against broadcast factors
-    # as well would pass 7 MB.
+    # One replication's 50 perturbations are drawn and factored in stacks of
+    # at most SHARED_STACK_BYTES (8 draws on setting2); only their W'Delta is
+    # kept whole, 0.8 MB. Holding all 50 draws and the SVD factors of two
+    # halves of them at once peaks at 4.9 MB.
     tracemalloc.start()
     try:
-        run_dof_study(replace(PRESETS["setting2"], reps=3), n_pert=50)
+        run_dof_study(replace(PRESETS["setting2"], reps=4), n_pert=50)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 7.0e6
+    assert peak <= 3.5e6
 
 
 def test_dof_study_needs_three_replications():
