@@ -100,7 +100,7 @@ def cmd_dof(args) -> int:
 
 
 def _sigma_hat(ls) -> float:
-    n, q = ls.y.shape
+    n, q = ls.dims
     dof_resid = n * q - ls.gram.r_x * q
     if dof_resid <= 0:
         raise SaturationError(

@@ -18,8 +18,8 @@ data-perturbation covariance estimators).
 
 The covariance estimators close in the moments a_t = <F_t, D_t>,
 b_t = <F_t, mean D> and c_t = <mean F, D_t> of fits F_t and draws D_t
-(`_cov_df`). With W = X Q S^-1 (orthonormal columns) the fit of Y + D under a
-rule is W f(H + G), G = W'D, so <F, D> = sum_k s_k d_k u_k' G v_k on the SVD
+(`_cov_df`). With W = X Q S^-1 (`gram.w`, orthonormal) the fit of Y + D under
+a rule is W f(H + G), G = W'D, so <F, D> = sum_k s_k d_k u_k' G v_k on the SVD
 of H + G, with no n x q fit. One engine serves the oracles and the df study:
 `_h_space_draws` fills G and `_h_space_moments` factors H + G_t in bounded
 stacks, under a rule or at every hard rank at once (`_rank_moments`).
@@ -411,10 +411,10 @@ def _h_space_moments(h: np.ndarray, g: np.ndarray, rule: ShrinkageRule | None = 
 
 def _h_space_cov(ls: LsFit, rule: ShrinkageRule, sd: float, scale: float, m: int,
                  seed: int, stream: int, method: str) -> DofEstimate:
-    """`_cov_df` of the fits of ls.y + D_t under `rule` against m draws D_t =
+    """`_cov_df` of the fits of Y + D_t under `rule` against m (n, q) draws D_t =
     sd * N(0, I), in order from substream (stream,) of `seed`; a pair first raises."""
     _refuse_pair(rule)
-    g = _h_space_draws((ls.x @ ls.gram.q_mat) / ls.gram.s, _substream(seed, stream), m, sd, ls.y.shape)
+    g = _h_space_draws(ls.gram.w, _substream(seed, stream), m, sd, ls.dims)
     a, b, fit_sum = _h_space_moments(ls.hf.h, g, rule)
     value, se = _cov_df(a, b, g.reshape(m, -1) @ (fit_sum / m).ravel(), scale)
     return DofEstimate(value=float(value), method=method, std_error=float(se))
@@ -423,7 +423,7 @@ def _h_space_cov(ls: LsFit, rule: ShrinkageRule, sd: float, scale: float, m: int
 def mc_df(ls: LsFit, rule: ShrinkageRule, sigma2: float, reps: int, seed: int) -> DofEstimate:
     """Monte-Carlo estimate of sum_ij cov(mu_hat_ij, y_ij) / sigma2 for the
     fit of `rule` (least squares: hard(r_bar)) on the design of `ls` around
-    the mean ls.y_hat, with moments against the noise E_t (substream (0,)):
+    the mean ls.y_hat = W H, with moments against the noise E_t (substream (0,)):
     cov(F, Y) = cov(F, E) for the known mean, without cancelling sums. reps >= 3;
     a weight pair is refused (`_refuse_pair`): each draw needs its own spectrum's."""
     reps = int(_checked_ints(reps, 3, what="reps"))

@@ -108,18 +108,15 @@ def validate_weights(s: np.ndarray, s_prime: np.ndarray | None = None) -> None:
 
 @dataclass(frozen=True)
 class LsFit:
-    """Least-squares fit bundle: data, Gram factors, H and its SVD, fitted values.
+    """Least-squares fit as sufficient statistics: design factor, H and its SVD, rss.
 
     A stack of fits holds stacks along the leading axes of y (one rss per
     fit), with one `r_bar`; one 2-d design against a stack of responses keeps
-    one x and gram.
+    one gram.
     """
 
-    x: np.ndarray
-    y: np.ndarray
     gram: GramFactors
     hf: HFactor
-    y_hat: np.ndarray
     rss: np.ndarray  # ||Y - Y_hat||^2, the least-squares residual sum of squares
     r_bar: int
 
@@ -127,6 +124,16 @@ class LsFit:
     def d(self) -> np.ndarray:
         """Singular values of the least-squares fit (equivalently of H)."""
         return self.hf.svd.d
+
+    @property
+    def dims(self) -> tuple[int, int]:
+        """(n, q): the rows and response columns of each fit."""
+        return self.gram.w.shape[-2], self.hf.h.shape[-1]
+
+    @property
+    def y_hat(self) -> np.ndarray:
+        """Fitted values Y_hat = W H, formed on each call."""
+        return self.gram.w @ self.hf.h
 
 
 def fit_ols(x, y) -> LsFit:
@@ -138,13 +145,15 @@ def fit_ols(x, y) -> LsFit:
     y (..., n, q) is factored once for every response, with the same bits.
     The rss is summed here, once per fit, for the rank path and sigma_hat.
     """
-    x = as_matrix(x, stack=True)
+    return _fit(x, y, gram_factors(x))  # gram_factors validates x
+
+
+def _fit(x, y, gram: GramFactors) -> LsFit:
+    """`fit_ols` on the factor `gram` of x: a fixed design is factored once."""
     y = as_matrix(y, stack=True)
-    gf = gram_factors(x)
-    hf = build_h(x, y, gf)
-    y_hat = ((x @ gf.q_mat) / gf.s[..., None, :]) @ hf.h
-    rss = np.sum((y - y_hat) ** 2, axis=(-2, -1))
-    return LsFit(x=x, y=y, gram=gf, hf=hf, y_hat=y_hat, rss=rss, r_bar=min(gf.r_x, y.shape[-1]))
+    hf = build_h(x, y, gram)
+    rss = np.sum((y - gram.w @ hf.h) ** 2, axis=(-2, -1))  # Y_hat is formed for these bits, then dropped
+    return LsFit(gram=gram, hf=hf, rss=rss, r_bar=min(gram.r_x, y.shape[-1]))
 
 
 def _weights(rule, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

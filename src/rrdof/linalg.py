@@ -60,13 +60,15 @@ class GramFactors:
     """Eigenfactors of X'X: ``X'X = q_mat @ diag(s**2) @ q_mat.T``.
 
     `s` holds the `r_x` strictly positive singular values of X, so
-    ``(X'X)^+ = q_mat @ diag(s**-2) @ q_mat.T``. The factors of a stack of
-    designs are stacks along the same leading axes, with one `r_x`.
+    ``(X'X)^+ = q_mat @ diag(s**-2) @ q_mat.T``; `w` = X Q S^-1 has orthonormal
+    columns, and every fit is W f(H). The factors of a stack of designs are
+    stacks along the same leading axes, with one `r_x`.
     """
 
     q_mat: np.ndarray
     s: np.ndarray
     r_x: int
+    w: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -145,9 +147,16 @@ def thin_svd(m) -> SvdFactors:
     return SvdFactors(left=u, d=f.d, right=vt.swapaxes(-1, -2))
 
 
+def _basis(rows: np.ndarray, q_mat: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Rows of X as rows of W = X Q S^-1, divided in place: the one place W is formed."""
+    w = rows @ q_mat
+    w /= s[..., None, :]
+    return w
+
+
 def gram_factors(x) -> GramFactors:
-    """Eigenfactorization of X'X keeping eigenvalues above ``RANK_TOL * max``;
-    of each design of a stack (..., n, p), along its leading axes.
+    """Eigenfactorization of X'X keeping eigenvalues above ``RANK_TOL * max``,
+    and W; of each design of a stack (..., n, p), along its leading axes.
 
     The designs of a stack must keep the same number of eigenvalues, or
     ShapeError is raised. Each slice of `q_mat` is column-major, as the
@@ -170,7 +179,8 @@ def gram_factors(x) -> GramFactors:
     r_x = int(ranks.max())
     if ranks.min() != r_x:
         raise ShapeError(f"the designs of a stack differ in rank: {int(ranks.min())} and {r_x}")
-    return GramFactors(q_mat=evecs[..., :r_x], s=np.sqrt(evals[..., :r_x]), r_x=r_x)
+    q_mat, s = evecs[..., :r_x], np.sqrt(evals[..., :r_x])
+    return GramFactors(q_mat=q_mat, s=s, r_x=r_x, w=_basis(x, q_mat, s))
 
 
 def build_h(x, y, gf: GramFactors) -> HFactor:

@@ -17,7 +17,7 @@ import numpy as np
 from .dof import _substream
 from .estimators import LsFit, _checked_ints, fit_ols
 from .exceptions import DegenerateDesignError, DomainError, ParseError, RrdofError, SaturationError
-from .linalg import _two_threads, as_matrix
+from .linalg import _basis, _two_threads, as_matrix
 from .selection import Criterion, select_ranks
 
 #: Version tag carried by every emitted report; field names are part of the
@@ -155,9 +155,7 @@ def _mspe_path(ls: LsFit, x_te: np.ndarray, y_te: np.ndarray) -> np.ndarray:
     """
     v = ls.hf.svd.right
     # in place where it can be: a stack holds few n_te-row arrays at once
-    z = x_te @ ls.gram.q_mat
-    z /= ls.gram.s[..., None, :]
-    z = z @ (ls.hf.svd.left * ls.d[..., None, :])
+    z = _basis(x_te, ls.gram.q_mat, ls.gram.s) @ (ls.hf.svd.left * ls.d[..., None, :])
     a = y_te @ v
     z -= a
     head = np.cumsum(np.sum(np.square(z, out=z), axis=-2), axis=-1)  # head[r-1] = sum_{k<r}

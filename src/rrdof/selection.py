@@ -132,5 +132,5 @@ def select_rank(ls: LsFit, crit: Criterion) -> SelectionReport:
     """Score ranks 1..r_bar of the fit `ls` under one criterion and pick the
     argmin: ``select_ranks`` on the fit's statistics with one criterion.
     Callers scoring several criteria should call ``select_ranks`` once."""
-    n, q = ls.y.shape[-2:]
+    n, q = ls.dims
     return select_ranks(ls.d, ls.rss, ls.gram.r_x, n, q, {crit.kind: crit})[crit.kind]

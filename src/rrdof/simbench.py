@@ -16,7 +16,7 @@ import numpy as np
 
 from . import pipeline
 from .dof import DofEstimate, _cov_df, _h_space_draws, _h_space_moments, _rank_moments, _substream, exact_df_path, naive_df
-from .estimators import _checked_ints, coef_matrix, fit_ols, hard_rows
+from .estimators import _checked_ints, _fit, coef_matrix, hard_rows
 from .exceptions import DomainError
 from .linalg import build_h, gram_factors, thin_svd
 from .selection import Criterion, select_ranks
@@ -145,24 +145,22 @@ def run_dof_study(cfg: SimConfig, n_pert: int = 50) -> DofStudyResult:
     x, b, _ = _design(cfg)
     xb = x @ b
     gram = gram_factors(x)  # X is fixed: factor it once
-    w = (x @ gram.q_mat) / gram.s  # the fit of Y is W H
-    r_x = gram.r_x
+    w, r_x = gram.w, gram.r_x  # the fit of Y is W H
     r_bar = min(r_x, cfg.q)
     ranks = list(range(1, r_bar + 1))
     tau = 0.1 * float(np.sqrt(cfg.sigma2))
     noise = np.stack([_errors(cfg, t) for t in range(m)])  # E_t of every replication
     e_bar = w.T @ (noise.sum(axis=0) / m)  # the mean noise, before any fit
+    e_draws = w.T @ noise  # W'E_t: the noise of each replication in H space
 
     exact_vals = np.empty((m, r_bar))
     pert_vals = np.empty((m, r_bar))
     mc_ab = np.empty((2, m, r_bar))
-    e_draws = np.empty((m, r_x, cfg.q))  # W'E_t: the noise of each replication in H space
     fit_sum = np.zeros((r_bar, r_x, cfg.q))  # component k of the fits, summed over replications
     for t in range(m):
         hf = build_h(x, xb + noise[t], gram)
         f = hf.svd
         exact_vals[t] = exact_df_path(f.d, r_x, cfg.q, *hard_rows(ranks, r_bar))[0]
-        e_draws[t] = w.T @ noise[t]
         mc_ab[:, t] = _rank_moments(f, np.stack([e_draws[t], e_bar]))
         fit_sum += np.einsum("ik,jk->kij", f.left * f.d, f.right)
         g = _h_space_draws(w, _substream(cfg.seed, 2, t), n_pert, tau, (cfg.n, cfg.q))
@@ -222,17 +220,18 @@ def run_pred_study(cfg: SimConfig) -> PredStudyResult:
     percentage relative gain PRG = 100 (Pred_naive - Pred_exact)/Pred_exact.
     Replications run in stacks of at most ``pipeline.STACK_BYTES`` of
     responses and coefficients (at least one), so memory does not grow with
-    reps: per stack one ``fit_ols`` and one ``select_ranks`` call and one
-    coefficient product per df mode, each replication its own fit's bit for
-    bit. The summary's standard deviations need at least 2 replications."""
+    reps: one factor of X, then per stack one fit on it, one ``select_ranks``
+    call and one coefficient product per df mode, each replication its own
+    ``fit_ols``'s bit for bit. The summary's standard deviations need at
+    least 2 replications."""
     reps = int(_checked_ints(cfg.reps, 2, what="reps"))
     x, b, _ = _design(cfg)
-    xb = x @ b
+    xb, gram = x @ b, gram_factors(x)  # X is fixed: factor it once for every stack
     per_stack = max(1, pipeline.STACK_BYTES // (8 * (cfg.n + cfg.p) * cfg.q))
     stacks = []
     for lo in range(0, reps, per_stack):
         y = xb + np.stack([_errors(cfg, t) for t in range(lo, min(lo + per_stack, reps))])
-        ls = fit_ols(x, y)
+        ls = _fit(x, y, gram)
         fields = {"snr": snr(x, b, y - xb)}
         for mode, report in select_ranks(ls.d, ls.rss, ls.gram.r_x, cfg.n, cfg.q, _PRED_CRITERIA).items():
             bhat = coef_matrix(ls, hard_rows(report.chosen, ls.r_bar))

@@ -220,7 +220,7 @@ class TestExactDfShrunk:
 @pytest.mark.parametrize("apply", [
     fit_shrunk,
     coef_matrix,
-    lambda ls, rule: exact_df_shrunk(ls.d, ls.gram.r_x, ls.y.shape[1], *rule.weights(ls.d)),
+    lambda ls, rule: exact_df_shrunk(ls.d, ls.gram.r_x, ls.dims[1], *rule.weights(ls.d)),
     lambda ls, rule: divergence_analytic(ls.hf.h, rule),
 ], ids=["fit_shrunk", "coef_matrix", "exact_df_shrunk", "divergence_analytic"])
 def test_hard_rank_above_the_spectrum_is_an_error(apply):

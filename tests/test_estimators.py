@@ -25,11 +25,14 @@ def projection_matrix(x, gf):
 
 
 @pytest.fixture
-def random_fit():
+def random_xy():
     rng = np.random.default_rng(20)
-    x = rng.standard_normal((10, 5))
-    y = rng.standard_normal((10, 4))
-    return fit_ols(x, y)
+    return rng.standard_normal((10, 5)), rng.standard_normal((10, 4))
+
+
+@pytest.fixture
+def random_fit(random_xy):
+    return fit_ols(*random_xy)
 
 
 class TestFitOls:
@@ -68,6 +71,19 @@ class TestFitOls:
         with pytest.raises(ShapeError):
             fit_ols(np.ones((4, 2)), np.ones((5, 2)))
 
+    @pytest.mark.parametrize("shapes", [((12, 5), (12, 4)), ((6, 9), (6, 7)), ((12, 5), (3, 12, 4)),
+                                        ((3, 12, 5), (3, 12, 4))],
+                             ids=["tall", "wide", "stack of responses", "stack of designs"])
+    def test_y_hat_is_the_stored_fit_of_before(self, shapes):
+        # Y_hat is formed from the design factor on demand, with the bits of
+        # the expression fit_ols once stored
+        rng = np.random.default_rng(33)
+        x, y = rng.standard_normal(shapes[0]), rng.standard_normal(shapes[1])
+        ls = fit_ols(x, y)
+        q, s = ls.gram.q_mat, ls.gram.s
+        assert np.array_equal(ls.y_hat, ((x @ q) / s[..., None, :]) @ ls.hf.h)
+        assert ls.dims == y.shape[-2:]
+
 
 class TestSharedGram:
     """One 2-d design against a stack of responses is factored once."""
@@ -79,7 +95,7 @@ class TestSharedGram:
         x = rng.standard_normal((n, p))
         y = rng.standard_normal((3, n, q))
         got = fit_ols(x, y)
-        assert got.x.shape == (n, p) and got.gram.q_mat.shape == (p, got.gram.r_x)
+        assert got.gram.w.shape == (n, got.gram.r_x) and got.gram.q_mat.shape == (p, got.gram.r_x)
         assert got.y_hat.shape == (3, n, q)
         for t in range(3):
             one = fit_ols(x, y[t])
@@ -110,7 +126,7 @@ class TestLsFitRss:
         y = rng.standard_normal((12, 4) if layout == "2-d" else (3, 12, 4))
         ls = fit_ols(x, y)
         assert np.shape(ls.rss) == y.shape[:-2]
-        assert np.array_equal(ls.rss, np.sum((ls.y - ls.y_hat) ** 2, axis=(-2, -1)))
+        assert np.array_equal(ls.rss, np.sum((y - ls.y_hat) ** 2, axis=(-2, -1)))
         assert np.array_equal(rss_path(ls.d, ls.rss, [ls.r_bar])[..., 0], ls.rss)
         if layout != "2-d":  # each fit of a stack has its own fit's rss
             for t in range(3):
@@ -194,8 +210,8 @@ class TestFitRrr:
         assert not np.any(fit_shrunk(random_fit, hard(0)))
         assert not np.any(coef_matrix(random_fit, hard(0)))
 
-    def test_eckart_young_monotone_residuals(self, random_fit):
-        y = random_fit.y
+    def test_eckart_young_monotone_residuals(self, random_fit, random_xy):
+        y = random_xy[1]
         rss = [
             np.linalg.norm(y - fit_shrunk(random_fit, hard(r)))
             for r in range(1, random_fit.r_bar + 1)
@@ -250,23 +266,24 @@ class TestFitShrunk:
     def test_stack_equals_each_slice(self):
         # a stack of fits is shrunk along its leading axes, as each slice alone
         rng = np.random.default_rng(30)
-        ls = fit_ols(rng.standard_normal((4, 12, 5)), rng.standard_normal((4, 12, 4)))
+        x, y = rng.standard_normal((4, 12, 5)), rng.standard_normal((4, 12, 4))
+        ls = fit_ols(x, y)
         got = fit_shrunk(ls, hard(2))
         assert got.shape == (4, 12, 4)
         for t in range(4):
-            assert np.array_equal(got[t], fit_shrunk(fit_ols(ls.x[t], ls.y[t]), hard(2)))
+            assert np.array_equal(got[t], fit_shrunk(fit_ols(x[t], y[t]), hard(2)))
 
     def test_weight_rows_per_fit(self):
         rng = np.random.default_rng(31)
-        x = rng.standard_normal((12, 5))
-        ls = fit_ols(x, rng.standard_normal((3, 12, 4)))
+        x, y = rng.standard_normal((12, 5)), rng.standard_normal((3, 12, 4))
+        ls = fit_ols(x, y)
         ranks = [1, 3, 2]
         got = fit_shrunk(ls, hard_rows(ranks, ls.r_bar))
         for t, r in enumerate(ranks):
-            assert np.array_equal(got[t], fit_shrunk(fit_ols(x, ls.y[t]), hard(r)))
+            assert np.array_equal(got[t], fit_shrunk(fit_ols(x, y[t]), hard(r)))
 
-    def test_column_space_containment(self, random_fit):
-        p = projection_matrix(random_fit.x, random_fit.gram)
+    def test_column_space_containment(self, random_fit, random_xy):
+        p = projection_matrix(random_xy[0], random_fit.gram)
         for rule in (hard(2), soft(0.5), adaptive(0.5)):
             y_fit = fit_shrunk(random_fit, rule)
             assert np.linalg.norm(y_fit - p @ y_fit) < 1e-8
@@ -284,19 +301,20 @@ class TestCoefMatrix:
     def test_total_shrinkage_zero(self, random_fit):
         assert np.allclose(coef_matrix(random_fit, soft(float(random_fit.d[0]) + 1)), 0)
 
-    def test_self_consistency(self, random_fit):
+    def test_self_consistency(self, random_fit, random_xy):
         for rule in (hard(1), hard(3), soft(0.7), adaptive(0.4)):
             b = coef_matrix(random_fit, rule)
-            assert np.linalg.norm(random_fit.x @ b - fit_shrunk(random_fit, rule)) < 1e-8
+            assert np.linalg.norm(random_xy[0] @ b - fit_shrunk(random_fit, rule)) < 1e-8
 
     @pytest.mark.parametrize("shape", [(10, 5, 4), (6, 10, 3), (8, 3, 7)])
     def test_self_consistency_across_shapes(self, shape):
         n, p, q = shape
         rng = np.random.default_rng(29)
-        ls = fit_ols(rng.standard_normal((n, p)), rng.standard_normal((n, q)))
+        x = rng.standard_normal((n, p))
+        ls = fit_ols(x, rng.standard_normal((n, q)))
         rules = [hard(r) for r in range(ls.r_bar + 1)] + [soft(0.7), adaptive(0.4)]
         for rule in rules:
-            assert np.linalg.norm(ls.x @ coef_matrix(ls, rule) - fit_shrunk(ls, rule)) < 1e-8
+            assert np.linalg.norm(x @ coef_matrix(ls, rule) - fit_shrunk(ls, rule)) < 1e-8
 
     def test_row_space_containment(self):
         rng = np.random.default_rng(28)
@@ -312,12 +330,13 @@ class TestCoefMatrix:
     def test_weight_rows_of_a_stack_equal_each_slice(self, stacked_x):
         rng = np.random.default_rng(32)
         x = rng.standard_normal((3, 12, 5) if stacked_x else (12, 5))
-        ls = fit_ols(x, rng.standard_normal((3, 12, 4)))
+        y = rng.standard_normal((3, 12, 4))
+        ls = fit_ols(x, y)
         ranks = [2, 0, 4]
         got = coef_matrix(ls, hard_rows(ranks, ls.r_bar))
         assert got.shape == (3, 5, 4)
         for t, r in enumerate(ranks):
-            one = fit_ols(x[t] if stacked_x else x, ls.y[t])
+            one = fit_ols(x[t] if stacked_x else x, y[t])
             assert np.array_equal(got[t], coef_matrix(one, hard(r)))
         assert np.array_equal(coef_matrix(ls, hard(2))[0], got[0])  # a rule applies to every fit
 

@@ -121,6 +121,15 @@ class TestGramFactors:
         with pytest.raises(DegenerateDesignError):
             gram_factors(np.zeros((4, 3)))
 
+    @pytest.mark.parametrize("shape", [(12, 5), (6, 10), (3, 12, 5)], ids=["tall", "wide", "stack"])
+    def test_basis_is_x_q_over_s_with_orthonormal_columns(self, shape):
+        x = np.random.default_rng(13).standard_normal(shape)
+        gf = gram_factors(x)
+        assert np.array_equal(gf.w, (x @ gf.q_mat) / gf.s[..., None, :])
+        assert gf.w.shape == shape[:-1] + (gf.r_x,)
+        wtw = gf.w.swapaxes(-1, -2) @ gf.w
+        assert np.abs(wtw - np.eye(gf.r_x)).max() < 1e-10
+
 
 class TestBuildH:
     def test_orthonormal_design_gives_xty(self):

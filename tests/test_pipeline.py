@@ -610,4 +610,4 @@ class TestStacksOfSplits:
         finally:
             tracemalloc.stop()
         assert not rep.failures
-        assert peak <= 1.0e6, f"peak {peak / 1e6:.2f} MB"
+        assert peak <= 0.8e6, f"peak {peak / 1e6:.2f} MB"

@@ -574,7 +574,7 @@ def test_pred_study_memory_does_not_grow_with_reps():
 def test_pred_study_fits_and_selects_once(monkeypatch):
     from rrdof import pipeline
 
-    calls = {"fit_ols": 0, "select_ranks": 0}
+    calls = {"_fit": 0, "select_ranks": 0}  # _fit: fit_ols on the study's one factor of X
 
     def counting(name):
         original = getattr(simbench, name)
@@ -589,11 +589,28 @@ def test_pred_study_fits_and_selects_once(monkeypatch):
         monkeypatch.setattr(simbench, name, counting(name))
     cfg = SimConfig(n=20, p=5, q=7, r0=2, reps=6, seed=2)
     run_pred_study(cfg)
-    assert calls == {"fit_ols": 1, "select_ranks": 1}  # 6 replications fit in one stack
+    assert calls == {"_fit": 1, "select_ranks": 1}  # 6 replications fit in one stack
     # once per stack: stacks of 4 and 2 replications
     monkeypatch.setattr(pipeline, "STACK_BYTES", 4 * 8 * (cfg.n + cfg.p) * cfg.q)
     run_pred_study(cfg)
-    assert calls == {"fit_ols": 3, "select_ranks": 3}
+    assert calls == {"_fit": 3, "select_ranks": 3}
+
+
+def test_pred_study_factors_its_design_once(monkeypatch):
+    from rrdof import estimators, linalg, pipeline
+
+    calls = []
+
+    def spy(x):
+        calls.append(np.shape(x))
+        return linalg.gram_factors(x)
+
+    for module in (simbench, estimators):
+        monkeypatch.setattr(module, "gram_factors", spy)
+    cfg = SimConfig(n=20, p=5, q=7, r0=2, reps=9, seed=2)
+    monkeypatch.setattr(pipeline, "STACK_BYTES", 4 * 8 * (cfg.n + cfg.p) * cfg.q)  # stacks of 4, 4 and 1
+    run_pred_study(cfg)
+    assert calls == [(cfg.n, cfg.p)]
 
 
 class TestPredStudy:

@@ -68,7 +68,7 @@ def test_stack_equals_each_slice_bit_for_bit(seed, kind, size):
     rows = hard_rows(ranks, ls.r_bar)
     df, flags = exact_df_path(ls.d, ls.gram.r_x, y.shape[-1], *rows)
     mspe = _mspe_path(ls, x_te, y_te)
-    chosen, singles = chosen_ranks(ls), []
+    chosen, singles = chosen_ranks(ls, y), []
     for i in range(size):
         one = fit_ols(x[i], y[i])
         assert one.r_bar == ls.r_bar and one.gram.r_x == ls.gram.r_x
@@ -81,7 +81,7 @@ def test_stack_equals_each_slice_bit_for_bit(seed, kind, size):
         assert_same(df[i], one_df)
         assert_same(flags[i], one_flags)
         assert_same(mspe[i], _mspe_path(one, x_te[i], y_te[i]))
-        singles.append(chosen_ranks(one))
+        singles.append(chosen_ranks(one, y[i]))
     # a stack saturates exactly when one of its fits does (an interpolating
     # wide fit can); otherwise every fit chooses its own ranks
     if chosen is None:
@@ -90,8 +90,8 @@ def test_stack_equals_each_slice_bit_for_bit(seed, kind, size):
         assert singles == [{name: r[i] for name, r in chosen.items()} for i in range(size)]
 
 
-def chosen_ranks(ls):
-    n, q = ls.y.shape[-2:]
+def chosen_ranks(ls, y):
+    n, q = y.shape[-2:]
     try:
         reports = select_ranks(ls.d, ls.rss, ls.gram.r_x, n, q, CRITERIA)
     except SaturationError:

@@ -67,6 +67,9 @@ def commands(data: list[str]) -> list[tuple[str, list[str], list[str]]]:
                                    "--reps", "5"], ["--output", "--table-out"]))
     runs.append(("simulate_pred_hd", ["simulate", "--preset", "hd", "--study", "pred",  # wide: p > n
                                       "--reps", "5"], ["--output", "--table-out"]))
+    # 13 replications: three stacks of at most six (pipeline.STACK_BYTES), on one factor of X
+    runs.append(("simulate_pred_hd_stacks", ["simulate", "--preset", "hd", "--study", "pred",
+                                             "--reps", "13"], ["--output", "--table-out"]))
     crit = ["--criterion", "cp", "gcv", "bic", "--df", "exact", "naive", "--sigma2", "1", "--splits", "20"]
     runs.append(("eval", ["eval", *data, *crit], ["--output"]))
     runs.append(("eval_jobs2", ["eval", *data, *crit, "--jobs", "2"], ["--output"]))
