@@ -45,9 +45,10 @@ def _add_data_flags(sp):
 
 
 def _add_rule_flags(sp):
-    sp.add_argument("--rank", type=int, help="hard rank truncation")
-    sp.add_argument("--soft", type=float, help="soft-threshold penalty")
-    sp.add_argument("--adaptive", type=float, help="adaptive-threshold penalty")
+    rules = sp.add_mutually_exclusive_group()  # one rule per fit: a second rule flag is an error
+    rules.add_argument("--rank", type=int, help="hard rank truncation")
+    rules.add_argument("--soft", type=float, help="soft-threshold penalty")
+    rules.add_argument("--adaptive", type=float, help="adaptive-threshold penalty")
     sp.add_argument("--gamma", type=float, default=2.0, help="adaptive power (default 2)")
 
 
@@ -89,11 +90,9 @@ def cmd_dof(args) -> int:
         if args.sigma2 is None:
             raise RrdofError("--method mc requires --sigma2")
         est = dof_mod.mc_df(ls, rule, args.sigma2, reps=args.reps, seed=seed)
-    elif method == "perturb":
+    else:  # perturb: argparse restricts --method to these choices
         tau = args.tau if args.tau is not None else 0.1 * _sigma_hat(ls)
         est = dof_mod.perturbation_df(ls, rule, n_pert=args.reps, tau=tau, seed=seed)
-    else:  # pragma: no cover - argparse restricts choices
-        raise RrdofError(f"unknown method {method}")
     payload = asdict(est)
     write_report(args.output, "dof", payload, seed=seed)
     return 0

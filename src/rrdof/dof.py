@@ -20,9 +20,9 @@ The covariance estimators close in the moments a_t = <F_t, D_t>,
 b_t = <F_t, mean D> and c_t = <mean F, D_t> of fits F_t and draws D_t
 (`_cov_df`). With W = X Q S^-1 (`gram.w`, orthonormal) the fit of Y + D under
 a rule is W f(H + G), G = W'D, so <F, D> = sum_k s_k d_k u_k' G v_k on the SVD
-of H + G, with no n x q fit. One engine serves the oracles and the df study:
-`_h_space_draws` fills G and `_h_space_moments` factors H + G_t in bounded
-stacks, under a rule or at every hard rank at once (`_rank_moments`).
+of H + G, with no n x q fit. One function serves the oracles and the df study:
+`_h_space_cov` draws G, factors H + G_t in bounded stacks, under a rule or at
+every hard rank at once (`_rank_moments`), and returns `_cov_df`'s values.
 
 The derivatives of the SVD H = U D V' (H tall) with respect to h_ij come in
 factored form for a whole row i at once: with hv = h_i' V,
@@ -370,24 +370,19 @@ def _rank_moments(f: SvdFactors, g: np.ndarray) -> np.ndarray:
     return np.cumsum(_sv_terms(f, g), axis=-1)
 
 
-def _h_space_draws(w: np.ndarray, rng: np.random.Generator, m: int, sd: float, shape) -> np.ndarray:
-    """The stack of G_t = W'(sd Z_t) for m standard normal (n, q) draws Z_t from
-    `rng`, in order, drawn in chunks of at most `SHARED_STACK_BYTES`."""
-    g = np.empty((m, w.shape[1], shape[1]))
-    per_chunk = max(1, SHARED_STACK_BYTES // (8 * shape[0] * shape[1]))
+def _h_space_cov(h: np.ndarray, w: np.ndarray, rng: np.random.Generator, m: int, sd: float,
+                 scale: float, rule: ShrinkageRule | None = None) -> tuple:
+    """`_cov_df` of the fits f(H + G_t) against G_t = W'(sd Z_t), for m standard
+    normal (n, q) draws Z_t from `rng`, in order, drawn in chunks of at most
+    `SHARED_STACK_BYTES`: every hard rank's values and no error with `rule`
+    None, else the rule's at each draw's spectrum. `_svd` factors stacks of
+    that budget on `_two_threads`; the stacks' fit sums for c_t are added in
+    stack order after the join: no bit depends on threads."""
+    g = np.empty((m, *h.shape))
+    per_chunk = max(1, SHARED_STACK_BYTES // (8 * w.shape[0] * h.shape[1]))
     for lo in range(0, m, per_chunk):
-        draws = rng.standard_normal((min(per_chunk, m - lo), *shape))
+        draws = rng.standard_normal((min(per_chunk, m - lo), w.shape[0], h.shape[1]))
         g[lo:lo + len(draws)] = w.T @ np.multiply(draws, sd, out=draws)
-    return g
-
-
-def _h_space_moments(h: np.ndarray, g: np.ndarray, rule: ShrinkageRule | None = None) -> tuple:
-    """a_t = <F_t, G_t>, b_t = <F_t, mean G> and sum_t F_t for the fits F_t =
-    f(H + G_t) of the stack g: every hard rank's (m, r_bar) moments and a zero
-    sum with `rule` None, else the rule's (m,) at each draw's spectrum. `_svd`
-    factors stacks of at most `SHARED_STACK_BYTES` on `_two_threads`, and their
-    fit sums are added in stack order after the join: no bit depends on threads."""
-    m = len(g)
     g_bar = g.mean(axis=0)
     count = -(-m // max(1, SHARED_STACK_BYTES // h.nbytes))
     count += count % 2 if count > 1 else 0  # an even count of near-equal stacks: as many draws on each thread
@@ -406,18 +401,8 @@ def _h_space_moments(h: np.ndarray, g: np.ndarray, rule: ShrinkageRule | None = 
         fit_sums[stacks.index((lo, hi))] = fits.sum(axis=0)  # in draw order
 
     _two_threads(moments, stacks)
-    return ab[0], ab[1], fit_sums.sum(axis=0)
-
-
-def _h_space_cov(ls: LsFit, rule: ShrinkageRule, sd: float, scale: float, m: int,
-                 seed: int, stream: int, method: str) -> DofEstimate:
-    """`_cov_df` of the fits of Y + D_t under `rule` against m (n, q) draws D_t =
-    sd * N(0, I), in order from substream (stream,) of `seed`; a pair first raises."""
-    _refuse_pair(rule)
-    g = _h_space_draws(ls.gram.w, _substream(seed, stream), m, sd, ls.dims)
-    a, b, fit_sum = _h_space_moments(ls.hf.h, g, rule)
-    value, se = _cov_df(a, b, g.reshape(m, -1) @ (fit_sum / m).ravel(), scale)
-    return DofEstimate(value=float(value), method=method, std_error=float(se))
+    c = None if rule is None else g.reshape(m, -1) @ (fit_sums.sum(axis=0) / m).ravel()  # <mean F, G_t>
+    return _cov_df(ab[0], ab[1], c, scale)
 
 
 def mc_df(ls: LsFit, rule: ShrinkageRule, sigma2: float, reps: int, seed: int) -> DofEstimate:
@@ -429,7 +414,9 @@ def mc_df(ls: LsFit, rule: ShrinkageRule, sigma2: float, reps: int, seed: int) -
     reps = int(_checked_ints(reps, 3, what="reps"))
     if not 0 < sigma2 < np.inf:
         raise DomainError("sigma2 must be positive and finite")
-    return _h_space_cov(ls, rule, float(np.sqrt(sigma2)), sigma2, reps, seed, 0, "monte_carlo")
+    _refuse_pair(rule)
+    value, se = _h_space_cov(ls.hf.h, ls.gram.w, _substream(seed, 0), reps, float(np.sqrt(sigma2)), sigma2, rule)
+    return DofEstimate(value=float(value), method="monte_carlo", std_error=float(se))
 
 
 def perturbation_df(ls: LsFit, rule: ShrinkageRule, n_pert: int, tau: float, seed: int) -> DofEstimate:
@@ -441,4 +428,6 @@ def perturbation_df(ls: LsFit, rule: ShrinkageRule, n_pert: int, tau: float, see
     n_pert = int(_checked_ints(n_pert, 3, what="n_pert"))
     if not 0 < tau < np.inf:
         raise DomainError("tau must be positive and finite")
-    return _h_space_cov(ls, rule, tau, tau**2, n_pert, seed, 1, "perturbation")
+    _refuse_pair(rule)
+    value, se = _h_space_cov(ls.hf.h, ls.gram.w, _substream(seed, 1), n_pert, tau, tau**2, rule)
+    return DofEstimate(value=float(value), method="perturbation", std_error=float(se))

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import pipeline
-from .dof import DofEstimate, _cov_df, _h_space_draws, _h_space_moments, _rank_moments, _substream, exact_df_path, naive_df
+from .dof import DofEstimate, _cov_df, _h_space_cov, _rank_moments, _substream, exact_df_path, naive_df
 from .estimators import _checked_ints, _fit, coef_matrix, hard_rows
 from .exceptions import DomainError
 from .linalg import build_h, gram_factors, thin_svd
@@ -138,7 +138,7 @@ def run_dof_study(cfg: SimConfig, n_pert: int = 50) -> DofStudyResult:
     per-rank sums of the fits and each W'E_t, one r_x x q matrix per
     replication, from one stack of every E_t. The n_pert perturbations of
     replication t (size 0.1 sigma) come in order from substream (2, t) into
-    the H-space engine of `dof`, at every rank.
+    `dof._h_space_cov`, at every rank.
     """
     m = int(_checked_ints(cfg.reps, 3, what="reps"))
     n_pert = int(_checked_ints(n_pert, 3, what="n_pert"))
@@ -163,8 +163,7 @@ def run_dof_study(cfg: SimConfig, n_pert: int = 50) -> DofStudyResult:
         exact_vals[t] = exact_df_path(f.d, r_x, cfg.q, *hard_rows(ranks, r_bar))[0]
         mc_ab[:, t] = _rank_moments(f, np.stack([e_draws[t], e_bar]))
         fit_sum += np.einsum("ik,jk->kij", f.left * f.d, f.right)
-        g = _h_space_draws(w, _substream(cfg.seed, 2, t), n_pert, tau, (cfg.n, cfg.q))
-        pert_vals[t] = _cov_df(*_h_space_moments(hf.h, g)[:2], None, tau**2)[0]
+        pert_vals[t] = _h_space_cov(hf.h, w, _substream(cfg.seed, 2, t), n_pert, tau, tau**2)[0]
 
     mc_c = np.cumsum(e_draws.reshape(m, -1) @ fit_sum.reshape(r_bar, -1).T, axis=1) / m  # <mean fit, W'E_t>
     mc = [DofEstimate(value=float(v), method="monte_carlo", std_error=float(se))

@@ -208,6 +208,21 @@ class TestDof:
         assert main(args + ["--tau", "0.01", "--output", str(out)]) == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ["fit", "--rank", "3", "--soft", "15"],
+    ["dof", "--method", "exact", "--soft", "15", "--adaptive", "15"],
+], ids=["fit", "dof"])
+def test_two_rule_flags_are_an_error(data_paths, capsys, argv):
+    # one rule per fit: argparse rejects a second rule flag before any work
+    xp, yp, tmp = data_paths
+    out = tmp / "r.json"
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], "--x", xp, "--y", yp, *argv[1:], "--output", str(out)])
+    assert exc.value.code == 2
+    assert "not allowed with" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestFitRankPolicy:
     """`rrdof fit --rank` follows the rank policy of `rrdof dof`."""
 

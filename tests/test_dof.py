@@ -216,6 +216,11 @@ class TestExactDfShrunk:
         with pytest.raises(DomainError, match="one spectrum"):
             exact_df_shrunk([[2.0, 1.0], [3.0, 1.0]], 3, 2, [1.0, 0.0], [0.0, 0.0])
 
+    def test_rejects_a_spectrum_of_the_wrong_length(self):
+        # r_bar = min(4, 4) = 4 values are expected
+        with pytest.raises(DomainError, match="^expected 4 singular values, got 2$"):
+            exact_df_shrunk([2.0, 1.0], 4, 4, [1.0, 0.0], [0.0, 0.0])
+
 
 @pytest.mark.parametrize("apply", [
     fit_shrunk,
@@ -308,6 +313,14 @@ class TestDivergences:
         rng = np.random.default_rng(36)
         h = random_h(rng, 4, 3)
         assert divergence_fd(h, soft(100.0)).value == 0.0
+
+    def test_analytic_needs_full_column_rank(self):
+        # a zero column gives an exactly zero singular value: the derivative
+        # kernel would divide by it
+        h = np.array([[2.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
+        assert thin_svd(h).d[-1] == 0.0
+        with pytest.raises(DegeneracyError, match="^matrix must have full column rank$"):
+            divergence_analytic(h, hard(1))
 
     @pytest.mark.parametrize("oracle", ["exact", "analytic", "fd"])
     def test_every_oracle_checks_the_weights(self, oracle):

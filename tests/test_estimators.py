@@ -164,6 +164,10 @@ class TestShrinkageRules:
             with pytest.raises(DomainError, match=f"^{name} must be nonnegative$"):
                 make(bad)
 
+    def test_unknown_kind_is_rejected(self):
+        with pytest.raises(DomainError, match="^unknown shrinkage kind: 'bogus'$"):
+            ShrinkageRule("bogus").weights(np.array([2.0, 1.0]))
+
     def test_infinite_gamma_is_rejected(self):
         # it once gave weight derivatives of NaN, and so a NaN df
         with pytest.raises(DomainError, match="^gamma must be finite$"):

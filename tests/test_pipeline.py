@@ -4,7 +4,7 @@ import threading
 import numpy as np
 import pytest
 
-from rrdof.exceptions import DegenerateDesignError, DomainError, ParseError, ShapeError
+from rrdof.exceptions import DegenerateDesignError, DomainError, ParseError, SaturationError, ShapeError
 from rrdof.pipeline import (
     REPORT_SCHEMA,
     REPORT_SCHEMA_VERSION,
@@ -26,6 +26,10 @@ class TestIngestCsv:
 
     def test_basic(self, tmp_path):
         m = ingest_csv(self.write(tmp_path, "1,2\n3,4\n"))
+        assert np.array_equal(m, [[1.0, 2.0], [3.0, 4.0]])
+
+    def test_blank_lines_skipped(self, tmp_path):
+        m = ingest_csv(self.write(tmp_path, "1,2\n\n3,4\n\n"))
         assert np.array_equal(m, [[1.0, 2.0], [3.0, 4.0]])
 
     def test_header_skipped(self, tmp_path):
@@ -181,6 +185,18 @@ class TestEvalSplits:
         for jobs in (0, -1, 3):
             with pytest.raises(DomainError, match="^jobs must be 1 or 2$"):
                 eval_splits(x, y, crit, n_splits=2, jobs=jobs)
+
+    def test_split_fraction_must_leave_both_sets(self, small_xy):
+        # n = 10 at 1 %: round(0.1) = 0 training rows
+        x, y = small_xy
+        with pytest.raises(DomainError, match="^split_fraction leaves an empty train or test set$"):
+            eval_splits(x[:10], y[:10], {"gcv_exact": Criterion(kind="gcv")}, n_splits=2, split_fraction=0.01)
+
+    def test_selection_failing_on_every_split_is_an_error(self, small_xy):
+        # a zero response has rss 0 at every rank, which BIC scores +inf: every candidate saturates
+        x, _ = small_xy
+        with pytest.raises(SaturationError, match="^selection failed on every split$"):
+            eval_splits(x, np.zeros((len(x), 3)), {"bic_exact": Criterion(kind="bic")}, n_splits=3)
 
     def test_inputs_are_checked_before_splitting(self, small_xy):
         # a bad entry or shape is named at once, not met by each split: a NaN
