@@ -3,6 +3,12 @@
 All commands read row-per-observation numeric CSVs and write versioned JSON
 reports (plus flat CSV tables where plotting data is useful). The seed comes
 from --seed, falling back to the RRDOF_SEED environment variable, then 0.
+
+`main` is the one path from argv to report: it parses, reads the seed, loads
+--x and --y once and writes the report last, after the command's own CSV
+(`cmd_*` maps (args, seed[, x, y]) to the report's kind and payload). It
+returns 0, or 2 after a usage message or one `error:` line for an rrdof or
+file error, and then no report is written; it never raises `SystemExit`.
 """
 
 from __future__ import annotations
@@ -31,11 +37,6 @@ def _seed_from(args) -> int:
         raise RrdofError(f"RRDOF_SEED must be an integer, got {env!r}") from None
 
 
-def _load_xy(args):
-    flags = {"header": args.header, "log_transform": args.log, "standardize": args.standardize}
-    return ingest_csv(args.x, **flags), ingest_csv(args.y, **flags)
-
-
 def _add_data_flags(sp):
     sp.add_argument("--x", required=True, help="design matrix CSV")
     sp.add_argument("--y", required=True, help="response matrix CSV")
@@ -52,8 +53,7 @@ def _add_rule_flags(sp):
     sp.add_argument("--gamma", type=float, default=2.0, help="adaptive power (default 2)")
 
 
-def cmd_fit(args) -> int:
-    x, y = _load_xy(args)
+def cmd_fit(args, seed, x, y) -> tuple:
     ls = fit_ols(x, y)
     rule = _checked_rule(args, ls) or hard(ls.r_bar)
     s = rule.weights(ls.d)[0]
@@ -62,15 +62,12 @@ def cmd_fit(args) -> int:
         "rank_fitted": np.count_nonzero(s > 0), "singular_values": ls.d,
         "shrunk_singular_values": s * ls.d, "rss": np.sum((y - fit_shrunk(ls, rule)) ** 2),
     }
-    write_report(args.output, "fit", payload, seed=_seed_from(args))
     if args.coef_out:
         write_matrix_csv(args.coef_out, coef_matrix(ls, rule))
-    return 0
+    return "fit", payload
 
 
-def cmd_dof(args) -> int:
-    x, y = _load_xy(args)
-    seed = _seed_from(args)
+def cmd_dof(args, seed, x, y) -> tuple:
     ls = fit_ols(x, y)
     r_x, q = ls.gram.r_x, y.shape[1]
     rule = _checked_rule(args, ls)
@@ -94,8 +91,7 @@ def cmd_dof(args) -> int:
         tau = args.tau if args.tau is not None else 0.1 * _sigma_hat(ls)
         est = dof_mod.perturbation_df(ls, rule, n_pert=args.reps, tau=tau, seed=seed)
     payload = asdict(est)
-    write_report(args.output, "dof", payload, seed=seed)
-    return 0
+    return "dof", payload
 
 
 def _sigma_hat(ls) -> float:
@@ -122,19 +118,17 @@ def _checked_rule(args, ls):
     return None
 
 
-def cmd_select(args) -> int:
-    x, y = _load_xy(args)
+def cmd_select(args, seed, x, y) -> tuple:
     ls = fit_ols(x, y)
     crit = Criterion(kind=args.criterion, df_mode=args.df, sigma2=args.sigma2)
     report = select_rank(ls, crit)
     payload = {"criterion": args.criterion, "df_mode": args.df, **asdict(report)}
-    write_report(args.output, "select", payload, seed=_seed_from(args))
-    return 0
+    return "select", payload
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args, seed) -> tuple:
     cfg = PRESETS[args.preset]
-    overrides = {"seed": _seed_from(args)}
+    overrides = {"seed": seed}
     if args.reps is not None:
         overrides["reps"] = args.reps
     cfg = replace(cfg, **overrides)
@@ -167,13 +161,10 @@ def cmd_simulate(args) -> int:
         }
     if args.table_out:
         write_matrix_csv(args.table_out, np.column_stack(list(table.values())))
-    write_report(args.output, f"simulate_{args.study}", payload, seed=cfg.seed)
-    return 0
+    return f"simulate_{args.study}", payload
 
 
-def cmd_eval(args) -> int:
-    x, y = _load_xy(args)
-    seed = _seed_from(args)
+def cmd_eval(args, seed, x, y) -> tuple:
     criteria = {}
     for kind in args.criterion:
         for mode in args.df:
@@ -186,8 +177,7 @@ def cmd_eval(args) -> int:
         seed=seed,
         jobs=args.jobs,
     )
-    write_report(args.output, "eval", report.to_payload(), seed=seed)
-    return 0
+    return "eval", report.to_payload()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -202,7 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("fit", help="fit a reduced-rank or shrinkage estimator")
     _add_data_flags(sp)
     _add_rule_flags(sp)
-    sp.add_argument("--output", required=True, help="JSON report path")
     sp.add_argument("--coef-out", help="optional CSV path for the coefficient matrix")
     sp.set_defaults(func=cmd_fit)
 
@@ -215,7 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--tau", type=float, help="perturbation size (default 0.1*sigma_hat)")
     sp.add_argument("--reps", type=int, default=100,
                     help="replications / perturbations for stochastic methods")
-    sp.add_argument("--output", required=True)
     sp.set_defaults(func=cmd_dof)
 
     sp = sub.add_parser("select", help="select a rank by Cp, GCV, or BIC")
@@ -223,14 +211,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--criterion", required=True, choices=["gcv", "cp", "bic"])
     sp.add_argument("--df", default="exact", choices=["exact", "naive"])
     sp.add_argument("--sigma2", type=float, help="error variance (required for cp)")
-    sp.add_argument("--output", required=True)
     sp.set_defaults(func=cmd_select)
 
     sp = sub.add_parser("simulate", help="run a named simulation study")
     sp.add_argument("--preset", required=True, choices=sorted(PRESETS))
     sp.add_argument("--study", default="dof", choices=["dof", "pred"])
     sp.add_argument("--reps", type=int, help="override the preset replication count")
-    sp.add_argument("--output", required=True)
     sp.add_argument("--table-out", help="optional flat CSV of the plotting data")
     sp.set_defaults(func=cmd_simulate)
 
@@ -243,20 +229,30 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--splits", type=int, default=100)
     sp.add_argument("--split-fraction", type=float, default=0.5)
     sp.add_argument("--jobs", type=int, default=1, help="1 or 2 threads; with 2, a helper thread takes the second half of the stacks of splits")
-    sp.add_argument("--output", required=True)
     sp.set_defaults(func=cmd_eval)
 
+    for sp in sub.choices.values():  # the report that `main` writes, last
+        sp.add_argument("--output", required=True, help="JSON report path")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except RrdofError as exc:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse printed the help (0) or a usage message (2)
+        return exc.code
+    try:
+        seed = _seed_from(args)
+        data = []
+        if getattr(args, "x", None) is not None:  # a command with `_add_data_flags`: read --x and --y once
+            flags = {"header": args.header, "log_transform": args.log, "standardize": args.standardize}
+            data = [ingest_csv(args.x, **flags), ingest_csv(args.y, **flags)]
+        kind, payload = args.func(args, seed, *data)
+        write_report(args.output, kind, payload, seed=seed)  # last: every other output is written
+    except (RrdofError, OSError) as exc:  # OSError: an unreadable input or an unwritable output path
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -388,7 +388,7 @@ def _h_space_cov(h: np.ndarray, w: np.ndarray, rng: np.random.Generator, m: int,
     count += count % 2 if count > 1 else 0  # an even count of near-equal stacks: as many draws on each thread
     stacks = [(m * i // count, m * (i + 1) // count) for i in range(count)]
     ab = np.empty((2, m, min(h.shape)) if rule is None else (2, m))
-    fit_sums = np.zeros((0 if rule is None else count, *h.shape))
+    fit_sums = {}  # by (lo, hi): with one draw a stack and m odd, an empty (0, 0) stack shares its start
 
     def moments(lo, hi):
         f = _svd(h + g[lo:hi])
@@ -398,10 +398,10 @@ def _h_space_cov(h: np.ndarray, w: np.ndarray, rng: np.random.Generator, m: int,
         s = _weights(rule, f.d)[0]
         ab[:, lo:hi] = np.sum(s * _sv_terms(f, g[lo:hi]), axis=-1), np.sum(s * _sv_terms(f, g_bar), axis=-1)
         fits = np.multiply(f.left, (s * f.d)[..., None, :], out=f.left) @ f.right.swapaxes(-1, -2)
-        fit_sums[stacks.index((lo, hi))] = fits.sum(axis=0)  # in draw order
+        fit_sums[lo, hi] = fits.sum(axis=0)  # in draw order
 
     _two_threads(moments, stacks)
-    c = None if rule is None else g.reshape(m, -1) @ (fit_sums.sum(axis=0) / m).ravel()  # <mean F, G_t>
+    c = None if rule is None else g.reshape(m, -1) @ (sum(fit_sums[k] for k in stacks) / m).ravel()  # <mean F, G_t>
     return _cov_df(ab[0], ab[1], c, scale)
 
 

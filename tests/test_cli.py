@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from rrdof import cli
 from rrdof.cli import _sigma_hat, main
 from rrdof.dof import _cov_df, _substream
 from rrdof.estimators import adaptive, fit_ols, fit_shrunk, hard, soft
@@ -214,13 +215,74 @@ class TestDof:
 ], ids=["fit", "dof"])
 def test_two_rule_flags_are_an_error(data_paths, capsys, argv):
     # one rule per fit: argparse rejects a second rule flag before any work
-    xp, yp, tmp = data_paths
-    out = tmp / "r.json"
-    with pytest.raises(SystemExit) as exc:
-        main([argv[0], "--x", xp, "--y", yp, *argv[1:], "--output", str(out)])
-    assert exc.value.code == 2
-    assert "not allowed with" in capsys.readouterr().err
-    assert not out.exists()
+    assert "not allowed with" in rejected(data_paths, capsys, argv)
+
+
+class TestOneExit:
+    """`main(argv)` returns every exit status, writes the report last and
+    writes nothing when it returns 2."""
+
+    @staticmethod
+    def written(tmp):
+        return sorted(p.name for p in tmp.iterdir()) != ["x.csv", "y.csv"]
+
+    @pytest.mark.parametrize("argv", [["--help"], ["fit", "--help"]], ids=["top", "fit"])
+    def test_help_returns_zero(self, data_paths, capsys, monkeypatch, argv):
+        monkeypatch.chdir(data_paths[2])
+        assert main(argv) == 0
+        assert "usage: rrdof" in capsys.readouterr().out
+        assert not self.written(data_paths[2])
+
+    @pytest.mark.parametrize("argv", [
+        ["bogus"], [], ["fit", "--rank", "2"], ["dof", "--method", "bogus", "--output", "r.json"],
+    ], ids=["unknown-command", "no-command", "no-output", "bad-method"])
+    def test_usage_error_returns_two(self, data_paths, capsys, monkeypatch, argv):
+        xp, yp, tmp = data_paths
+        monkeypatch.chdir(tmp)
+        data = ["--x", xp, "--y", yp] if argv and argv[0] in ("fit", "dof") else []
+        assert main([*argv[:1], *data, *argv[1:]]) == 2
+        assert "usage: rrdof" in capsys.readouterr().err
+        assert not self.written(tmp)
+
+    def test_one_report_per_command(self, data_paths, monkeypatch):
+        xp, yp, tmp = data_paths
+        kinds = []
+        monkeypatch.setattr(cli, "write_report", lambda path, kind, *a, **k: kinds.append(kind))
+        data = ["--x", xp, "--y", yp]
+        for argv in (["fit", *data], ["dof", *data, "--method", "exact", "--rank", "2"],
+                     ["select", *data, "--criterion", "gcv"],
+                     ["simulate", "--preset", "setting1_desk", "--reps", "3"],
+                     ["simulate", "--preset", "ld", "--study", "pred", "--reps", "3"],
+                     ["eval", *data, "--splits", "2"]):
+            assert main([*argv, "--output", str(tmp / "r.json")]) == 0
+        assert kinds == ["fit", "dof", "select", "simulate_dof", "simulate_pred", "eval"]
+
+
+class TestFileErrors:
+    """A file that cannot be read or written is one `error:` line naming the
+    path, status 2 and no report (once a FileNotFoundError traceback)."""
+
+    @staticmethod
+    def check(capsys, argv, path, report):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(path) in err
+        assert not report.exists()
+
+    def test_missing_input(self, data_paths, capsys):
+        xp, yp, tmp = data_paths
+        missing, out = tmp / "missing.csv", tmp / "r.json"
+        self.check(capsys, ["fit", "--x", str(missing), "--y", yp, "--output", str(out)], missing, out)
+
+    def test_unwritable_report(self, data_paths, capsys):
+        xp, yp, tmp = data_paths
+        out = tmp / "nodir" / "r.json"
+        self.check(capsys, ["fit", "--x", xp, "--y", yp, "--output", str(out)], out, out)
+
+    def test_unwritable_coefficients_leave_no_report(self, data_paths, capsys):
+        xp, yp, tmp = data_paths
+        coef, out = tmp / "nodir" / "b.csv", tmp / "r.json"
+        self.check(capsys, ["fit", "--x", xp, "--y", yp, "--output", str(out), "--coef-out", str(coef)], coef, out)
 
 
 class TestFitRankPolicy:

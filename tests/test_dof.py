@@ -694,6 +694,44 @@ class TestStochasticEstimators:
             tracemalloc.stop()
         assert peak < 8e6
 
+    def test_peak_memory_of_a_tall_design(self):
+        # n = 4000 and r_x = q = 4: one draw D is 128 KB, 32 times its G =
+        # W'D. The draws come in chunks of at most SHARED_STACK_BYTES, not a
+        # whole stack of H at a time (H stacks of 1024 draws: 25.6 MB of D
+        # here at 200 draws).
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((4000, 4))
+        ls = fit_ols(x, x @ rng.standard_normal((4, 4)) + rng.standard_normal((4000, 4)))
+        for oracle in (lambda: mc_df(ls, hard(2), 1.0, reps=200, seed=0),
+                       lambda: perturbation_df(ls, soft(1.0), n_pert=200, tau=0.1, seed=0)):
+            tracemalloc.start()
+            try:
+                oracle()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1e6
+
+    @pytest.mark.parametrize("reps", [3, 5, 7])
+    @pytest.mark.parametrize("rule", [soft(1.0), adaptive(1.0)], ids=["soft", "adaptive"])
+    def test_one_draw_per_stack_with_an_odd_count(self, reps, rule, monkeypatch):
+        # One draw a stack and an odd count: the stacks are made even by an
+        # empty (0, 0) stack beside (0, 1). Each stack's fit sum enters c_t
+        # once, so the value and std_error are those of one stack of all draws.
+        from rrdof import dof
+
+        rng = np.random.default_rng(50)
+        ls = fit_ols(rng.standard_normal((10, 3)), rng.standard_normal((10, 4)))
+
+        def both():
+            return [mc_df(ls, rule, 1.0, reps=reps, seed=2), perturbation_df(ls, rule, n_pert=reps, tau=0.3, seed=2)]
+
+        default = both()
+        monkeypatch.setattr(dof, "SHARED_STACK_BYTES", ls.hf.h.nbytes)
+        for one, whole in zip(both(), default):
+            assert one.value == pytest.approx(whole.value, rel=1e-13)
+            assert one.std_error == pytest.approx(whole.std_error, rel=1e-12)
+
     def test_seed_reproducibility(self):
         rng = np.random.default_rng(43)
         x = rng.standard_normal((6, 2))
