@@ -280,7 +280,8 @@ def _apply_rule(h: np.ndarray, rule: ShrinkageRule) -> np.ndarray:
 FD_STEP = 1e-6
 
 #: Bytes of one stack of copies of H (`divergence_fd`), draws or H + G_t (the
-#: H-space engine): 11 copies of a 39x36 H. Larger stacks only hold more memory.
+#: H-space engine): at most 11 copies of a 39x36 H. `_two_threads` cuts the
+#: stacks of H near-equal. Larger stacks only hold more memory.
 SHARED_STACK_BYTES = 1 << 17
 
 
@@ -295,17 +296,15 @@ def _refuse_pair(rule) -> None:
 def divergence_fd(h, rule: ShrinkageRule) -> DofEstimate:
     """Central finite-difference estimate of the divergence of the shrunk
     matrix; H is validated once, not per perturbed copy. The copies with
-    entry (i, j) moved by +-FD_STEP are fitted in stacks of up to
-    `SHARED_STACK_BYTES`, each fit in full and read at (i, j); the calling
-    thread fits the first half of the stacks and one helper thread the second
-    half (`linalg._two_threads`, which raises the first error of either). The
-    quotients are summed in (i, j) order after both threads finish: the value
-    of a loop over single copies, bit for bit. Each copy needs the weights at
-    its own spectrum, so a (weights, derivatives) pair is refused (`_refuse_pair`)."""
+    entry (i, j) moved by +-FD_STEP are fitted in near-equal stacks of up to
+    `SHARED_STACK_BYTES` on `linalg._two_threads`, each fit in full and read
+    at (i, j). The quotients are summed in (i, j) order after both threads
+    finish: the value of a loop over single copies, bit for bit. Each copy
+    needs the weights at its own spectrum, so a (weights, derivatives) pair
+    is refused (`_refuse_pair`)."""
     _refuse_pair(rule)
     h = _tall(as_matrix(h))
     fits = np.empty(2 * h.size)
-    per_stack = max(1, SHARED_STACK_BYTES // h.nbytes)
 
     def fit_stack(lo, hi):
         ids = np.arange(lo, hi)  # copy 2e moves entry e up, 2e + 1 down
@@ -314,8 +313,7 @@ def divergence_fd(h, rule: ShrinkageRule) -> DofEstimate:
         copies[entry] = h[entry[1:]] + np.where(ids % 2, -FD_STEP, FD_STEP)
         fits[lo:hi] = _apply_rule(copies, rule)[entry]
 
-    # an error leaves stacks of `fits` unfilled, and never reaches the sum
-    _two_threads(fit_stack, [(lo, min(lo + per_stack, fits.size)) for lo in range(0, fits.size, per_stack)])
+    _two_threads(fit_stack, fits.size, SHARED_STACK_BYTES // h.nbytes)  # an error never reaches the sum
     total = 0.0
     for quotient in ((fits[0::2] - fits[1::2]) / (2.0 * FD_STEP)).tolist():
         total += quotient  # one at a time, not pairwise as np.sum: the per-copy loop's bits
@@ -375,20 +373,17 @@ def _h_space_cov(h: np.ndarray, w: np.ndarray, rng: np.random.Generator, m: int,
     """`_cov_df` of the fits f(H + G_t) against G_t = W'(sd Z_t), for m standard
     normal (n, q) draws Z_t from `rng`, in order, drawn in chunks of at most
     `SHARED_STACK_BYTES`: every hard rank's values and no error with `rule`
-    None, else the rule's at each draw's spectrum. `_svd` factors stacks of
-    that budget on `_two_threads`; the stacks' fit sums for c_t are added in
-    stack order after the join: no bit depends on threads."""
+    None, else the rule's at each draw's spectrum. `_svd` factors near-equal
+    stacks of that budget on `_two_threads`; the stacks' fit sums for c_t are
+    added in stack order after the join: no bit depends on threads."""
     g = np.empty((m, *h.shape))
     per_chunk = max(1, SHARED_STACK_BYTES // (8 * w.shape[0] * h.shape[1]))
     for lo in range(0, m, per_chunk):
         draws = rng.standard_normal((min(per_chunk, m - lo), w.shape[0], h.shape[1]))
         g[lo:lo + len(draws)] = w.T @ np.multiply(draws, sd, out=draws)
     g_bar = g.mean(axis=0)
-    count = -(-m // max(1, SHARED_STACK_BYTES // h.nbytes))
-    count += count % 2 if count > 1 else 0  # an even count of near-equal stacks: as many draws on each thread
-    stacks = [(m * i // count, m * (i + 1) // count) for i in range(count)]
     ab = np.empty((2, m, min(h.shape)) if rule is None else (2, m))
-    fit_sums = {}  # by (lo, hi): with one draw a stack and m odd, an empty (0, 0) stack shares its start
+    fit_sums = {}  # by stack start, added in stack order for c_t = <mean F, G_t>
 
     def moments(lo, hi):
         f = _svd(h + g[lo:hi])
@@ -398,10 +393,10 @@ def _h_space_cov(h: np.ndarray, w: np.ndarray, rng: np.random.Generator, m: int,
         s = _weights(rule, f.d)[0]
         ab[:, lo:hi] = np.sum(s * _sv_terms(f, g[lo:hi]), axis=-1), np.sum(s * _sv_terms(f, g_bar), axis=-1)
         fits = np.multiply(f.left, (s * f.d)[..., None, :], out=f.left) @ f.right.swapaxes(-1, -2)
-        fit_sums[lo, hi] = fits.sum(axis=0)  # in draw order
+        fit_sums[lo] = fits.sum(axis=0)  # in draw order
 
-    _two_threads(moments, stacks)
-    c = None if rule is None else g.reshape(m, -1) @ (sum(fit_sums[k] for k in stacks) / m).ravel()  # <mean F, G_t>
+    _two_threads(moments, m, SHARED_STACK_BYTES // h.nbytes)
+    c = None if rule is None else g.reshape(m, -1) @ (sum(fit_sums[k] for k in sorted(fit_sums)) / m).ravel()
     return _cov_df(ab[0], ab[1], c, scale)
 
 

@@ -4,8 +4,8 @@ Thin SVD with a deterministic sign convention, eigenfactorization of the Gram
 matrix X'X, and construction of the H matrix H = S^{-1} Q' X' Y that carries
 all degrees-of-freedom information: H shares its singular values and right
 singular vectors with the least-squares fit X (X'X)^+ X' Y. `_two_threads`
-splits stacks between the calling thread and one helper; it is the one place
-rrdof starts a thread.
+cuts work into near-equal stacks and runs them on the caller and at most one
+helper: the one place rrdof plans stacks or starts a thread.
 """
 
 from __future__ import annotations
@@ -101,17 +101,20 @@ def _svd(m: np.ndarray) -> SvdFactors:
     return SvdFactors(left=u, d=d, right=vt.swapaxes(-1, -2))
 
 
-def _two_threads(work, chunks) -> None:
-    """Run ``work(lo, hi)`` for every (lo, hi) of the list `chunks`: the
-    calling thread the first half (the larger one), in order, and one helper
-    thread the rest, under the caller's `np.errstate`, passed to it
-    explicitly (a new thread may start from numpy's default error state).
-    numpy's stacked SVD and products release the GIL, so the two run at once.
-    Callers: `divergence_fd`, `dof._h_space_cov` (the covariance oracles
-    and `run_dof_study`) and `eval_splits(jobs=2)`.
-    Each thread stops at its next chunk once either has failed; the first
-    error is raised after the helper has been joined, so no chunk is being
-    written when the caller sees it. With one chunk no thread is started."""
+def _two_threads(work, m, per_stack, threads=2) -> None:
+    """Run ``work(lo, hi)`` on the near-equal, non-empty stacks cutting
+    [0, m) into ceil(m / max(1, per_stack)) pieces, one more when threads=2
+    and that count is odd and neither 1 nor m: then the calling thread runs
+    the first half in order (the larger one, for an odd count) and one helper
+    the rest, under the caller's `np.errstate`, passed to it explicitly (a new
+    thread may start from numpy's default error state). numpy's stacked SVD
+    and products release the GIL, so the two run at once. With threads=1, or
+    one stack, everything runs on the caller. Each thread stops at its next
+    stack once either has failed; the first error is raised after the join."""
+    count = -(-m // max(1, per_stack))
+    if threads == 2 and count % 2 and 1 < count < m:
+        count += 1  # an even count of near-equal stacks: as many items on each thread
+    stacks = [(m * i // count, m * (i + 1) // count) for i in range(count)]
     errors = []
 
     def run(part):
@@ -127,13 +130,13 @@ def _two_threads(work, chunks) -> None:
         with np.errstate(**errstate):
             run(part)
 
-    half = (len(chunks) + 1) // 2
-    if half == len(chunks):  # a single chunk
-        run(chunks)
+    half = (count + 1) // 2 if threads == 2 else count
+    if half == count:  # one thread
+        run(stacks)
     else:
-        thread = threading.Thread(target=helper, args=(chunks[half:], np.geterr()))
+        thread = threading.Thread(target=helper, args=(stacks[half:], np.geterr()))
         thread.start()
-        run(chunks[:half])
+        run(stacks[:half])
         thread.join()
     if errors:
         raise errors[0]

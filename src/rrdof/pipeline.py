@@ -207,8 +207,8 @@ def eval_splits(
     differ in rank) scores every criterion of every split, and the chosen and
     OLS ranks read their MSPE from the path. A stack or selection call that
     raises an rrdof error runs again one split at a time, recording each
-    failing split's error. jobs=2 fits the second half of the stacks on one
-    helper (`linalg._two_threads`)."""
+    failing split's error. `linalg._two_threads` plans the near-equal stacks
+    and, with jobs=2, fits the second half of them on one helper."""
     x, y = as_matrix(x), as_matrix(y)
     if not x.any():
         raise DegenerateDesignError("design matrix has no nonzero column")
@@ -225,8 +225,6 @@ def eval_splits(
     if not 0 < n_train < n:
         raise DomainError("split_fraction leaves an empty train or test set")
 
-    per_stack = max(1, STACK_BYTES // (x.nbytes + y.nbytes))
-    stacks = [(t, min(t + per_stack, n_splits)) for t in range(0, n_splits, per_stack)]
     d, path = np.empty((2, n_splits, min(n_train, p, q)))  # spectra and held-out paths, r_bar columns used
     rss, r_x = np.empty(n_splits), np.zeros(n_splits, dtype=int)  # r_x stays 0 where a fit fails
     failed: dict[int, str] = {}
@@ -241,11 +239,7 @@ def eval_splits(
     def run(lo, hi):
         _by_splits(eval_stack, range(lo, hi), failed)
 
-    if jobs == 2:
-        _two_threads(run, stacks)
-    else:
-        for lo, hi in stacks:
-            run(lo, hi)
+    _two_threads(run, n_splits, STACK_BYTES // (x.nbytes + y.nbytes), threads=jobs)
 
     names = list(criteria)
     ranks = np.empty((n_splits, len(names)), dtype=int)

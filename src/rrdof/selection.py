@@ -95,14 +95,17 @@ def select_ranks(d, rss, r_x: int, n: int, q: int,
     and rss (``ls.rss``). A stack (..., r_bar) of spectra with one rss each
     gives one chosen rank per fit, each its own call's bit for bit. The rss
     path and each df mode's path are built once, when first needed, and shared
-    by the reports. Criteria are scored in order, so the first one that fails
-    raises, as does one that saturates every candidate of any one fit.
-    Saturated candidates (df >= n*q, or rss = 0 under BIC) score +inf; ties
-    break toward the smaller rank."""
-    d, r_bar = np.asarray(d, dtype=float), min(r_x, q)
-    if d.shape[-1:] != (r_bar,) or np.shape(rss) != d.shape[:-1]:
+    by the reports. A NaN, infinite or negative rss or value, or a rising
+    spectrum, raises DomainError in either df mode. Criteria are scored in
+    order, so the first one that fails raises, as does one that saturates
+    every candidate of any one fit. Saturated candidates (df >= n*q, or
+    rss = 0 under BIC) score +inf; ties break toward the smaller rank."""
+    d, rss, r_bar = np.asarray(d, dtype=float), np.asarray(rss, dtype=float), min(r_x, q)
+    if d.shape[-1:] != (r_bar,) or rss.shape != d.shape[:-1]:
         raise DomainError(f"expected {r_bar} singular values and one rss per fit, "
-                          f"got shapes {d.shape} and {np.shape(rss)}")
+                          f"got shapes {d.shape} and {rss.shape}")
+    if not (np.all((rss >= 0) & (rss < np.inf)) and np.all((d >= 0) & (d < np.inf)) and np.all(np.diff(d) <= 0)):
+        raise DomainError("rss and singular values must be finite and nonnegative, the values nonincreasing")
     candidates = list(range(1, r_bar + 1))
     rss = rss_path(d, rss, candidates)
     paths: dict[str, np.ndarray] = {}

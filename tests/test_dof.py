@@ -363,9 +363,9 @@ class TestDivergences:
     @pytest.mark.parametrize("one_copy", [False, True], ids=["budget", "one-copy"])
     @pytest.mark.parametrize("shape", [(14, 13), (13, 14)], ids=["tall", "wide"])
     def test_fd_stacks_equal_the_per_copy_loop(self, shape, one_copy, monkeypatch):
-        # 2 * 14 * 13 = 364 copies: four stacks of 90 and one of 4 under the
-        # budget; one copy per stack is the loop over single copies. The two
-        # threads fit the first and the second half of the stacks.
+        # 2 * 14 * 13 = 364 copies: six stacks of 60 or 61 under the budget;
+        # one copy per stack is the loop over single copies. The two threads
+        # fit the first and the second half of the stacks.
         from rrdof import dof
 
         h = np.random.default_rng(48).standard_normal(shape)
@@ -376,6 +376,9 @@ class TestDivergences:
 
     @pytest.mark.parametrize("shape", [(14, 13), (13, 14), (39, 36)])
     def test_fd_factors_one_stack_per_budget(self, shape, monkeypatch):
+        # near-equal stacks of at most one budget, an even count of them: 364
+        # copies of a 14x13 H in 6 stacks of 60 or 61 (90 fit the budget),
+        # 2808 of the 39x36 fixture H in 256 stacks of 10 or 11 (11 fit)
         from rrdof import dof
 
         stacks = []
@@ -387,11 +390,12 @@ class TestDivergences:
 
         monkeypatch.setattr(dof, "_svd", counting)
         h = np.random.default_rng(49).standard_normal(shape)
-        per_stack = dof.SHARED_STACK_BYTES // h.nbytes
-        full, rest = divmod(2 * h.size, per_stack)
+        count, rest = {(14, 13): (6, 4), (13, 14): (6, 4), (39, 36): (256, 248)}[shape]
         dof.divergence_fd(h, soft(0.6))
         # two threads record their stacks in either order
-        assert sorted(stacks) == ([rest] if rest else []) + [per_stack] * full
+        size = 2 * h.size // count
+        assert sorted(stacks) == [size] * (count - rest) + [size + 1] * rest
+        assert max(stacks) <= dof.SHARED_STACK_BYTES // h.nbytes
 
     @staticmethod
     def _stack_spy(monkeypatch, on_stack):
@@ -408,8 +412,8 @@ class TestDivergences:
 
     @pytest.mark.parametrize("raiser", ["helper", "caller"])
     def test_fd_error_in_either_thread_reaches_the_caller(self, raiser, monkeypatch):
-        # Five stacks: the caller fits the first three and the helper the
-        # last two; either one failing fails the call (`_two_threads` has
+        # Six stacks: the caller fits the first three and the helper the
+        # last three; either one failing fails the call (`_two_threads` has
         # the thread-level checks).
         class Boom(Exception):
             pass
@@ -423,7 +427,7 @@ class TestDivergences:
             divergence_fd(np.random.default_rng(51).standard_normal((14, 13)), soft(0.6))
 
     def test_fd_helper_runs_under_the_callers_errstate(self, monkeypatch):
-        # Five stacks: the caller and one helper fit them, and numpy's error
+        # Six stacks: the caller and one helper fit them, and numpy's error
         # state is the caller's in both.
         seen = []
         self._stack_spy(monkeypatch, lambda copies: seen.append((threading.current_thread(), np.geterr())))
@@ -715,9 +719,10 @@ class TestStochasticEstimators:
     @pytest.mark.parametrize("reps", [3, 5, 7])
     @pytest.mark.parametrize("rule", [soft(1.0), adaptive(1.0)], ids=["soft", "adaptive"])
     def test_one_draw_per_stack_with_an_odd_count(self, reps, rule, monkeypatch):
-        # One draw a stack and an odd count: the stacks are made even by an
-        # empty (0, 0) stack beside (0, 1). Each stack's fit sum enters c_t
-        # once, so the value and std_error are those of one stack of all draws.
+        # One draw a stack and an odd count: `_two_threads` keeps the count
+        # at reps, as no stack may be empty, and the caller factors one more
+        # stack than the helper. Each stack's fit sum enters c_t once, so the
+        # value and std_error are those of one stack of all draws.
         from rrdof import dof
 
         rng = np.random.default_rng(50)
@@ -728,9 +733,12 @@ class TestStochasticEstimators:
 
         default = both()
         monkeypatch.setattr(dof, "SHARED_STACK_BYTES", ls.hf.h.nbytes)
+        stacks, original = [], dof._svd
+        monkeypatch.setattr(dof, "_svd", lambda m: stacks.append(len(m)) or original(m))
         for one, whole in zip(both(), default):
             assert one.value == pytest.approx(whole.value, rel=1e-13)
             assert one.std_error == pytest.approx(whole.std_error, rel=1e-12)
+        assert stacks == [1] * (2 * reps)  # m non-empty stacks per call, for both calls
 
     def test_seed_reproducibility(self):
         rng = np.random.default_rng(43)

@@ -182,29 +182,34 @@ def _on_caller():
 
 @pytest.mark.parametrize("n_chunks", [1, 2, 5])
 def test_two_threads_runs_each_half_on_one_thread(n_chunks):
-    # the caller takes the first (larger) half in order, the helper the rest
+    # one item a stack: the caller takes the first (larger) half in order,
+    # the helper the rest; with threads=1 the caller takes every stack
     chunks = [(k, k + 1) for k in range(n_chunks)]
-    seen = []
-    _two_threads(lambda lo, hi: seen.append((_on_caller(), (lo, hi))), chunks)
-    half = (n_chunks + 1) // 2
-    assert [c for on_caller, c in seen if on_caller] == chunks[:half]
-    assert [c for on_caller, c in seen if not on_caller] == chunks[half:]
+    for threads, half in ((2, (n_chunks + 1) // 2), (1, n_chunks)):
+        seen = []
+        _two_threads(lambda lo, hi: seen.append((_on_caller(), (lo, hi))), n_chunks, 1, threads=threads)
+        assert [c for on_caller, c in seen if on_caller] == chunks[:half]
+        assert [c for on_caller, c in seen if not on_caller] == chunks[half:]
 
 
 def test_two_threads_starts_no_thread_for_one_chunk(monkeypatch):
+    # nor for any number of stacks under threads=1
     def no_thread(*args, **kwargs):
         raise AssertionError("a thread was started")
 
     monkeypatch.setattr(threading, "Thread", no_thread)
     seen = []
-    _two_threads(lambda lo, hi: seen.append((lo, hi)), [(0, 3)])
+    _two_threads(lambda lo, hi: seen.append((lo, hi)), 3, 3)
     assert seen == [(0, 3)]
+    seen.clear()
+    _two_threads(lambda lo, hi: seen.append((lo, hi)), 7, 2, threads=1)
+    assert seen == [(0, 1), (1, 3), (3, 5), (5, 7)]
 
 
 @pytest.mark.parametrize("raiser", ["helper", "caller"])
 def test_two_threads_error_in_either_thread_reaches_the_caller(raiser):
-    # The raising thread fails on its first chunk once the other thread has
-    # begun its own. The other thread finishes that chunk only after the
+    # The raising thread fails on its first stack once the other thread has
+    # begun its own. The other thread finishes that stack only after the
     # failure and then starts no other; the caller raises the error once the
     # helper has been joined.
     class Boom(Exception):
@@ -224,8 +229,8 @@ def test_two_threads_error_in_either_thread_reaches_the_caller(raiser):
 
     before = threading.active_count()
     with pytest.raises(Boom, match=raiser):
-        _two_threads(work, [(0, 1), (1, 2), (2, 3), (3, 4)])
-    assert sorted(ran) == [0, 2]
+        _two_threads(work, 8, 2)  # stacks (0, 2), (2, 4) on the caller, (4, 6), (6, 8) on the helper
+    assert sorted(ran) == [0, 4]
     assert threading.active_count() == before
 
 
@@ -234,24 +239,24 @@ def test_two_threads_runs_both_threads_under_the_callers_errstate():
     seen = []
     with np.errstate(divide="ignore", over="raise", under="warn", invalid="raise"):
         caller = np.geterr()
-        _two_threads(lambda lo, hi: seen.append((_on_caller(), np.geterr())), [(0, 1), (1, 2)])
+        _two_threads(lambda lo, hi: seen.append((_on_caller(), np.geterr())), 2, 1)
     assert sorted(on_caller for on_caller, _ in seen) == [False, True]
     assert all(modes == caller for _, modes in seen)
 
 
 def test_two_threads_writes_every_slot_once_under_frequent_switches():
-    # the chunks are disjoint: no slot is written twice or skipped however
-    # often the interpreter switches threads
+    # the stacks are disjoint and cover [0, m): no slot is written twice or
+    # skipped however often the interpreter switches threads
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(50):
-            out = np.zeros(64)
+            out = np.zeros(63)
 
             def work(lo, hi):
                 out[lo:hi] += 1
 
-            _two_threads(work, [(lo, lo + 4) for lo in range(0, 64, 4)])
+            _two_threads(work, out.size, 4)  # 16 stacks of 3 or 4
             assert np.all(out == 1)
     finally:
         sys.setswitchinterval(interval)

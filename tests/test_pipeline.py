@@ -464,9 +464,10 @@ class TestOneRankPathPerSplit:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_any_rrdof_error_in_a_fit_is_recorded_per_split(self, monkeypatch, jobs):
-        # splits 0-3 fail as one stack, then run one at a time; split 4 is a stack of one
+        # two near-equal stacks, 0-1 and 2-4: splits 2-4 fail as one stack,
+        # then run one at a time
         calls = self.check_split_2_fails(monkeypatch, "fit_ols", jobs)
-        assert sorted(calls) == [[0], [0, 1, 2, 3], [1], [2], [3], [4]]
+        assert sorted(calls) == [[0, 1], [2], [2, 3, 4], [3], [4]]
 
     @staticmethod
     def check_failures_stay_in_split_order(monkeypatch, target, jobs, hook=None):

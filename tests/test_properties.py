@@ -22,7 +22,7 @@ from rrdof.dof import (
 )
 from rrdof.estimators import adaptive, coef_matrix, fit_ols, fit_shrunk, hard, hard_rows, soft, validate_weights
 from rrdof.exceptions import SaturationError
-from rrdof.linalg import thin_svd
+from rrdof.linalg import _two_threads, thin_svd
 from rrdof.pipeline import _mspe_path
 from rrdof.selection import Criterion, _scores, lambda_grid, select_rank, select_ranks
 from test_selection import assert_scores_match
@@ -552,3 +552,20 @@ def test_held_out_mspe_path_is_a_direct_residual(seed, design, snr):
             for r in range(1, ls.r_bar + 1)]
     assert got.shape == (ls.r_bar,) and np.all(got >= 0)
     np.testing.assert_allclose(got, np.array(want, dtype=float), rtol=1e-5, atol=0)
+
+
+@settings(deadline=None, max_examples=300)
+@given(m=st.integers(1, 200), per_stack=st.integers(0, 20), threads=st.sampled_from([1, 2]))
+def test_two_threads_plans_near_equal_non_empty_stacks(m, per_stack, threads):
+    # The stacks partition [0, m) in order, none is empty and none holds more
+    # than max(1, per_stack) items. Their count is ceil(m / max(1, per_stack)),
+    # plus one under two threads when that count is odd and neither 1 nor m.
+    seen = []
+    _two_threads(lambda lo, hi: seen.append((lo, hi)), m, per_stack, threads=threads)
+    stacks = sorted(seen)
+    assert threads == 2 or seen == stacks  # one thread runs them in order
+    assert [lo for lo, _ in stacks] == [0] + [hi for _, hi in stacks[:-1]] and stacks[-1][1] == m
+    sizes = [hi - lo for lo, hi in stacks]
+    assert min(sizes) >= 1 and max(sizes) <= max(1, per_stack) and max(sizes) - min(sizes) <= 1
+    count = -(-m // max(1, per_stack))
+    assert len(stacks) == count + (threads == 2 and count % 2 == 1 and 1 < count < m)

@@ -162,6 +162,28 @@ class TestSufficientStatistics:
         np.testing.assert_equal(asdict(select_ranks(ls.d, ls.rss, 5, 20, 4, crit)["gcv"]),
                                 asdict(select_rank(ls, crit["gcv"])))
 
+    @pytest.mark.parametrize("mode", ["exact", "naive"])
+    @pytest.mark.parametrize("d, rss", [
+        ([3.0, 2.0, 1.0], math.nan), ([3.0, 2.0, 1.0], math.inf), ([3.0, 2.0, 1.0], -5.0),
+        ([3.0, math.nan, 1.0], 4.0), ([math.inf, 2.0, 1.0], 4.0), ([3.0, 2.0, -1.0], 4.0), ([1.0, 2.0, 3.0], 4.0),
+    ], ids=["rss_nan", "rss_inf", "rss_negative", "d_nan", "d_inf", "d_negative", "d_increasing"])
+    def test_bad_statistics_raise_in_both_df_modes(self, d, rss, mode):
+        # Before this check an rss of NaN gave all-NaN scores and rank 1, an
+        # rss of -5 rank 3, and naive GCV picked rank 1 on [3, NaN, 1] and
+        # rank 3 on [1, 2, 3], all silently. A stack fails on one bad fit.
+        for kind in ("cp", "gcv", "bic"):
+            crit = {"c": Criterion(kind, mode, 1.0 if kind == "cp" else None)}
+            with pytest.raises(DomainError, match="must be finite and nonnegative"):
+                select_ranks(d, rss, 3, 20, 3, crit)
+            with pytest.raises(DomainError, match="must be finite and nonnegative"):
+                select_ranks(np.stack([[3.0, 2.0, 1.0], d]), [4.0, rss], 3, 20, 3, crit)
+
+    def test_exact_ties_stay_legal_in_naive_mode(self):
+        naive = select_ranks([2.0, 2.0, 1.0], 4.0, 3, 20, 3, {"c": Criterion("gcv", "naive")})["c"]
+        assert naive.chosen == 3 and np.all(np.isfinite(naive.scores))
+        with pytest.raises(DomainError, match="strictly decreasing"):  # the exact df needs distinct values
+            select_ranks([2.0, 2.0, 1.0], 4.0, 3, 20, 3, {"c": Criterion("gcv")})
+
     def test_reports_hold_the_calls_arrays(self):
         # the rss path and each df mode's path are built once per call and
         # shared by its reports, one row per fit of a stack
