@@ -88,7 +88,9 @@ VANISH_TOL = 1e-12
 def _validate_spectrum(d, r_x: int, q: int) -> tuple[np.ndarray, np.ndarray]:
     """The spectrum as floats and the count of its leading non-vanished
     values, which must be strictly decreasing; vanished ones may follow. A
-    stack (..., r_bar) of spectra gives one count per spectrum."""
+    stack (..., r_bar) of spectra gives one count per spectrum. The error
+    names the first bad value, or the first pair out of order, and for a
+    stack the spectrum holding it."""
     d = np.atleast_1d(np.asarray(d, dtype=float))
     r_bar = min(r_x, q)
     if d.shape[-1] != r_bar:
@@ -97,11 +99,20 @@ def _validate_spectrum(d, r_x: int, q: int) -> tuple[np.ndarray, np.ndarray]:
     above = d > tol
     live = np.count_nonzero(above, axis=-1)
     in_tail = np.arange(r_bar) >= live[..., None]
-    bad = not ((d >= 0) & (d < np.inf)).all() or (above & in_tail).any()
-    if bad or ((d[..., 1:] >= d[..., :-1]) & ~in_tail[..., 1:]).any():
+    bad_value = ~((d >= 0) & (d < np.inf))
+    bad_pair = np.zeros(d.shape, dtype=bool)  # at j: d_j and d_{j+1} (1-based) are out of order
+    bad_pair[..., 1:] = (above & in_tail)[..., 1:] | ((d[..., 1:] >= d[..., :-1]) & ~in_tail[..., 1:])
+    if (bad_value | bad_pair).any():
+        at = tuple(int(i) for i in np.unravel_index(np.argmax(bad_value | bad_pair), d.shape))
+        j, spectrum = at[-1], at[:-1]
+        where = f"d_{j + 1} = {float(d[at])!r}"
+        if not bad_value[at]:
+            where = f"d_{j} = {float(d[(*spectrum, j - 1)])!r} and {where}"
+        if spectrum:
+            where = f"spectrum {spectrum[0] if len(spectrum) == 1 else spectrum}, {where}"
         raise DomainError(
             "singular values must be nonnegative and strictly decreasing "
-            f"down to a vanished tail (at most {VANISH_TOL:g} * max(d_1, 1))"
+            f"down to a vanished tail (at most {VANISH_TOL:g} * max(d_1, 1)): {where}"
         )
     return d, live
 

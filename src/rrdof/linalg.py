@@ -101,6 +101,10 @@ def _svd(m: np.ndarray) -> SvdFactors:
     return SvdFactors(left=u, d=d, right=vt.swapaxes(-1, -2))
 
 
+#: Whether this thread is running a stack of a `_two_threads` plan.
+_in_stack = threading.local()
+
+
 def _two_threads(work, m, per_stack, threads=2) -> None:
     """Run ``work(lo, hi)`` on the near-equal, non-empty stacks cutting
     [0, m) into ceil(m / max(1, per_stack)) pieces, one more when threads=2
@@ -109,8 +113,11 @@ def _two_threads(work, m, per_stack, threads=2) -> None:
     the rest, under the caller's `np.errstate`, passed to it explicitly (a new
     thread may start from numpy's default error state). numpy's stacked SVD
     and products release the GIL, so the two run at once. With threads=1, or
-    one stack, everything runs on the caller. Each thread stops at its next
-    stack once either has failed; the first error is raised after the join."""
+    one stack, everything runs on the caller. A plan started inside a stack
+    of another plan cuts the same stacks but runs them all in order on that
+    stack's thread: a process runs at most one helper per outermost plan.
+    Each thread stops at its next stack once either has failed; the first
+    error is raised after the join."""
     count = -(-m // max(1, per_stack))
     if threads == 2 and count % 2 and 1 < count < m:
         count += 1  # an even count of near-equal stacks: as many items on each thread
@@ -118,6 +125,8 @@ def _two_threads(work, m, per_stack, threads=2) -> None:
     errors = []
 
     def run(part):
+        outer = getattr(_in_stack, "on", False)
+        _in_stack.on = True
         try:
             for lo, hi in part:
                 if errors:
@@ -125,12 +134,14 @@ def _two_threads(work, m, per_stack, threads=2) -> None:
                 work(lo, hi)
         except BaseException as exc:  # re-raised by the caller once both threads stop
             errors.append(exc)
+        finally:
+            _in_stack.on = outer
 
     def helper(part, errstate):
         with np.errstate(**errstate):
             run(part)
 
-    half = (count + 1) // 2 if threads == 2 else count
+    half = (count + 1) // 2 if threads == 2 and not getattr(_in_stack, "on", False) else count
     if half == count:  # one thread
         run(stacks)
     else:
@@ -186,6 +197,11 @@ def gram_factors(x) -> GramFactors:
     return GramFactors(q_mat=q_mat, s=s, r_x=r_x, w=_basis(x, q_mat, s))
 
 
+def _h_matrix(x: np.ndarray, y: np.ndarray, gf: GramFactors) -> np.ndarray:
+    """H = S^{-1} Q' X' Y of validated x and y: the one place H is formed."""
+    return (gf.q_mat.swapaxes(-1, -2) @ (x.swapaxes(-1, -2) @ y)) / gf.s[..., :, None]
+
+
 def build_h(x, y, gf: GramFactors) -> HFactor:
     """Build H = S^{-1} Q' X' Y together with its thin SVD; of each pair of a
     stack, along the leading axes of x and y, or of one x against each y."""
@@ -194,6 +210,6 @@ def build_h(x, y, gf: GramFactors) -> HFactor:
     _check_rows(x, y)
     if gf.q_mat.shape[:-1] != x.shape[:-2] + x.shape[-1:]:
         raise ShapeError("gram factors do not match the design matrix")
-    h = (gf.q_mat.swapaxes(-1, -2) @ (x.swapaxes(-1, -2) @ y)) / gf.s[..., :, None]
+    h = _h_matrix(x, y, gf)
     return HFactor(h=h, svd=thin_svd(h))
 

@@ -18,7 +18,7 @@ from . import pipeline
 from .dof import DofEstimate, _cov_df, _h_space_cov, _rank_moments, _substream, exact_df_path, naive_df
 from .estimators import _checked_ints, _fit, coef_matrix, hard_rows
 from .exceptions import DomainError
-from .linalg import build_h, gram_factors, thin_svd
+from .linalg import _h_matrix, _two_threads, build_h, gram_factors, thin_svd
 from .selection import Criterion, select_ranks
 
 
@@ -131,18 +131,23 @@ def run_dof_study(cfg: SimConfig, n_pert: int = 50) -> DofStudyResult:
     """Replicate the df comparison: exact vs naive vs perturbation vs
     Monte-Carlo truth, per candidate rank.
 
-    The exact df comes from the spectrum of each replication's H,
-    ``build_h(x, y, gram)``. The covariances are taken in H space (see
-    `dof`), with the draws before the fits. Monte-Carlo truth takes its
-    moments against the noise E_t (cov(F, Y) = cov(F, E) for the known XB):
-    per-rank sums of the fits and each W'E_t, one r_x x q matrix per
-    replication, from one stack of every E_t. The n_pert perturbations of
-    replication t (size 0.1 sigma) come in order from substream (2, t) into
-    `dof._h_space_cov`, at every rank.
+    Two passes. The first runs on the caller, in replication order: each
+    replication's H and its SVD (``build_h(x, y, gram)``), the Monte-Carlo
+    moments and the per-rank fit sums. Monte-Carlo truth takes its moments
+    against the noise E_t (cov(F, Y) = cov(F, E) for the known XB): per-rank
+    sums of the fits and each W'E_t, one r_x x q matrix per replication,
+    from one stack of every E_t. The exact df of every replication comes from
+    one `exact_df_path` call on the stack of spectra. The second pass runs
+    whole replications on `linalg._two_threads`: each re-forms its H (no SVD)
+    and feeds its n_pert perturbations (size 0.1 sigma), in order from
+    substream (2, t), to `dof._h_space_cov` at every rank, whose own plan
+    then runs inline on that thread. The covariances are taken in H space
+    (see `dof`), with the draws before the fits, so no value depends on the
+    thread that ran a replication.
     """
     m = int(_checked_ints(cfg.reps, 3, what="reps"))
     n_pert = int(_checked_ints(n_pert, 3, what="n_pert"))
-    x, b, _ = _design(cfg)
+    x, b = _design(cfg)[:2]
     xb = x @ b
     gram = gram_factors(x)  # X is fixed: factor it once
     w, r_x = gram.w, gram.r_x  # the fit of Y is W H
@@ -153,19 +158,26 @@ def run_dof_study(cfg: SimConfig, n_pert: int = 50) -> DofStudyResult:
     e_bar = w.T @ (noise.sum(axis=0) / m)  # the mean noise, before any fit
     e_draws = w.T @ noise  # W'E_t: the noise of each replication in H space
 
-    exact_vals = np.empty((m, r_bar))
-    pert_vals = np.empty((m, r_bar))
+    spectra = np.empty((m, r_bar))
     mc_ab = np.empty((2, m, r_bar))
     fit_sum = np.zeros((r_bar, r_x, cfg.q))  # component k of the fits, summed over replications
     for t in range(m):
-        hf = build_h(x, xb + noise[t], gram)
-        f = hf.svd
-        exact_vals[t] = exact_df_path(f.d, r_x, cfg.q, *hard_rows(ranks, r_bar))[0]
+        f = build_h(x, xb + noise[t], gram).svd
+        spectra[t] = f.d
         mc_ab[:, t] = _rank_moments(f, np.stack([e_draws[t], e_bar]))
         fit_sum += np.einsum("ik,jk->kij", f.left * f.d, f.right)
-        pert_vals[t] = _h_space_cov(hf.h, w, _substream(cfg.seed, 2, t), n_pert, tau, tau**2)[0]
-
     mc_c = np.cumsum(e_draws.reshape(m, -1) @ fit_sum.reshape(r_bar, -1).T, axis=1) / m  # <mean fit, W'E_t>
+    del fit_sum, e_draws  # freed before two threads draw at once
+    exact_vals = exact_df_path(spectra, r_x, cfg.q, *hard_rows(ranks, r_bar))[0]
+
+    pert_vals = np.empty((m, r_bar))
+
+    def perturb(lo, hi):
+        for t in range(lo, hi):
+            h = _h_matrix(x, xb + noise[t], gram)
+            pert_vals[t] = _h_space_cov(h, w, _substream(cfg.seed, 2, t), n_pert, tau, tau**2)[0]
+
+    _two_threads(perturb, m, 1)
     mc = [DofEstimate(value=float(v), method="monte_carlo", std_error=float(se))
           for v, se in zip(*_cov_df(mc_ab[0], mc_ab[1], mc_c, cfg.sigma2))]
     return DofStudyResult(

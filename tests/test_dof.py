@@ -110,6 +110,25 @@ class TestExactDfRrr:
             with pytest.raises(DomainError):
                 exact_df_rrr(d, 5, 3, 1)
 
+    def test_spectrum_errors_name_the_first_offending_values(self):
+        # a bad value alone, or the first pair out of order; in a stack, the
+        # spectrum too, first in C order
+        prefix = "singular values must be nonnegative and strictly decreasing down to a vanished tail"
+        cases = [
+            ([3.0, 2.0, 2.0], "d_2 = 2.0 and d_3 = 2.0"),
+            ([2.0, -1.0, 0.0], "d_2 = -1.0"),
+            ([2.0, 0.0, 1.0], "d_2 = 0.0 and d_3 = 1.0"),  # a value after a vanished one
+            ([2.0, np.nan, 3.0], "d_2 = nan"),
+            ([[3.0, 2.0, 1.0], [3.0, 2.0, 2.0], [1.0, 2.0, 3.0]], "spectrum 1, d_2 = 2.0 and d_3 = 2.0"),
+            ([[[3.0, 2.0, 1.0]], [[3.0, 3.0, -1.0]]], "spectrum (1, 0), d_1 = 3.0 and d_2 = 3.0"),
+        ]
+        for d, where in cases:
+            with pytest.raises(DomainError, match=rf"^{re.escape(prefix)} .*: {re.escape(where)}$"):
+                exact_df_path(d, 5, 3, *hard_rows([1], 3))
+            if np.ndim(d) == 1:
+                with pytest.raises(DomainError, match=rf": {re.escape(where)}$"):
+                    exact_df_shrunk(d, 5, 3, [1.0, 0.0, 0.0], [0.0] * 3)
+
     def test_noiseless_rank_two_agrees_with_selection(self):
         # the instance of test_degenerate_zero_tail_falls_back_to_naive_count:
         # the two trailing singular values vanish

@@ -260,3 +260,74 @@ def test_two_threads_writes_every_slot_once_under_frequent_switches():
             assert np.all(out == 1)
     finally:
         sys.setswitchinterval(interval)
+
+
+def _started_threads(monkeypatch):
+    # every thread started through threading.Thread, in start order
+    started = []
+
+    class Recorded(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Recorded)
+    return started
+
+
+def test_two_threads_runs_a_plan_nested_in_a_stack_inline(monkeypatch):
+    # A plan started inside a stack of another plan cuts its usual stacks (5
+    # items, at most 2 a stack: an even count of 4) but starts no thread: it
+    # runs them in order on the thread of the stack that started it. Only the
+    # outer plan's helper starts.
+    started = _started_threads(monkeypatch)
+    seen = {}
+
+    def outer(lo, hi):
+        inner = []
+        _two_threads(lambda a, b: inner.append((threading.get_ident(), (a, b))), 5, 2)
+        seen[lo] = (threading.get_ident(), _on_caller(), inner)
+
+    _two_threads(outer, 2, 1)
+    assert len(started) == 1
+    assert sorted(on_caller for _, on_caller, _ in seen.values()) == [False, True]
+    for ident, _, inner in seen.values():
+        assert inner == [(ident, stack) for stack in [(0, 1), (1, 2), (2, 3), (3, 5)]]
+
+
+@pytest.mark.parametrize("raiser", ["helper", "caller"])
+def test_two_threads_error_in_a_nested_stack_reaches_the_outermost_caller(raiser):
+    # the nested plan of the raising outer stack stops at its failed stack;
+    # the error passes through the outer plan to its caller after the join
+    class Boom(Exception):
+        pass
+
+    ran = []
+
+    def inner(lo, hi):
+        ran.append((_on_caller(), lo))
+        if lo == 1 and _on_caller() == (raiser == "caller"):
+            raise Boom(raiser)
+
+    before = threading.active_count()
+    with pytest.raises(Boom, match=raiser):
+        _two_threads(lambda lo, hi: _two_threads(inner, 3, 1), 2, 1)
+    assert threading.active_count() == before
+    assert [lo for on_caller, lo in ran if on_caller == (raiser == "caller")] == [0, 1]
+
+
+def test_two_threads_starts_its_helper_after_a_failing_nested_plan(monkeypatch):
+    # a failure inside a nested plan leaves the calling thread outside any
+    # stack, so its next plan splits across two threads again
+    started = _started_threads(monkeypatch)
+
+    def failing(lo, hi):
+        raise ValueError("nested")
+
+    with pytest.raises(ValueError, match="nested"):
+        _two_threads(lambda lo, hi: _two_threads(failing, 4, 1), 1, 1)
+    assert started == []
+    seen = []
+    _two_threads(lambda lo, hi: seen.append((_on_caller(), (lo, hi))), 2, 1)
+    assert len(started) == 1
+    assert sorted(seen) == [(False, (1, 2)), (True, (0, 1))]

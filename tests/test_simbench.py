@@ -337,16 +337,19 @@ def test_dof_study_equals_per_draw_loop_bit_for_bit(cfg, monkeypatch):
     # runs the same LAPACK call on every slice, and the moments reduce over
     # the same axes in the same order, so every field is unchanged bit for
     # bit, at the budget (one stack here) and in stacks of at most two draws
-    # (an even count of them, of unequal size for an odd n_pert) on both
-    # threads.
-    for n_pert, per_stack in [(6, None), (3, None), (5, None), (6, 2), (5, 2)]:
-        if per_stack:
-            monkeypatch.setattr(dof, "SHARED_STACK_BYTES", per_stack * 8 * min(cfg.n, cfg.p) * cfg.q)
-        got = run_dof_study(cfg, n_pert=n_pert)
-        ref = _per_draw_dof_study(cfg, n_pert=n_pert)
-        assert np.array_equal(got.exact_values, ref["exact_values"]), n_pert
-        for name in ("exact_mean", "exact_se", "perturb_mean", "perturb_se", "mc"):
-            assert getattr(got, name) == ref[name], (name, n_pert)
+    # (of unequal size for an odd n_pert), whichever thread runs the
+    # replication: with 3, 5 or 7 of them the caller runs one more than the
+    # helper.
+    budget = dof.SHARED_STACK_BYTES
+    for reps in sorted({cfg.reps, 5, 7}):
+        for n_pert, per_stack in [(6, None), (3, None), (5, None), (6, 2), (5, 2)]:
+            monkeypatch.setattr(dof, "SHARED_STACK_BYTES", per_stack * 8 * min(cfg.n, cfg.p) * cfg.q
+                                if per_stack else budget)
+            got = run_dof_study(replace(cfg, reps=reps), n_pert=n_pert)
+            ref = _per_draw_dof_study(replace(cfg, reps=reps), n_pert=n_pert)
+            assert np.array_equal(got.exact_values, ref["exact_values"]), (reps, n_pert)
+            for name in ("exact_mean", "exact_se", "perturb_mean", "perturb_se", "mc"):
+                assert getattr(got, name) == ref[name], (name, reps, n_pert)
 
 
 def _study_fields(res):
@@ -363,18 +366,29 @@ def test_dof_study_under_raising_errstate_is_unchanged():
 
 
 def test_dof_study_error_on_the_helper_thread_reaches_the_caller(monkeypatch):
-    # Four stacks of at most two of the five perturbations: the calling
-    # thread factors the first two, the helper the last two, and it fails at
-    # its first in the first replication; no stack starts after that.
+    # Whole replications per thread: the caller runs replications 0 and 1,
+    # the helper 2 and 3, each as four stacks of at most two of the five
+    # perturbations. The helper fails at its first stack once the caller has
+    # begun its own, and the caller goes on only once the helper has ended:
+    # it finishes its current replication and starts no other.
     class Boom(Exception):
         pass
 
-    on_main = []
+    on_main, helper = [], []
+    began, raised = threading.Event(), threading.Event()
 
     def svd_failing_off_the_caller(stack):
         on_main.append(threading.current_thread() is threading.main_thread())
         if not on_main[-1]:
+            helper.append(threading.current_thread())
+            assert began.wait(10)
+            raised.set()
             raise Boom("helper")
+        if not began.is_set():
+            began.set()
+            assert raised.wait(10)
+            helper[0].join(10)
+            assert not helper[0].is_alive()
         return _svd(stack)
 
     cfg = SimConfig(n=20, p=5, q=7, r0=2, reps=4, seed=2)
@@ -384,7 +398,32 @@ def test_dof_study_error_on_the_helper_thread_reaches_the_caller(monkeypatch):
     with pytest.raises(Boom, match="helper"):
         run_dof_study(cfg, n_pert=5)
     assert threading.active_count() == before
-    assert on_main.count(False) == 1 and on_main.count(True) <= 2
+    assert on_main.count(False) == 1 and on_main.count(True) == 4
+
+
+def _started_threads(monkeypatch):
+    # every thread started through threading.Thread
+    started = []
+
+    class Recorded(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Recorded)
+    return started
+
+
+@pytest.mark.parametrize("cfg", [
+    replace(PRESETS["setting1_desk"], reps=5),  # a 10 x 8 H: one stack of the 50 perturbations
+    replace(PRESETS["setting2"], reps=3),  # a 40 x 50 H: eight stacks of them a replication
+], ids=["small", "setting2"])
+def test_dof_study_starts_one_helper(cfg, monkeypatch):
+    # the replications split across the caller and one helper; each
+    # replication's perturbation stacks then run on the thread that runs it
+    started = _started_threads(monkeypatch)
+    run_dof_study(cfg, n_pert=50)
+    assert len(started) == 1
 
 
 @pytest.mark.parametrize("cfg", [
@@ -416,44 +455,48 @@ def test_perturbation_fields_need_no_svd_sign_convention(cfg, monkeypatch):
 
 
 def _recorded_substreams(monkeypatch, cfg):
-    # the substream paths the study opens, in order
-    paths = []
+    # the substream paths the study opens, in order, each with whether the
+    # calling thread opened it
+    opened = []
     original = simbench._substream
 
     def recording(seed, *path):
         assert seed == cfg.seed
-        paths.append(path)
+        opened.append((threading.current_thread() is threading.main_thread(), path))
         return original(seed, *path)
 
     monkeypatch.setattr(simbench, "_substream", recording)
-    return paths
+    return opened
 
 
 def test_dof_study_opens_one_perturbation_generator_per_replication(monkeypatch):
     # the n_pert perturbations of replication t come in order from substream
-    # (2, t); the design (0,) and the errors (1, t) keep their streams. The
-    # study draws each E_t once, (1, 0) included: X and B come from the
-    # design alone, with no error matrix.
-    cfg = SimConfig(n=12, p=5, q=4, r0=2, reps=4, seed=9)
-    paths = _recorded_substreams(monkeypatch, cfg)
+    # (2, t), opened once, by the thread that runs the replication: the
+    # caller takes replications 0-2 in order, the helper 3 and 4. The design
+    # (0,) and the errors (1, t) keep their streams, opened on the caller
+    # before any thread starts. The study draws each E_t once, (1, 0)
+    # included: X and B come from the design alone, with no error matrix.
+    cfg = SimConfig(n=12, p=5, q=4, r0=2, reps=5, seed=9)
+    opened = _recorded_substreams(monkeypatch, cfg)
     run_dof_study(cfg, n_pert=5)
-    assert [p for p in paths if p[0] == 2] == [(2, t) for t in range(cfg.reps)]
-    assert set(paths) == {(0,)} | {(k, t) for k in (1, 2) for t in range(cfg.reps)}
-    assert [p for p in paths if p[0] != 2] == [(0,)] + [(1, t) for t in range(cfg.reps)]
+    assert [p for on_caller, p in opened if p[0] == 2 and on_caller] == [(2, 0), (2, 1), (2, 2)]
+    assert [p for on_caller, p in opened if p[0] == 2 and not on_caller] == [(2, 3), (2, 4)]
+    assert sorted(p for _, p in opened) == sorted({(0,)} | {(k, t) for k in (1, 2) for t in range(cfg.reps)})
+    assert opened[:cfg.reps + 1] == [(True, (0,))] + [(True, (1, t)) for t in range(cfg.reps)]
 
 
 def test_pred_study_opens_each_error_generator_once(monkeypatch):
     # the design (0,) once, then the errors (1, t) of each replication once
     cfg = SimConfig(n=12, p=5, q=4, r0=2, reps=4, seed=9)
-    paths = _recorded_substreams(monkeypatch, cfg)
+    opened = _recorded_substreams(monkeypatch, cfg)
     run_pred_study(cfg)
-    assert paths == [(0,)] + [(1, t) for t in range(cfg.reps)]
+    assert opened == [(True, p) for p in [(0,)] + [(1, t) for t in range(cfg.reps)]]
 
 
 def test_dof_study_memory_does_not_grow_with_reps():
     # The covariances keep per-rank sums and two n x q-sized arrays per
-    # replication (E_t and W'E_t, 16 kB each here), never a ranks x reps x
-    # n*q stack of fits.
+    # replication (E_t and W'E_t, 16 kB each here; W'E_t only until the
+    # perturbations start), never a ranks x reps x n*q stack of fits.
     def peak(reps):
         tracemalloc.start()
         try:
@@ -466,10 +509,12 @@ def test_dof_study_memory_does_not_grow_with_reps():
 
 
 def test_dof_study_peak_memory_with_stacked_perturbations():
-    # One replication's 50 perturbations are drawn and factored in stacks of
-    # at most SHARED_STACK_BYTES (8 draws on setting2); only their W'Delta is
-    # kept whole, 0.8 MB. Holding all 50 draws and the SVD factors of two
-    # halves of them at once peaks at 4.9 MB.
+    # Each of the two threads runs one replication at a time, whose 50
+    # perturbations are drawn and factored in stacks of at most
+    # SHARED_STACK_BYTES (8 draws on setting2); only their W'Delta is kept
+    # whole, 0.8 MB a thread. Holding all 50 draws and the SVD factors of two
+    # halves of them at once peaks at 4.9 MB. Run first in its process, the
+    # peak also holds the lazy import of numpy.random, about 0.76 MB.
     tracemalloc.start()
     try:
         run_dof_study(replace(PRESETS["setting2"], reps=4), n_pert=50)

@@ -63,6 +63,9 @@ def commands(data: list[str]) -> list[tuple[str, list[str], list[str]]]:
                                      "--sigma2", "1"], ["--output"]))
     runs.append(("simulate_dof", ["simulate", "--preset", "setting1_desk", "--study", "dof",
                                   "--reps", "4"], ["--output", "--table-out"]))
+    # 5 replications: the caller runs three and the helper two
+    runs.append(("simulate_dof_odd", ["simulate", "--preset", "setting1_desk", "--study", "dof",
+                                      "--reps", "5"], ["--output", "--table-out"]))
     runs.append(("simulate_pred", ["simulate", "--preset", "ld", "--study", "pred",
                                    "--reps", "5"], ["--output", "--table-out"]))
     runs.append(("simulate_pred_hd", ["simulate", "--preset", "hd", "--study", "pred",  # wide: p > n
