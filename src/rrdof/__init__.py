@@ -11,7 +11,7 @@ from .dof import (DofEstimate, divergence_analytic, divergence_fd, exact_df_path
                   exact_df_shrunk, mc_df, naive_df, perturbation_df, sv_derivatives)
 from .estimators import LsFit, ShrinkageRule, adaptive, coef_matrix, fit_ols, fit_shrunk, hard, soft
 from .linalg import GramFactors, HFactor, SvdFactors, build_h, gram_factors, thin_svd
-from .pipeline import EvalReport, eval_splits, ingest_csv, synthetic_fixture
+from .pipeline import EvalReport, eval_splits, ingest_csv
 from .selection import Criterion, SelectionReport, select_rank, select_ranks
 from .simbench import PRESETS, SimConfig, gen_instance, run_dof_study, run_pred_study, snr
 
@@ -25,7 +25,7 @@ __all__ = [
     "fit_ols", "fit_shrunk", "hard", "soft",
     "GramFactors", "HFactor", "SvdFactors", "build_h", "gram_factors",
     "thin_svd",
-    "EvalReport", "eval_splits", "ingest_csv", "synthetic_fixture",
+    "EvalReport", "eval_splits", "ingest_csv",
     "Criterion", "SelectionReport",
     "select_rank", "select_ranks",
     "PRESETS", "SimConfig", "gen_instance", "run_dof_study", "run_pred_study",

@@ -85,6 +85,19 @@ def naive_df(r_x: int, q: int, r) -> float | list[float]:
 VANISH_TOL = 1e-12
 
 
+def _where(v: np.ndarray, bad_value: np.ndarray, bad_pair: np.ndarray, stack: str, names: list[str]) -> str:
+    """'<names[j]> = value' of the first flagged entry of `v` (..., k), in C order; its
+    predecessor's first if only `bad_pair` flags it, and '<stack> i, ' first in a stack."""
+    at = tuple(int(i) for i in np.unravel_index(np.argmax(bad_value | bad_pair), v.shape))
+    j, lead = at[-1], at[:-1]
+    where = f"{names[j]} = {float(v[at])!r}"
+    if not bad_value[at]:
+        where = f"{names[j - 1]} = {float(v[(*lead, j - 1)])!r} and {where}"
+    if lead:
+        where = f"{stack} {lead[0] if len(lead) == 1 else lead}, {where}"
+    return where
+
+
 def _validate_spectrum(d, r_x: int, q: int) -> tuple[np.ndarray, np.ndarray]:
     """The spectrum as floats and the count of its leading non-vanished
     values, which must be strictly decreasing; vanished ones may follow. A
@@ -103,16 +116,10 @@ def _validate_spectrum(d, r_x: int, q: int) -> tuple[np.ndarray, np.ndarray]:
     bad_pair = np.zeros(d.shape, dtype=bool)  # at j: d_j and d_{j+1} (1-based) are out of order
     bad_pair[..., 1:] = (above & in_tail)[..., 1:] | ((d[..., 1:] >= d[..., :-1]) & ~in_tail[..., 1:])
     if (bad_value | bad_pair).any():
-        at = tuple(int(i) for i in np.unravel_index(np.argmax(bad_value | bad_pair), d.shape))
-        j, spectrum = at[-1], at[:-1]
-        where = f"d_{j + 1} = {float(d[at])!r}"
-        if not bad_value[at]:
-            where = f"d_{j} = {float(d[(*spectrum, j - 1)])!r} and {where}"
-        if spectrum:
-            where = f"spectrum {spectrum[0] if len(spectrum) == 1 else spectrum}, {where}"
         raise DomainError(
             "singular values must be nonnegative and strictly decreasing "
-            f"down to a vanished tail (at most {VANISH_TOL:g} * max(d_1, 1)): {where}"
+            f"down to a vanished tail (at most {VANISH_TOL:g} * max(d_1, 1)): "
+            + _where(d, bad_value, bad_pair, "spectrum", [f"d_{k}" for k in range(1, r_bar + 1)])
         )
     return d, live
 
@@ -191,11 +198,11 @@ def _inverse_gaps(d: np.ndarray) -> np.ndarray:
     return 1.0 / gaps
 
 
-def _tall_svd(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Singular values d, right vectors v and the near-tie flag of the tall
-    validated `h`. Raise unless h has full column rank, and on exactly equal
-    singular values, where the derivatives of the singular vectors do not
-    exist (G would hold 1/0)."""
+def _tall_svd(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool, np.ndarray]:
+    """Singular values d, right vectors v, the near-tie flag and the inverse
+    gaps G of the tall validated `h`. Raise unless h has full column rank, and
+    on exactly equal singular values, where the derivatives of the singular
+    vectors do not exist (G would hold 1/0)."""
     f = thin_svd(h)
     d = f.d
     if d[-1] <= 0:
@@ -208,19 +215,18 @@ def _tall_svd(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
             f"singular values d_{k} and d_{k + 1} are exactly tied ({float(d[k])!r}); "
             "the singular-vector derivatives are undefined"
         )
-    return d, f.right, degenerate
+    return d, f.right, degenerate, _inverse_gaps(d)
 
 
-def _sv_derivative_row(h: np.ndarray, d: np.ndarray, v: np.ndarray, i: int):
+def _sv_derivative_row(h: np.ndarray, d: np.ndarray, v: np.ndarray, g: np.ndarray, i: int):
     """Derivatives of the SVD of the tall `h` (singular values d, right
-    vectors v) with respect to every entry (i, j) of its row i, in factored
-    form (hv, dd, a, g): dd[j] holds the derivatives of the singular values
-    and the derivative of v is dV_ij = -(a * v[j] + ((v * v[j]) @ g) * hv)."""
+    vectors v, inverse gaps g) with respect to every entry (i, j) of its row
+    i, in factored form (hv, dd, a): dd[j] holds the derivatives of the
+    singular values and dV_ij = -(a * v[j] + ((v * v[j]) @ g) * hv)."""
     hv = h[i] @ v  # equals d_k * u_{ik}
     dd = v * hv / d
-    g = _inverse_gaps(d)
     a = v @ (g * hv[:, None])
-    return hv, dd, a, g
+    return hv, dd, a
 
 
 def sv_derivatives(h, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
@@ -246,8 +252,8 @@ def sv_derivatives(h, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
     j = int(_checked_ints(j, 0, h.shape[1] - 1, what="j"))
     if h.shape[0] < h.shape[1]:
         h, (i, j) = h.T, (j, i)
-    d, v, _ = _tall_svd(h)
-    hv, dd, a, g = _sv_derivative_row(h, d, v, i)
+    d, v, _, g = _tall_svd(h)
+    hv, dd, a = _sv_derivative_row(h, d, v, g, i)
     return dd[j], -(a * v[j] + ((v * v[j]) @ g) * hv)
 
 
@@ -259,13 +265,13 @@ def divergence_analytic(h, rule: ShrinkageRule) -> DofEstimate:
     be a (weights, derivatives) pair taken at the spectrum of H (`_weights`)."""
     h = _tall(as_matrix(h))
     r_x, q = h.shape
-    d, v, degenerate = _tall_svd(h)
+    d, v, degenerate, g = _tall_svd(h)
     s, s_prime = _weights(rule, d)
     m_trace = float(np.einsum("jk,k,jk->", v, s, v))  # sum of the diagonal of V diag(s) V'
-    vvg = (v * v) @ _inverse_gaps(d)  # row j: ((V o V) G)_j, the same for every row i
+    vvg = (v * v) @ g  # row j: ((V o V) G)_j, the same for every row i
     total = 0.0
     for i in range(r_x):
-        hv, dd, a, g = _sv_derivative_row(h, d, v, i)
+        hv, dd, a = _sv_derivative_row(h, d, v, g, i)
         # d h~_ij/dh_ij = [Z M]_ij + [H sum_k s_k (dv_k v_k' + v_k dv_k')]_ij
         #                + [H sum_k s_k' dd_k v_k v_k']_ij, summed over j with
         # row j of hdv = h_i' dV_ij and row j of dvj = row j of dV_ij. Both are
@@ -337,7 +343,7 @@ def _substream(seed: int, *path: int) -> np.random.Generator:
 
         simbench  (0,) X and B; (1, t) errors of replication t;
                   (2, t) the perturbations of replication t
-        pipeline  (3, t) eval split t; (4,) synthetic_fixture
+        pipeline  (3, t) eval split t
         mc_df / perturbation_df  (0,) / (1,) of their own seed
 
     A batch of draws comes from one generator in order, so draw t is the

@@ -124,30 +124,27 @@ def _two_threads(work, m, per_stack, threads=2) -> None:
     stacks = [(m * i // count, m * (i + 1) // count) for i in range(count)]
     errors = []
 
-    def run(part):
+    def run(part, errstate):
         outer = getattr(_in_stack, "on", False)
         _in_stack.on = True
         try:
-            for lo, hi in part:
-                if errors:
-                    return
-                work(lo, hi)
+            with np.errstate(**errstate):
+                for lo, hi in part:
+                    if errors:
+                        return
+                    work(lo, hi)
         except BaseException as exc:  # re-raised by the caller once both threads stop
             errors.append(exc)
         finally:
             _in_stack.on = outer
 
-    def helper(part, errstate):
-        with np.errstate(**errstate):
-            run(part)
-
     half = (count + 1) // 2 if threads == 2 and not getattr(_in_stack, "on", False) else count
     if half == count:  # one thread
-        run(stacks)
+        run(stacks, np.geterr())
     else:
-        thread = threading.Thread(target=helper, args=(stacks[half:], np.geterr()))
+        thread = threading.Thread(target=run, args=(stacks[half:], np.geterr()))
         thread.start()
-        run(stacks[:half])
+        run(stacks[:half], np.geterr())
         thread.join()
     if errors:
         raise errors[0]
@@ -197,11 +194,6 @@ def gram_factors(x) -> GramFactors:
     return GramFactors(q_mat=q_mat, s=s, r_x=r_x, w=_basis(x, q_mat, s))
 
 
-def _h_matrix(x: np.ndarray, y: np.ndarray, gf: GramFactors) -> np.ndarray:
-    """H = S^{-1} Q' X' Y of validated x and y: the one place H is formed."""
-    return (gf.q_mat.swapaxes(-1, -2) @ (x.swapaxes(-1, -2) @ y)) / gf.s[..., :, None]
-
-
 def build_h(x, y, gf: GramFactors) -> HFactor:
     """Build H = S^{-1} Q' X' Y together with its thin SVD; of each pair of a
     stack, along the leading axes of x and y, or of one x against each y."""
@@ -210,6 +202,6 @@ def build_h(x, y, gf: GramFactors) -> HFactor:
     _check_rows(x, y)
     if gf.q_mat.shape[:-1] != x.shape[:-2] + x.shape[-1:]:
         raise ShapeError("gram factors do not match the design matrix")
-    h = _h_matrix(x, y, gf)
+    h = (gf.q_mat.swapaxes(-1, -2) @ (x.swapaxes(-1, -2) @ y)) / gf.s[..., :, None]  # the one place H is written
     return HFactor(h=h, svd=thin_svd(h))
 

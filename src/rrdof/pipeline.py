@@ -269,26 +269,6 @@ def eval_splits(
     )
 
 
-def synthetic_fixture() -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic synthetic stand-in with the shape of a gene-expression
-    train/test pipeline dataset.
-
-    One dominant latent factor plus a slowly decaying tail of marginal
-    factors near the noise level, so parsimonious criteria select rank 1
-    while greedier ones chase the tail.
-    """
-    n, p, q = 118, 39, 36
-    rng = _substream(20240501, 4)
-    x = rng.standard_normal((n, p))
-    sv = np.concatenate([[5.0], 1.6 * 0.95 ** np.arange(8)])
-    r0 = sv.size
-    left = np.linalg.qr(rng.standard_normal((p, r0)))[0]
-    right = np.linalg.qr(rng.standard_normal((q, r0)))[0]
-    b = (left * sv[None, :]) @ right.T
-    y = x @ b + rng.standard_normal((n, q))  # unit noise variance
-    return x, y
-
-
 def fixture_paths() -> tuple[str, str]:
     """Filesystem paths of the bundled (X, Y) fixture CSVs."""
     from importlib.resources import files

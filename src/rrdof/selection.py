@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dof import exact_df_path, naive_df
+from .dof import _where, exact_df_path, naive_df
 from .estimators import LsFit, _checked_ints, hard_rows
 from .exceptions import DomainError, SaturationError
 
@@ -104,8 +104,12 @@ def select_ranks(d, rss, r_x: int, n: int, q: int,
     if d.shape[-1:] != (r_bar,) or rss.shape != d.shape[:-1]:
         raise DomainError(f"expected {r_bar} singular values and one rss per fit, "
                           f"got shapes {d.shape} and {rss.shape}")
-    if not (np.all((rss >= 0) & (rss < np.inf)) and np.all((d >= 0) & (d < np.inf)) and np.all(np.diff(d) <= 0)):
-        raise DomainError("rss and singular values must be finite and nonnegative, the values nonincreasing")
+    v = np.concatenate([rss[..., None], d], axis=-1)  # per fit: its rss, then its spectrum
+    bad_value = ~((v >= 0) & (v < np.inf))
+    rising = np.concatenate([np.zeros(v.shape[:-1] + (2,), dtype=bool), d[..., 1:] > d[..., :-1]], axis=-1)
+    if (bad_value | rising).any():
+        raise DomainError("rss and singular values must be finite and nonnegative, the values nonincreasing: "
+                          + _where(v, bad_value, rising, "fit", ["rss"] + [f"d_{k}" for k in range(1, r_bar + 1)]))
     candidates = list(range(1, r_bar + 1))
     rss = rss_path(d, rss, candidates)
     paths: dict[str, np.ndarray] = {}

@@ -18,7 +18,7 @@ from . import pipeline
 from .dof import DofEstimate, _cov_df, _h_space_cov, _rank_moments, _substream, exact_df_path, naive_df
 from .estimators import _checked_ints, _fit, coef_matrix, hard_rows
 from .exceptions import DomainError
-from .linalg import _h_matrix, _two_threads, build_h, gram_factors, thin_svd
+from .linalg import _two_threads, build_h, gram_factors, thin_svd
 from .selection import Criterion, select_ranks
 
 
@@ -136,14 +136,14 @@ def run_dof_study(cfg: SimConfig, n_pert: int = 50) -> DofStudyResult:
     moments and the per-rank fit sums. Monte-Carlo truth takes its moments
     against the noise E_t (cov(F, Y) = cov(F, E) for the known XB): per-rank
     sums of the fits and each W'E_t, one r_x x q matrix per replication,
-    from one stack of every E_t. The exact df of every replication comes from
-    one `exact_df_path` call on the stack of spectra. The second pass runs
-    whole replications on `linalg._two_threads`: each re-forms its H (no SVD)
-    and feeds its n_pert perturbations (size 0.1 sigma), in order from
-    substream (2, t), to `dof._h_space_cov` at every rank, whose own plan
-    then runs inline on that thread. The covariances are taken in H space
-    (see `dof`), with the draws before the fits, so no value depends on the
-    thread that ran a replication.
+    from one stack of every E_t; H_t then takes the first r_x rows of E_t.
+    The exact df of every replication comes from one `exact_df_path` call on
+    the stack of spectra. The second pass runs whole replications on
+    `linalg._two_threads`: each feeds that H_t and its n_pert perturbations
+    (size 0.1 sigma), in order from substream (2, t), to `dof._h_space_cov`
+    at every rank, whose own plan then runs inline on that thread. The
+    covariances are taken in H space (see `dof`), with the draws before the
+    fits, so no value depends on the thread that ran a replication.
     """
     m = int(_checked_ints(cfg.reps, 3, what="reps"))
     n_pert = int(_checked_ints(n_pert, 3, what="n_pert"))
@@ -154,7 +154,7 @@ def run_dof_study(cfg: SimConfig, n_pert: int = 50) -> DofStudyResult:
     r_bar = min(r_x, cfg.q)
     ranks = list(range(1, r_bar + 1))
     tau = 0.1 * float(np.sqrt(cfg.sigma2))
-    noise = np.stack([_errors(cfg, t) for t in range(m)])  # E_t of every replication
+    noise = np.stack([_errors(cfg, t) for t in range(m)])  # E_t of every replication, then H_t
     e_bar = w.T @ (noise.sum(axis=0) / m)  # the mean noise, before any fit
     e_draws = w.T @ noise  # W'E_t: the noise of each replication in H space
 
@@ -162,10 +162,11 @@ def run_dof_study(cfg: SimConfig, n_pert: int = 50) -> DofStudyResult:
     mc_ab = np.empty((2, m, r_bar))
     fit_sum = np.zeros((r_bar, r_x, cfg.q))  # component k of the fits, summed over replications
     for t in range(m):
-        f = build_h(x, xb + noise[t], gram).svd
-        spectra[t] = f.d
-        mc_ab[:, t] = _rank_moments(f, np.stack([e_draws[t], e_bar]))
-        fit_sum += np.einsum("ik,jk->kij", f.left * f.d, f.right)
+        hf = build_h(x, xb + noise[t], gram)
+        noise[t, :r_x] = hf.h  # E_t is read no more
+        spectra[t] = hf.svd.d
+        mc_ab[:, t] = _rank_moments(hf.svd, np.stack([e_draws[t], e_bar]))
+        fit_sum += np.einsum("ik,jk->kij", hf.svd.left * hf.svd.d, hf.svd.right)
     mc_c = np.cumsum(e_draws.reshape(m, -1) @ fit_sum.reshape(r_bar, -1).T, axis=1) / m  # <mean fit, W'E_t>
     del fit_sum, e_draws  # freed before two threads draw at once
     exact_vals = exact_df_path(spectra, r_x, cfg.q, *hard_rows(ranks, r_bar))[0]
@@ -174,8 +175,7 @@ def run_dof_study(cfg: SimConfig, n_pert: int = 50) -> DofStudyResult:
 
     def perturb(lo, hi):
         for t in range(lo, hi):
-            h = _h_matrix(x, xb + noise[t], gram)
-            pert_vals[t] = _h_space_cov(h, w, _substream(cfg.seed, 2, t), n_pert, tau, tau**2)[0]
+            pert_vals[t] = _h_space_cov(noise[t, :r_x], w, _substream(cfg.seed, 2, t), n_pert, tau, tau**2)[0]
 
     _two_threads(perturb, m, 1)
     mc = [DofEstimate(value=float(v), method="monte_carlo", std_error=float(se))

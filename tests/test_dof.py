@@ -470,6 +470,26 @@ class TestDivergences:
         dof.divergence_analytic(h, soft(0.5))
         assert calls == [(6, 4)]
 
+    @pytest.mark.parametrize("shape", [(6, 4), (4, 6)], ids=["tall", "wide"])
+    def test_inverse_gaps_formed_once_per_call(self, shape, monkeypatch):
+        # G = 1/(d_l^2 - d_k^2) depends on the spectrum alone: one G serves
+        # every row of H in the divergence, and every entry's derivatives
+        from rrdof import dof
+
+        calls = []
+        original = dof._inverse_gaps
+
+        def counting(d):
+            calls.append(d.size)
+            return original(d)
+
+        monkeypatch.setattr(dof, "_inverse_gaps", counting)
+        h = random_h(np.random.default_rng(47), *shape)
+        for rule in (hard(2), soft(0.5), adaptive(0.5)):
+            dof.divergence_analytic(h, rule)
+        dof.sv_derivatives(h, 1, 2)
+        assert calls == [4] * 4
+
     def test_analytic_is_independent_of_the_closed_form(self, monkeypatch):
         from rrdof import dof
 
@@ -709,6 +729,7 @@ class TestStochasticEstimators:
         # fixture. Holding every draw and its SVD factors at once peaks at
         # 36 MB here.
         ls = fit_ols(*(ingest_csv(path) for path in fixture_paths()))
+        _substream(0).standard_normal()  # numpy.random's lazy import, outside the trace
         tracemalloc.start()
         try:
             oracle(ls)

@@ -4,6 +4,7 @@ import threading
 import numpy as np
 import pytest
 
+from rrdof.dof import _substream
 from rrdof.exceptions import DegenerateDesignError, DomainError, ParseError, SaturationError, ShapeError
 from rrdof.pipeline import (
     REPORT_SCHEMA,
@@ -11,11 +12,30 @@ from rrdof.pipeline import (
     eval_splits,
     fixture_paths,
     ingest_csv,
-    synthetic_fixture,
     write_matrix_csv,
     write_report,
 )
 from rrdof.selection import Criterion, select_ranks
+
+
+def synthetic_fixture() -> tuple[np.ndarray, np.ndarray]:
+    """The generator of the bundled fixture CSVs: a deterministic synthetic
+    stand-in with the shape of a gene-expression train/test pipeline dataset.
+
+    One dominant latent factor plus a slowly decaying tail of marginal
+    factors near the noise level, so parsimonious criteria select rank 1
+    while greedier ones chase the tail.
+    """
+    n, p, q = 118, 39, 36
+    rng = _substream(20240501, 4)  # a key of its own: the library draws nothing from (4,)
+    x = rng.standard_normal((n, p))
+    sv = np.concatenate([[5.0], 1.6 * 0.95 ** np.arange(8)])
+    r0 = sv.size
+    left = np.linalg.qr(rng.standard_normal((p, r0)))[0]
+    right = np.linalg.qr(rng.standard_normal((q, r0)))[0]
+    b = (left * sv[None, :]) @ right.T
+    y = x @ b + rng.standard_normal((n, q))  # unit noise variance
+    return x, y
 
 
 class TestIngestCsv:
@@ -350,8 +370,6 @@ def assert_mspe_close(got, want):
 
 def _train_x(x, seed, t):
     # the training rows of split t of x (or of y), drawn as eval_splits draws them
-    from rrdof.dof import _substream
-
     perm = _substream(seed, 3, t).permutation(x.shape[0])
     return x[perm[: int(round(x.shape[0] * 0.5))]]
 
@@ -563,7 +581,6 @@ class TestOneSelectionPerRun:
     def test_halves_of_two_ranks_equal_a_per_split_loop(self, monkeypatch):
         # one selection call per design rank; each split's ranks and MSPE
         # equal its own fit's, selection and held-out path (bit for bit)
-        from rrdof.dof import _substream
         from rrdof.estimators import fit_ols
         from rrdof.linalg import gram_factors
         from rrdof.pipeline import _mspe_path

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import asdict
 
 import numpy as np
@@ -163,19 +164,24 @@ class TestSufficientStatistics:
                                 asdict(select_rank(ls, crit["gcv"])))
 
     @pytest.mark.parametrize("mode", ["exact", "naive"])
-    @pytest.mark.parametrize("d, rss", [
-        ([3.0, 2.0, 1.0], math.nan), ([3.0, 2.0, 1.0], math.inf), ([3.0, 2.0, 1.0], -5.0),
-        ([3.0, math.nan, 1.0], 4.0), ([math.inf, 2.0, 1.0], 4.0), ([3.0, 2.0, -1.0], 4.0), ([1.0, 2.0, 3.0], 4.0),
-    ], ids=["rss_nan", "rss_inf", "rss_negative", "d_nan", "d_inf", "d_negative", "d_increasing"])
-    def test_bad_statistics_raise_in_both_df_modes(self, d, rss, mode):
+    @pytest.mark.parametrize("d, rss, where", [
+        ([3.0, 2.0, 1.0], math.nan, "rss = nan"), ([3.0, 2.0, 1.0], math.inf, "rss = inf"),
+        ([3.0, 2.0, 1.0], -5.0, "rss = -5.0"), ([3.0, math.nan, 1.0], 4.0, "d_2 = nan"),
+        ([math.inf, 2.0, 1.0], 4.0, "d_1 = inf"), ([3.0, 2.0, -1.0], 4.0, "d_3 = -1.0"),
+        ([1.0, 2.0, 3.0], 4.0, "d_1 = 1.0 and d_2 = 2.0"), ([1.0, 2.0, 3.0], math.nan, "rss = nan"),
+    ], ids=["rss_nan", "rss_inf", "rss_negative", "d_nan", "d_inf", "d_negative", "d_increasing", "rss_first"])
+    def test_bad_statistics_raise_in_both_df_modes(self, d, rss, where, mode):
         # Before this check an rss of NaN gave all-NaN scores and rank 1, an
         # rss of -5 rank 3, and naive GCV picked rank 1 on [3, NaN, 1] and
         # rank 3 on [1, 2, 3], all silently. A stack fails on one bad fit.
+        # The message names the first bad entry, a fit's rss before its
+        # spectrum, and in a stack the fit holding it.
+        message = "rss and singular values must be finite and nonnegative, the values nonincreasing: "
         for kind in ("cp", "gcv", "bic"):
             crit = {"c": Criterion(kind, mode, 1.0 if kind == "cp" else None)}
-            with pytest.raises(DomainError, match="must be finite and nonnegative"):
+            with pytest.raises(DomainError, match=f"^{re.escape(message + where)}$"):
                 select_ranks(d, rss, 3, 20, 3, crit)
-            with pytest.raises(DomainError, match="must be finite and nonnegative"):
+            with pytest.raises(DomainError, match=f"^{re.escape(message + 'fit 1, ' + where)}$"):
                 select_ranks(np.stack([[3.0, 2.0, 1.0], d]), [4.0, rss], 3, 20, 3, crit)
 
     def test_exact_ties_stay_legal_in_naive_mode(self):

@@ -497,6 +497,8 @@ def test_dof_study_memory_does_not_grow_with_reps():
     # The covariances keep per-rank sums and two n x q-sized arrays per
     # replication (E_t and W'E_t, 16 kB each here; W'E_t only until the
     # perturbations start), never a ranks x reps x n*q stack of fits.
+    _substream(0).standard_normal()  # numpy.random's lazy import, outside the traces
+
     def peak(reps):
         tracemalloc.start()
         try:
@@ -513,8 +515,10 @@ def test_dof_study_peak_memory_with_stacked_perturbations():
     # perturbations are drawn and factored in stacks of at most
     # SHARED_STACK_BYTES (8 draws on setting2); only their W'Delta is kept
     # whole, 0.8 MB a thread. Holding all 50 draws and the SVD factors of two
-    # halves of them at once peaks at 4.9 MB. Run first in its process, the
-    # peak also holds the lazy import of numpy.random, about 0.76 MB.
+    # halves of them at once peaks at 4.9 MB. numpy.random's lazy import
+    # (about 0.76 MB when the test runs first in its process) is taken before
+    # the trace.
+    _substream(0).standard_normal()
     tracemalloc.start()
     try:
         run_dof_study(replace(PRESETS["setting2"], reps=4), n_pert=50)
@@ -522,6 +526,60 @@ def test_dof_study_peak_memory_with_stacked_perturbations():
     finally:
         tracemalloc.stop()
     assert peak <= 3.5e6
+
+
+def test_dof_study_forms_each_h_once_on_the_caller(monkeypatch):
+    # The ordered pass forms H_t with build_h, once per replication, on the
+    # caller and before any perturbation. The threaded pass forms no H: it
+    # reads H_t back from the first r_x rows of replication t's noise block.
+    cfg = SimConfig(n=12, p=5, q=4, r0=2, reps=5, seed=9)
+    events = []
+    build_h, h_space_cov = simbench.build_h, simbench._h_space_cov
+
+    def counting(*args):
+        events.append(("build_h", threading.current_thread() is threading.main_thread()))
+        return build_h(*args)
+
+    def recording(h, *args):
+        assert h.base is not None and h.base.shape == (cfg.reps, cfg.n, cfg.q)  # a view of the noise stack
+        events.append(("perturb", h.copy()))
+        return h_space_cov(h, *args)
+
+    monkeypatch.setattr(simbench, "build_h", counting)
+    monkeypatch.setattr(simbench, "_h_space_cov", recording)
+    run_dof_study(cfg, n_pert=4)
+    assert events[:cfg.reps] == [("build_h", True)] * cfg.reps
+    assert [kind for kind, _ in events[cfg.reps:]] == ["perturb"] * cfg.reps
+    x, b = simbench._design(cfg)[:2]
+    gram = gram_factors(x)
+    expected = [build_h(x, x @ b + simbench._errors(cfg, t), gram).h for t in range(cfg.reps)]
+    found = [[t for t in range(cfg.reps) if np.array_equal(h, expected[t])] for _, h in events[cfg.reps:]]
+    assert sorted(found) == [[t] for t in range(cfg.reps)]
+
+
+@pytest.mark.parametrize("reps", [3, 5, 7])  # odd counts: unequal thread halves
+@pytest.mark.parametrize("cfg", [
+    SimConfig(n=30, p=6, q=5, r0=3, seed=4),  # tall: only the first r_x = 6 of 30 noise rows hold H_t
+    SimConfig(n=12, p=20, q=8, r0=2, sigma2=4.0, seed=5),  # wide: r_x = n, the whole block
+], ids=["tall", "wide"])
+def test_dof_study_equals_a_run_that_re_forms_each_h(cfg, reps, monkeypatch):
+    # Every field equals a run whose threaded pass forms each replication's
+    # H again from the design and its errors (substream (2, t) names t).
+    cfg = replace(cfg, reps=reps)
+    got = run_dof_study(cfg, n_pert=5)
+    x, b = simbench._design(cfg)[:2]
+    gram = gram_factors(x)
+    h_space_cov = simbench._h_space_cov
+
+    def re_forming(h, w, rng, *args):
+        t = rng.bit_generator.seed_seq.spawn_key[1]
+        return h_space_cov(build_h(x, x @ b + simbench._errors(cfg, t), gram).h, w, rng, *args)
+
+    monkeypatch.setattr(simbench, "_h_space_cov", re_forming)
+    ref = run_dof_study(cfg, n_pert=5)
+    assert np.array_equal(got.exact_values, ref.exact_values)
+    for name in ("config", "ranks", "naive", "exact_mean", "exact_se", "perturb_mean", "perturb_se", "mc"):
+        assert getattr(got, name) == getattr(ref, name), name
 
 
 def test_dof_study_needs_three_replications():
@@ -605,6 +663,8 @@ def test_pred_study_does_not_depend_on_the_stack_size(monkeypatch, cfg):
 
 def test_pred_study_memory_does_not_grow_with_reps():
     # the replications run in stacks of at most pipeline.STACK_BYTES
+    _substream(0).standard_normal()  # numpy.random's lazy import, outside the traces
+
     def peak(reps):
         tracemalloc.start()
         try:
