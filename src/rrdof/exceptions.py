@@ -14,7 +14,7 @@ class DomainError(RrdofError, ValueError):
 
 
 class DegenerateDesignError(RrdofError, ValueError):
-    """Design matrix carries no usable column space (e.g. all zeros)."""
+    """Design matrix carries no usable column space (e.g. all zeros), or X'X would lose some of it."""
 
 
 class NumericalError(RrdofError, RuntimeError):

@@ -33,15 +33,6 @@ def as_matrix(a, stack: bool = False) -> np.ndarray:
     return m
 
 
-def _check_rows(x: np.ndarray, y: np.ndarray) -> None:
-    """Raise ShapeError unless x and y have the same rows and a stacked x has
-    y's stack axes: one 2-d design may face a stack of responses."""
-    if x.shape[-2] != y.shape[-2]:
-        raise ShapeError(f"x has {x.shape[-2]} rows but y has {y.shape[-2]}")
-    if x.ndim > 2 and x.shape[:-2] != y.shape[:-2]:
-        raise ShapeError(f"x is a stack of {x.shape[:-2]} but y of {y.shape[:-2]}")
-
-
 @dataclass(frozen=True)
 class SvdFactors:
     """Thin SVD: ``left @ diag(d) @ right.T`` reconstructs the input.
@@ -80,14 +71,11 @@ class HFactor:
 
 
 def _fix_signs(u: np.ndarray, vt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Force the largest-magnitude entry of each right singular vector to be
-    # positive (the first one on ties); the compensating flip goes into the
-    # left vectors. Works along leading (stack) axes.
+    # thin_svd's sign convention, in place, along leading (stack) axes
     j = np.argmax(np.abs(vt), axis=-1)
-    flip = np.take_along_axis(vt, j[..., None], axis=-1)[..., 0] < 0
-    vt[flip] = -vt[flip]
-    ut = u.swapaxes(-1, -2)  # a view: flipping its rows flips the columns of u
-    ut[flip] = -ut[flip]
+    sign = np.where(np.take_along_axis(vt, j[..., None], axis=-1) < 0, -1.0, 1.0)  # (..., k, 1)
+    vt *= sign  # times +-1: exact, signed zeros included
+    u *= sign.swapaxes(-1, -2)
     return u, vt
 
 
@@ -152,10 +140,12 @@ def _two_threads(work, m, per_stack, threads=2) -> None:
 
 def thin_svd(m) -> SvdFactors:
     """Thin SVD of a real matrix, k = min(rows, cols) factors; of each matrix
-    of a stack (..., rows, cols), along its leading axes."""
+    of a stack (..., rows, cols), along its leading axes. Each pair of singular
+    vectors is multiplied by +-1 so that the largest-magnitude entry of the
+    right one (the first on ties) is positive: exact, signed zeros included."""
     f = _svd(as_matrix(m, stack=True))
-    u, vt = _fix_signs(f.left, f.right.swapaxes(-1, -2))  # in place: the factors are fresh
-    return SvdFactors(left=u, d=f.d, right=vt.swapaxes(-1, -2))
+    _fix_signs(f.left, f.right.swapaxes(-1, -2))  # in place: the factors are fresh
+    return f
 
 
 def _basis(rows: np.ndarray, q_mat: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -169,37 +159,48 @@ def gram_factors(x) -> GramFactors:
     """Eigenfactorization of X'X keeping eigenvalues above ``RANK_TOL * max``,
     and W; of each design of a stack (..., n, p), along its leading axes.
 
+    eigh's ascending eigenvalues are read backwards. One at most
+    max(n, p)·eps·max is roundoff, its direction collinear; one above that
+    and not kept (condition number over 1e5) raises DegenerateDesignError.
     The designs of a stack must keep the same number of eigenvalues, or
     ShapeError is raised. Each slice of `q_mat` is column-major, as the
     single-design factor is, so BLAS takes the same path on every slice.
     """
     x = as_matrix(x, stack=True)
-    xtx = x.swapaxes(-1, -2) @ x
     try:
-        evals, evecs = np.linalg.eigh(xtx)
+        evals, evecs = np.linalg.eigh(x.swapaxes(-1, -2) @ x)  # X'X lives only for the eigh call
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise NumericalError(f"eigendecomposition failed: {exc}") from exc
-    order = np.argsort(evals, axis=-1)[..., ::-1]
-    evals = np.take_along_axis(evals, order, axis=-1)
-    # gather the columns as rows of the transpose: column-major slices
-    evecs = np.take_along_axis(evecs.swapaxes(-1, -2), order[..., None], axis=-2).swapaxes(-1, -2)
+    evals = evals[..., ::-1]  # eigh's ascending order, read backwards
     if np.any(evals[..., 0] <= 0):
         raise DegenerateDesignError("design matrix has no nonzero column")
     keep = evals > RANK_TOL * evals[..., :1]
+    lost = np.argwhere(~keep & (evals > max(x.shape[-2:]) * np.finfo(float).eps * evals[..., :1])).tolist()
+    if lost:  # dropped yet above roundoff: name the first such design's largest
+        *at, k = lost[0]
+        cond = np.sqrt(evals[(*at, 0)] / evals[(*at, k)])
+        where = f" {at} of the stack" if evals[..., 0].size > 1 else ""  # a stack of one is one design
+        raise DegenerateDesignError(f"design{where} is ill-conditioned for X'X: condition number {cond:.3g}")
     ranks = np.count_nonzero(keep, axis=-1)
     r_x = int(ranks.max())
     if ranks.min() != r_x:
         raise ShapeError(f"the designs of a stack differ in rank: {int(ranks.min())} and {r_x}")
-    q_mat, s = evecs[..., :r_x], np.sqrt(evals[..., :r_x])
+    # the last r_x columns, backwards, copied as rows of the transpose: column-major slices
+    q_mat = np.ascontiguousarray(evecs[..., : -r_x - 1 : -1].swapaxes(-1, -2)).swapaxes(-1, -2)
+    s = np.sqrt(evals[..., :r_x])
     return GramFactors(q_mat=q_mat, s=s, r_x=r_x, w=_basis(x, q_mat, s))
 
 
 def build_h(x, y, gf: GramFactors) -> HFactor:
     """Build H = S^{-1} Q' X' Y together with its thin SVD; of each pair of a
-    stack, along the leading axes of x and y, or of one x against each y."""
+    stack, along the leading axes of x and y, or of one 2-d x against each y.
+    Other rows or stack axes, or a `gf` of another shape, raise ShapeError."""
     x = as_matrix(x, stack=True)
     y = as_matrix(y, stack=True)
-    _check_rows(x, y)
+    if x.shape[-2] != y.shape[-2]:
+        raise ShapeError(f"x has {x.shape[-2]} rows but y has {y.shape[-2]}")
+    if x.ndim > 2 and x.shape[:-2] != y.shape[:-2]:
+        raise ShapeError(f"x is a stack of {x.shape[:-2]} but y of {y.shape[:-2]}")
     if gf.q_mat.shape[:-1] != x.shape[:-2] + x.shape[-1:]:
         raise ShapeError("gram factors do not match the design matrix")
     h = (gf.q_mat.swapaxes(-1, -2) @ (x.swapaxes(-1, -2) @ y)) / gf.s[..., :, None]  # the one place H is written

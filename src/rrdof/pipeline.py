@@ -50,7 +50,7 @@ def ingest_csv(
     columns under `standardize`, are rejected.
     """
     rows: list[list[float]] = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:  # -sig: drops a byte-order mark, as Excel writes
         reader = csv.reader(fh)
         for lineno, record in enumerate(reader, start=1):
             if header and lineno == 1:

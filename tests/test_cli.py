@@ -461,3 +461,14 @@ class TestSeed:
         monkeypatch.setenv("RRDOF_SEED", "abc")
         rc, out = self.run(data_paths, ["select", "--criterion", "gcv"], ["--seed", "4"])
         assert rc == 0 and read_report(out)["seed"] == 4
+
+
+def test_an_ill_conditioned_design_is_one_error_line(data_paths, capsys):
+    # singular values log-spaced from 1 to 5e-6: X'X cannot keep the last one
+    xp, yp, _ = data_paths
+    rng = np.random.default_rng(91)
+    u = np.linalg.qr(rng.standard_normal((30, 5)))[0]
+    v = np.linalg.qr(rng.standard_normal((5, 5)))[0]
+    write_matrix_csv(xp, (u * np.logspace(0, np.log10(5e-6), 5)) @ v.T)
+    err = rejected(data_paths, capsys, ["fit"])
+    assert err == "error: design is ill-conditioned for X'X: condition number 2e+05\n"

@@ -1,3 +1,4 @@
+import re
 import sys
 import threading
 import time
@@ -90,6 +91,35 @@ def test_fix_signs_matches_loop(case):
     assert np.array_equal(np.signbit(got_vt), np.signbit(ref_vt))
 
 
+def test_fix_signs_matches_loop_on_a_stack_with_negative_zeros():
+    # one multiply by +-1 per vector pair: a flipped pair's zeros change sign,
+    # and a row whose largest entry is -0.0 is not flipped
+    rng = np.random.default_rng(8)
+    u = rng.standard_normal((2, 3, 6, 5))
+    vt = rng.standard_normal((2, 3, 5, 4))
+    u[..., 0, :], u[..., 1, :] = -0.0, 0.0
+    vt[0, 0, 0] = [-0.0, 0.0, -0.0, 0.0]
+    vt[0, 1, 1] = [0.0, -3.0, -0.0, 1.0]
+    vt[1, 2, :, 0] = -0.0
+    got_u, got_vt = _fix_signs(u.copy(), vt.copy())
+    ref_u, ref_vt = u.copy(), vt.copy()
+    for idx in np.ndindex(2, 3):
+        _fix_signs_loop(ref_u[idx], ref_vt[idx])  # in place on each slice
+    for got, ref in ((got_u, ref_u), (got_vt, ref_vt)):
+        assert np.array_equal(got, ref)
+        assert np.array_equal(np.signbit(got), np.signbit(ref))
+    assert np.signbit(got_vt[0, 0, 0]).tolist() == [True, False, True, False]
+    assert np.signbit(got_vt[0, 1, 1]).tolist() == [True, False, False, True]
+
+
+def conditioned_design(cond, seed=0, n=60, p=10):
+    """An n x p design whose singular values are log-spaced from 1 to 1/cond."""
+    rng = np.random.default_rng(seed)
+    u = np.linalg.qr(rng.standard_normal((n, p)))[0]
+    v = np.linalg.qr(rng.standard_normal((p, p)))[0]
+    return (u * np.logspace(0, -np.log10(cond), p)) @ v.T
+
+
 class TestGramFactors:
     def test_orthonormal_design(self):
         q_cols = np.linalg.qr(np.random.default_rng(4).standard_normal((10, 4)))[0]
@@ -101,7 +131,7 @@ class TestGramFactors:
         rng = np.random.default_rng(5)
         x = rng.standard_normal((8, 3))
         x = np.column_stack([x, x[:, 0]])
-        assert gram_factors(x).r_x < 4
+        assert gram_factors(x).r_x == 3  # its eigenvalue is roundoff: collinear, no error
 
     def test_wide_design_rank(self):
         rng = np.random.default_rng(6)
@@ -120,6 +150,41 @@ class TestGramFactors:
     def test_zero_design(self):
         with pytest.raises(DegenerateDesignError):
             gram_factors(np.zeros((4, 3)))
+
+    def test_tied_eigenvalues_of_a_pm1_orthogonal_design(self):
+        # Sylvester's 8 x 8 Hadamard matrix, stacked twice: X'X = 16 I exactly,
+        # so every eigenvalue is tied and eigh alone orders the eigenvectors
+        had = np.ones((1, 1))
+        for _ in range(3):
+            had = np.block([[had, had], [had, -had]])
+        x = np.vstack([had, had])[:, :6]
+        assert np.array_equal(x.T @ x, 16.0 * np.eye(6))
+        gf = gram_factors(x)
+        assert gf.r_x == 6
+        assert np.abs(gf.q_mat @ np.diag(gf.s**2) @ gf.q_mat.T - x.T @ x).max() < 1e-12
+        assert np.abs(gf.w.T @ gf.w - np.eye(6)).max() < 1e-12
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_condition_number_under_1e5_keeps_every_direction(self, seed):
+        # at exactly 1e5 the smallest eigenvalue sits on RANK_TOL, on either
+        # side of it as rounding falls; 9e4 is clear of it
+        assert gram_factors(conditioned_design(9e4, seed)).r_x == 10
+
+    @pytest.mark.parametrize(
+        "cond, named",
+        [(2e5, "2e+05"), (1e8, "2.15e+05")],  # 1e8: the largest dropped direction, s_7 = 1e8**(-6/9)
+    )
+    def test_a_lost_direction_raises_naming_its_condition_number(self, cond, named):
+        msg = f"design is ill-conditioned for X'X: condition number {named}"
+        with pytest.raises(DegenerateDesignError, match=f"^{re.escape(msg)}$"):
+            gram_factors(conditioned_design(cond))
+
+    def test_a_stack_names_the_design_that_loses_a_direction(self):
+        x = np.stack([conditioned_design(10.0, 1), conditioned_design(2e5, 2), conditioned_design(1e8, 3)])
+        with pytest.raises(DegenerateDesignError, match=re.escape("design [1] of the stack is ill-conditioned")):
+            gram_factors(x)
+        with pytest.raises(DegenerateDesignError, match=re.escape("design [0, 1] of the stack")):
+            gram_factors(x[None, [0, 2]])
 
     @pytest.mark.parametrize("shape", [(12, 5), (6, 10), (3, 12, 5)], ids=["tall", "wide", "stack"])
     def test_basis_is_x_q_over_s_with_orthonormal_columns(self, shape):

@@ -1,4 +1,5 @@
 import json
+import re
 import threading
 
 import numpy as np
@@ -100,6 +101,14 @@ class TestIngestCsv:
         with pytest.raises(ParseError, match=r"constant column\(s\) 2, 4$"):
             ingest_csv(path, standardize=True)
         assert ingest_csv(path).shape == (3, 4)  # raw values are still read
+
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        # Excel's "CSV UTF-8" starts the file with one
+        plain = fixture_paths()[0]
+        bom = tmp_path / "bom.csv"
+        with open(plain, "rb") as fh:
+            bom.write_bytes(b"\xef\xbb\xbf" + fh.read())
+        assert np.array_equal(ingest_csv(bom), ingest_csv(plain))
 
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(80)
@@ -325,7 +334,7 @@ def reference_eval(x, y, criteria, n_splits, split_fraction=0.5, seed=0):
                 got_mspe[name] = direct_mspe(y_te, x_te @ bhat)
                 got_ranks[name] = rep.chosen
             got_mspe["ols"] = direct_mspe(y_te, x_te @ coef_matrix(ls, hard(ls.r_bar)))
-        except (SaturationError, DomainError) as exc:
+        except (SaturationError, DomainError, DegenerateDesignError) as exc:
             failures.append({"split": t, "error": str(exc)})
             continue
         for name in names:
@@ -542,6 +551,38 @@ class TestOneRankPathPerSplit:
         assert 0 < len(got.failures) < 12
         assert got.failures == failures
         assert all(f["error"] == "every candidate rank saturates the criterion" for f in failures)
+        assert_mspe_close(got.mspe, mspe)
+        assert got.ranks == ranks
+
+
+def ill_conditioned_xy():
+    """Column 6 vanishes except 1e-5 on row 0, so a training half holding
+    row 0 has a direction X'X cannot keep (condition number about 6e5) and
+    one without it a zero column: rank 6."""
+    rng = np.random.default_rng(85)
+    x = rng.standard_normal((20, 7))
+    x[:, 6] = 0.0
+    x[0, 6] = 1e-5
+    return x, x[:, :6] @ rng.standard_normal((6, 4)) + rng.standard_normal((20, 4))
+
+
+class TestIllConditionedSplits:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_each_ill_conditioned_split_is_recorded(self, monkeypatch, jobs):
+        from rrdof import pipeline
+
+        x, y = ill_conditioned_xy()
+        fits = []
+        fit_ols = pipeline.fit_ols
+        monkeypatch.setattr(pipeline, "fit_ols", lambda xs, ys: fits.append(len(xs)) or fit_ols(xs, ys))
+        got = eval_splits(x, y, ALL_CRITERIA, n_splits=12, seed=6, jobs=jobs)
+        held = [t for t in range(12) if 0 in _substream(6, 3, t).permutation(20)[:10]]
+        assert [f["split"] for f in got.failures] == held and 0 < len(held) < 12
+        for f in got.failures:
+            assert re.fullmatch(r"design is ill-conditioned for X'X: condition number \S+e\+05", f["error"])
+        assert 1 in fits and max(fits) > 1  # a failing stack ran again one split at a time
+        mspe, ranks, failures = reference_eval(x, y, ALL_CRITERIA, n_splits=12, seed=6)
+        assert got.failures == failures
         assert_mspe_close(got.mspe, mspe)
         assert got.ranks == ranks
 

@@ -22,7 +22,7 @@ from rrdof.dof import (
 )
 from rrdof.estimators import adaptive, coef_matrix, fit_ols, fit_shrunk, hard, hard_rows, soft, validate_weights
 from rrdof.exceptions import SaturationError
-from rrdof.linalg import _two_threads, thin_svd
+from rrdof.linalg import RANK_TOL, _two_threads, gram_factors, thin_svd
 from rrdof.pipeline import _mspe_path
 from rrdof.selection import Criterion, _scores, lambda_grid, select_rank, select_ranks
 from test_selection import assert_scores_match
@@ -123,6 +123,42 @@ def test_thin_svd_reconstructs(seed, rows, cols):
     f = thin_svd(m)
     assert np.linalg.norm(f.left @ np.diag(f.d) @ f.right.T - m) < 1e-9
     assert np.all(np.diff(f.d) <= 0)
+
+
+def reference_gram_factors(x):
+    """gram_factors by sorting eigh's output: argsort, then one gather of the
+    eigenvalues and one of the eigenvectors, as rows of the transpose so each
+    slice is column-major. Kept as the reference for reading eigh backwards.
+    Returns (q_mat, s, r_x, w, the sorted eigenvalues)."""
+    evals, evecs = np.linalg.eigh(x.swapaxes(-1, -2) @ x)
+    order = np.argsort(evals, axis=-1)[..., ::-1]
+    evals = np.take_along_axis(evals, order, axis=-1)
+    evecs = np.take_along_axis(evecs.swapaxes(-1, -2), order[..., None], axis=-2).swapaxes(-1, -2)
+    r_x = int(np.count_nonzero(evals > RANK_TOL * evals[..., :1], axis=-1).max())
+    q_mat, s = evecs[..., :r_x], np.sqrt(evals[..., :r_x])
+    w = x @ q_mat
+    w /= s[..., None, :]
+    return q_mat, s, r_x, w, evals
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    stack=st.sampled_from([(), (1,), (3,), (2, 2)]),
+    n=st.integers(min_value=2, max_value=12),
+    p=st.integers(min_value=1, max_value=8),
+)
+def test_gram_factors_equal_the_sorted_route(seed, stack, n, p):
+    x = np.random.default_rng(seed).standard_normal(stack + (n, p))
+    q_mat, s, r_x, w, evals = reference_gram_factors(x)
+    hypothesis.assume(np.all(np.diff(evals, axis=-1) < 0))  # distinct Gram eigenvalues
+    floor = max(n, p) * np.finfo(float).eps * evals[..., :1]
+    hypothesis.assume(not np.any((evals <= RANK_TOL * evals[..., :1]) & (evals > floor)))
+    gf = gram_factors(x)
+    assert gf.r_x == r_x
+    for got, want in ((gf.q_mat, q_mat), (gf.s, s), (gf.w, w)):
+        assert got.shape == want.shape and np.array_equal(got, want)
+    assert all(gf.q_mat[idx].flags.f_contiguous for idx in np.ndindex(stack))
 
 
 @settings(deadline=None)
